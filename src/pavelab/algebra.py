@@ -12,8 +12,8 @@ Projections produced by spectral calculus are re-symmetrized eigenvector
 outer products, so they stay exact idempotents instead of drifting through
 pipeline stages.  Tolerances:
 
-* ``TOL_PROJ`` (1e-8): algebraic identity checks (idempotency, unitarity,
-  partition completeness).
+* ``TOL_PROJ`` (1e-8): algebraic identity checks (projections, unitarity,
+  the frame residual ‖U* U - 1‖ of a partition of unity).
 * spectral reconstruction: 1e-10 * norm.
 * ``TIE_TOL`` (1e-12): eigenvalue/endpoint tie detection; ties are resolved
   by exact comparison of the computed eigenvalue and recorded as boundary
@@ -103,8 +103,8 @@ class AlgebraShape:
 class Element:
     """One algebra element: a list of complex matrix blocks over a shape.
 
-    ``meta`` carries non-semantic side information (spectral frames, boundary
-    warnings, producer notes); it is ignored by arithmetic and comparisons.
+    ``meta`` carries non-semantic side information (boundary warnings,
+    producer notes); it is ignored by arithmetic and comparisons.
     """
 
     shape: AlgebraShape
@@ -220,29 +220,13 @@ def herm_eig(x: Element, tol: float = TOL_PROJ):
 
 
 def frame_projection(shape: AlgebraShape, frames: list) -> Element:
-    """Projection sum_cols v v* from per-block orthonormal column frames.
-
-    The frame is kept in ``meta['frame']`` so downstream operations (pinching,
-    embedding, verification) can use the rank-factored form.
-    """
-    blocks, kept = [], []
+    """Dense projection F F* from per-block orthonormal column frames F."""
+    blocks = []
     for d, f in zip(shape.block_dims, frames):
-        f = np.ascontiguousarray(f, dtype=np.complex128).reshape(d, -1)
+        f = np.asarray(f, dtype=np.complex128).reshape(d, -1)
         p = f @ f.conj().T
         blocks.append((p + p.conj().T) / 2.0)
-        kept.append(f)
-    return Element(shape, blocks, meta={"frame": kept})
-
-
-def projection_frame(p: Element, tol: float = TOL_PROJ) -> list:
-    """Orthonormal column frames of a projection, from meta or eigenvectors."""
-    if "frame" in p.meta:
-        return p.meta["frame"]
-    vals, vecs = herm_eig(p, tol=max(tol, 1e-6))
-    frames = []
-    for w, v in zip(vals, vecs):
-        frames.append(np.ascontiguousarray(v[:, w > 0.5]))
-    return frames
+    return Element(shape, blocks)
 
 
 def projection_defect(p: Element) -> float:
@@ -252,10 +236,6 @@ def projection_defect(p: Element) -> float:
         worst = max(worst, float(np.linalg.norm(b - b.conj().T)))
         worst = max(worst, float(np.linalg.norm(b @ b - b)))
     return worst
-
-
-def is_projection(p: Element, tol: float = TOL_PROJ) -> bool:
-    return projection_defect(p) <= tol
 
 
 def spectral_projection(x: Element, interval, tol: float = TOL_PROJ) -> Element:
@@ -391,41 +371,94 @@ def random_element(shape: AlgebraShape, kind: str, seed, theta: float = None) ->
     return Element(shape, blocks)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
-    """Mutually orthogonal projections p_1..p_r summing to 1."""
+    """Mutually orthogonal projections p_1..p_r summing to 1, held as frames.
 
-    projections: list
+    ``stacks[k]`` is a d_k x d_k matrix whose columns are the orthonormal
+    frame of part 0 in block k, then the frame of part 1, and so on;
+    ``ranks[k][i]`` is the column count of part i in block k, so that
+    p_i = F_i F_i* blockwise.  The stacks are kept as read-only contiguous
+    copies.  One check, max_k ‖U_k* U_k - 1‖, proves idempotency,
+    orthogonality and completeness of the parts together.
+    """
+
+    shape: AlgebraShape
+    stacks: tuple
+    ranks: tuple
+
+    def __post_init__(self):
+        dims = self.shape.block_dims
+        if len(self.stacks) != len(dims) or len(self.ranks) != len(dims):
+            raise AlgebraError("need one frame stack and one rank list per block")
+        stacks, ranks = [], []
+        for d, u, rk in zip(dims, self.stacks, self.ranks):
+            u = np.array(u, dtype=np.complex128, order="C")
+            u.flags.writeable = False
+            rk = tuple(int(c) for c in rk)
+            if u.shape != (d, d) or min(rk, default=-1) < 0 or sum(rk) != d:
+                raise AlgebraError(f"frame stack of shape {u.shape} with ranks {rk} "
+                                   f"does not split a block of dimension {d}")
+            stacks.append(u)
+            ranks.append(rk)
+        if len({len(rk) for rk in ranks}) != 1:
+            raise AlgebraError("blocks disagree on the number of parts")
+        object.__setattr__(self, "stacks", tuple(stacks))
+        object.__setattr__(self, "ranks", tuple(ranks))
+
+    @classmethod
+    def from_frames(cls, shape: AlgebraShape, frames) -> "PartitionOfUnity":
+        """From per-part lists of per-block orthonormal column frames."""
+        if not frames:
+            raise AlgebraError("empty partition")
+        cols = [[np.asarray(fr[k], dtype=np.complex128).reshape(d, -1) for fr in frames]
+                for k, d in enumerate(shape.block_dims)]
+        return cls(shape, [np.concatenate(c, axis=1) for c in cols],
+                   [[f.shape[1] for f in c] for c in cols])
+
+    @classmethod
+    def from_projections(cls, projections) -> "PartitionOfUnity":
+        """From dense projections: frames are the eigenvectors of eigenvalue
+        above 1/2, and any p with ‖p - F F*‖ > TOL_PROJ is rejected."""
+        if not projections:
+            raise AlgebraError("empty partition")
+        frames = []
+        for p in projections:
+            per_block = []
+            for b in p.blocks:
+                w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
+                f = v[:, w > 0.5]
+                resid = float(np.linalg.norm(b - f @ f.conj().T))
+                if not resid <= TOL_PROJ:
+                    raise AlgebraError(f"not a projection (residual {resid:.3e})")
+                per_block.append(f)
+            frames.append(per_block)
+        return cls.from_frames(projections[0].shape, frames)
 
     @property
     def size(self) -> int:
-        return len(self.projections)
+        return len(self.ranks[0])
 
-    @property
-    def shape(self) -> AlgebraShape:
-        return self.projections[0].shape
+    def labels(self, k: int) -> np.ndarray:
+        """Part index of each column of ``stacks[k]``."""
+        return np.repeat(np.arange(self.size), self.ranks[k])
+
+    def frames(self) -> list:
+        """Per part, per block: the column frame F_i with p_i = F_i F_i*."""
+        offsets = [np.cumsum((0,) + rk) for rk in self.ranks]
+        return [[u[:, off[i]:off[i + 1]] for u, off in zip(self.stacks, offsets)]
+                for i in range(self.size)]
+
+    def residual(self) -> float:
+        """max_k ‖U_k* U_k - 1‖ in Frobenius norm."""
+        return max(float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
+                   for u in self.stacks)
 
     def validate(self, tol: float = TOL_PROJ) -> float:
-        """Worst residual among idempotency, orthogonality and completeness."""
-        worst = max(projection_defect(p) for p in self.projections)
-        total = zero(self.shape)
-        for p in self.projections:
-            total = total + p
-        one = identity(self.shape)
-        worst = max(worst, max(float(np.linalg.norm(a - b))
-                               for a, b in zip(total.blocks, one.blocks)))
-        # orthogonality of distinct parts follows from sum = 1 for exact
-        # projections; spot-check the first few pairs for drift anyway
-        for i in range(min(4, self.size)):
-            for j in range(i + 1, min(4, self.size)):
-                prod = self.projections[i] @ self.projections[j]
-                worst = max(worst, max(float(np.abs(b).max()) for b in prod.blocks))
-        if worst > tol:
-            raise AlgebraError(f"partition residual {worst:.3e} exceeds {tol}")
+        worst = self.residual()
+        if not worst <= tol:
+            raise AlgebraError(f"partition frame residual {worst:.3e} exceeds {tol}")
         return worst
-
-    def frames(self):
-        return [projection_frame(p) for p in self.projections]
 
 
 def balanced_sizes(total: int, parts: int):
@@ -454,37 +487,26 @@ def balanced_slot_partition(shape: AlgebraShape, r: int):
 
 
 def coordinate_partition(shape: AlgebraShape, r: int, unitary: Element = None) -> PartitionOfUnity:
-    """Partition of unity from balanced diagonal slot groups, optionally rotated."""
+    """Partition of unity from balanced diagonal slot groups, optionally rotated:
+    the columns of `unitary` (or of 1) reordered by part."""
     parts = balanced_slot_partition(shape, r)
-    projections = []
-    for part in parts:
-        frames = []
-        for k, d in enumerate(shape.block_dims):
-            cols = [i for blk, i in part if blk == k]
-            if unitary is None:
-                f = np.zeros((d, len(cols)), dtype=np.complex128)
-                for j, i in enumerate(cols):
-                    f[i, j] = 1.0
-            else:
-                f = unitary.blocks[k][:, cols]
-            frames.append(f)
-        projections.append(frame_projection(shape, frames))
-    return PartitionOfUnity(projections)
+    stacks, ranks = [], []
+    for k, d in enumerate(shape.block_dims):
+        cols = [i for part in parts for blk, i in part if blk == k]
+        u = np.eye(d, dtype=np.complex128) if unitary is None else unitary.blocks[k]
+        stacks.append(u[:, cols])
+        ranks.append([sum(blk == k for blk, _ in part) for part in parts])
+    return PartitionOfUnity(shape, stacks, ranks)
 
 
 def cyclic_unitary_from_partition(partition: PartitionOfUnity):
     """v = sum_k alpha^(k-1) p_k with alpha = exp(2 pi i / n); v^n = 1."""
     n = partition.size
-    if n < 1:
-        raise AlgebraError("empty partition")
     partition.validate()
     alpha = np.exp(2j * np.pi / n)
-    v = zero(partition.shape)
-    for k, p in enumerate(partition.projections):
-        v = v + (alpha ** k) * p
-    if all("frame" in p.meta for p in partition.projections):
-        v.meta["frames"] = [p.meta["frame"] for p in partition.projections]
-    return CyclicUnitary(v=v, order=n)
+    blocks = [(u * alpha ** partition.labels(k)) @ u.conj().T
+              for k, u in enumerate(partition.stacks)]
+    return CyclicUnitary(v=Element(partition.shape, blocks), order=n)
 
 
 @dataclass
@@ -508,39 +530,41 @@ class CyclicUnitary:
         return worst
 
     def spectral_partition(self) -> PartitionOfUnity:
-        """Partition from the n-th-root eigenvalue groups of v."""
-        if "frames" in self.v.meta:
-            return PartitionOfUnity(
-                [frame_projection(self.v.shape, f) for f in self.v.meta["frames"]])
-        import scipy.linalg
-
+        """Partition from the n-th-root eigenspaces of v:
+        p_k = (1/n) sum_j (conj(alpha)^k v)^j, with frames from `eigh`."""
         n = self.order
-        grouped = [[[] for _ in self.v.blocks] for _ in range(n)]
-        for kb, vb in enumerate(self.v.blocks):
-            t, z = scipy.linalg.schur(vb, output="complex")
-            eigs = np.diag(t)
-            idx = np.rint(np.angle(eigs) / (2 * np.pi) * n).astype(int) % n
-            for k in range(n):
-                grouped[k][kb] = z[:, idx == k]
-        return PartitionOfUnity(
-            [frame_projection(self.v.shape, frames) for frames in grouped])
+        powers = [identity(self.v.shape)]
+        for _ in range(n - 1):
+            powers.append(powers[-1] @ self.v)
+        alpha = np.exp(-2j * np.pi / n)
+        projections = []
+        for k in range(n):
+            acc = zero(self.v.shape)
+            for j, vj in enumerate(powers):
+                acc = acc + (alpha ** (k * j)) * vj
+            projections.append((1.0 / n) * acc)
+        return PartitionOfUnity.from_projections(projections)
+
+
+def part_compression(g: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mask ⊙ (g* x g), the mask keeping the entries whose two columns carry
+    the same part label: the blocks g_i* x g_i of the parts g_i of one
+    stacked frame g.  Every pinch in the package runs through here."""
+    c = g.conj().T @ x @ g
+    return np.where(labels[:, None] == labels[None, :], c, 0.0)
+
+
+def pinch_stack(g: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g (mask ⊙ g* x g) g* = sum_i g_i g_i* x g_i g_i*."""
+    return g @ part_compression(g, labels, x) @ g.conj().T
 
 
 def pinch(partition: PartitionOfUnity, x: Element) -> Element:
     """sum_i p_i x p_i; idempotent and contractive in both norms."""
     if partition.shape != x.shape:
         raise ShapeMismatchError("partition and element shapes differ")
-    out = [np.zeros_like(b) for b in x.blocks]
-    for p in partition.projections:
-        if "frame" in p.meta:
-            for k, f in enumerate(p.meta["frame"]):
-                if f.shape[1] == 0:
-                    continue
-                out[k] += f @ (f.conj().T @ x.blocks[k] @ f) @ f.conj().T
-        else:
-            for k, pb in enumerate(p.blocks):
-                out[k] += pb @ x.blocks[k] @ pb
-    return Element(x.shape, out)
+    return Element(x.shape, [pinch_stack(u, partition.labels(k), b) for k, (u, b)
+                             in enumerate(zip(partition.stacks, x.blocks))])
 
 
 def unitary_average(unitaries, x: Element, tol: float = TOL_PROJ) -> Element:

@@ -15,11 +15,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import algebra as alg
 from . import families, freeness, inclusion as incl, paving, serialize
-from .seeding import child_seed
+from .seeding import child_rng, child_seed
 
 
 class UsageError(Exception):
@@ -218,10 +216,10 @@ def cmd_kesten(args) -> int:
     for t, norm in enumerate(result.norms):
         defect = None
         if args.defect_len:
-            v, x = freeness.sample_pair(args.n, args.dim, child_seed(args.seed, t))
+            v, x = freeness.trial_pair(args.n, args.dim, child_rng(args.seed, t))
             defect = freeness.freeness_defect(v, x, args.defect_len)
         rows.append([args.n, args.dim, t, repr(float(norm)),
-                     repr(result.bound), "" if defect is None else repr(defect)])
+                     repr(result.bound), "" if defect is None else repr(float(defect))])
     serialize.write_csv(os.path.join(args.out, "kesten.csv"),
                         ["n", "dim", "trial", "norm", "bound", "defect"], rows)
     summary = {"command": "kesten", "n": args.n, "dim": args.dim,

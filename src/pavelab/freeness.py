@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraShape, Element, PartitionOfUnity
+from .algebra import AlgebraShape, Element
 from .seeding import child_rng
 
 DEFAULT_SLACK = 0.05
@@ -99,19 +99,12 @@ def sample_pair(n: int, dim: int, seed):
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     diag = np.repeat(roots, dim // n)
     v_mat = (u * diag) @ u.conj().T
-    slices = _group_slices(dim, n)
-    v = Element(shape, [v_mat],
-                meta={"frames": [[np.ascontiguousarray(u[:, sl])] for sl in slices],
-                      "rotation": u, "roots": roots})
+    v = Element(shape, [v_mat], meta={"rotation": u, "roots": roots})
     s = _sign_spectrum(dim)
     x_mat = (w * s) @ w.conj().T
     x = Element(shape, [(x_mat + x_mat.conj().T) / 2],
                 meta={"rotation": w, "spectrum": s})
     return alg.CyclicUnitary(v=v, order=n), x
-
-
-def spectral_partition(v: alg.CyclicUnitary) -> PartitionOfUnity:
-    return v.spectral_partition()
 
 
 def freeness_defect(v: alg.CyclicUnitary, x: Element, max_word_len: int = 4) -> float:
@@ -156,6 +149,20 @@ def freeness_defect(v: alg.CyclicUnitary, x: Element, max_word_len: int = 4) -> 
     walk(alg.identity(shape), 0)   # words starting with v^k
     walk(xc, 0)                    # words starting with x
     return worst
+
+
+def trial_pair(n: int, dim: int, rng: np.random.Generator):
+    """(v, x) of one `run_kesten` trial, from the same Haar draw z that
+    `_pinched_norms_fast` takes from `rng`: v = diag(roots) and
+    x = z* diag(s) z, so pinching x by the spectral partition of v gives
+    the trial's norm up to rounding."""
+    z = alg.haar_block(rng, dim)
+    shape = AlgebraShape.matrix(dim)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    v = Element(shape, [np.diag(np.repeat(roots, dim // n))])
+    x_mat = (z.conj().T * _sign_spectrum(dim)) @ z
+    x = Element(shape, [(x_mat + x_mat.conj().T) / 2])
+    return alg.CyclicUnitary(v=v, order=n), x
 
 
 def _pinched_norms_fast(n: int, dim: int, rng: np.random.Generator) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as alg
-from .algebra import (AlgebraShape, AlgebraError, Element, TOL_PROJ,
+from .algebra import (AlgebraShape, AlgebraError, Element,
                       identity, zero, trace, op_norm)
 from .seeding import child_rng, child_seed
 
@@ -246,11 +246,20 @@ class Inclusion:
             out.append(self._from_grouped_cols(l, stacked))
         return out
 
-    def embed_projection(self, p: Element) -> Element:
-        """Embed a projection, carrying its frame along when available."""
-        if "frame" in p.meta:
-            return alg.frame_projection(self.m_shape, self.embed_frame(p.meta["frame"]))
-        return self.embed(p)
+    def embed_partition(self, partition: alg.PartitionOfUnity) -> alg.PartitionOfUnity:
+        """The embedded parts as a partition of unity of M.
+
+        `embed_frame` lays the stacked frame of each N-block once per copy;
+        a stable sort by part label regroups those columns part by part.
+        """
+        if partition.shape != self.n_shape:
+            raise alg.ShapeMismatchError("partition does not live over N")
+        stacks, ranks = [], []
+        for l, g in enumerate(self.embed_frame(partition.stacks)):
+            labels = np.concatenate([partition.labels(k) for k, _ in self._offsets[l]])
+            stacks.append(g[:, np.argsort(labels, kind="stable")])
+            ranks.append(np.bincount(labels, minlength=partition.size))
+        return alg.PartitionOfUnity(self.m_shape, stacks, ranks)
 
 
 def build_inclusion(spec: InclusionSpec, seed=0, embed: str = "haar",

@@ -7,8 +7,8 @@ commutant, measured relative to ‖x - E_{N'∩M}(x)‖.  This module provides
 
 * closed-form size bounds (`paving_partition_bound`, `dixmier_count_bound`,
   `averaging_count_lower_bound`),
-* the constructive pipeline `pave_constructive` (spectral partition of a
-  Haar-rotated cyclic unitary, exceptional-projection trimming, a
+* the constructive pipeline `pave_constructive` (an outer partition cut
+  from the columns of a Haar unitary, exceptional-projection trimming, a
   small-support Fourier refinement, and the expectation-transfer estimates),
 * a simulated-annealing search `pave_search` over rotated diagonal
   partitions,
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import (Element, PartitionOfUnity, TOL_PROJ, TIE_TOL,
-                      identity, zero, op_norm, l2_norm, trace)
+                      identity, op_norm, l2_norm, trace)
 from .inclusion import Inclusion
 from .seeding import child_rng
 
@@ -199,38 +199,18 @@ def _restrict_candidate_partition(inc: Inclusion, partition: PartitionOfUnity):
         raise CandidateRejected("partition lives over neither N nor M",
                                 {"shape": str(partition.shape)})
     restricted, worst = [], 0.0
-    for p in partition.projections:
-        resid = op_norm(p - inc.cond_exp_n(p))
-        worst = max(worst, resid)
+    for frames in partition.frames():
+        p = alg.frame_projection(inc.m_shape, frames)
+        worst = max(worst, op_norm(p - inc.cond_exp_n(p)))
         restricted.append(inc.restrict_to_n(p))
     if worst > TOL_PROJ:
         raise CandidateRejected(
             f"candidate is not inside the subalgebra (residual {worst:.3e})",
             {"expectation_residual": worst})
-    return PartitionOfUnity(restricted)
-
-
-def _partition_frames_n(inc: Inclusion, partition: PartitionOfUnity):
-    frames = []
-    for p in partition.projections:
-        if p.shape != inc.n_shape:
-            raise CandidateRejected(
-                "partition projections must live over N",
-                {"shape": str(p.shape)})
-        frames.append(alg.projection_frame(p))
-    return frames
-
-
-def _pinched(inc: Inclusion, frames_n: list, x: Element) -> Element:
-    """sum_parts (embedded p) x (embedded p) via embedded frames."""
-    acc = [np.zeros_like(b) for b in x.blocks]
-    for fr in frames_n:
-        fm = inc.embed_frame(fr)
-        for l, g in enumerate(fm):
-            if g.shape[1] == 0:
-                continue
-            acc[l] += g @ (g.conj().T @ x.blocks[l] @ g) @ g.conj().T
-    return Element(x.shape, acc)
+    try:
+        return PartitionOfUnity.from_projections(restricted)
+    except alg.AlgebraError as exc:
+        raise CandidateRejected(str(exc)) from exc
 
 
 def _averaged(inc: Inclusion, unitaries_n: list, x: Element) -> Element:
@@ -268,15 +248,15 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     if isinstance(candidate, PartitionOfUnity):
         mode = mode or "partition"
         candidate = _restrict_candidate_partition(inc, candidate)
-        try:
-            candidate.validate(tol=TOL_PROJ)
-        except alg.AlgebraError as exc:
-            worst = max(alg.projection_defect(p) for p in candidate.projections)
-            raise CandidateRejected(str(exc), {"projection_residual": worst}) from exc
-        frames = _partition_frames_n(inc, candidate)
+        worst = candidate.residual()
+        if not worst <= TOL_PROJ:
+            raise CandidateRejected(
+                f"partition frames are not unitary within {TOL_PROJ} "
+                f"(residual {worst:.3e})", {"frame_residual": worst})
+        embedded = inc.embed_partition(candidate)
         ratios = []
         for item in centered:
-            pin = _pinched(inc, frames, item["x"])
+            pin = alg.pinch(embedded, item["x"])
             num = op_norm(pin - item["e"]) if mode != "l2" else l2_norm(pin - item["e"])
             den = item["den"] if mode != "l2" else l2_norm(item["diff"])
             ratios.append(0.0 if den <= 1e-12 else num / den)
@@ -347,9 +327,8 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
 
 
 def _trivial_certificate(problem: PavingProblem, seed, config) -> PavingCertificate:
-    part = PartitionOfUnity([identity(problem.inclusion.n_shape)])
-    part.projections[0].meta["frame"] = [np.eye(d, dtype=np.complex128)
-                                         for d in problem.inclusion.n_shape.block_dims]
+    shape = problem.inclusion.n_shape
+    part = PartitionOfUnity.from_frames(shape, [[np.eye(d) for d in shape.block_dims]])
     return verify(problem, part, seed=seed, config=config)
 
 
@@ -438,7 +417,7 @@ def pave_small_support(operators: list, epsilon: float,
     shape = operators[0].shape
     live = [x for x in operators if op_norm(x) > 0.0]
     if not live:
-        return PartitionOfUnity([identity(shape)])
+        return PartitionOfUnity.from_frames(shape, [[np.eye(d) for d in shape.block_dims]])
     norm_max = max(op_norm(x) for x in live)
     supp_trace = 0.0
     for x in live:
@@ -463,8 +442,7 @@ def pave_small_support(operators: list, epsilon: float,
                 f"m is {min(feas)}")
         for j in range(m):
             frames_per_part[j].append(parts[j])
-    return PartitionOfUnity(
-        [alg.frame_projection(shape, fr) for fr in frames_per_part])
+    return PartitionOfUnity.from_frames(shape, frames_per_part)
 
 
 # -- the constructive pipeline -------------------------------------------------
@@ -489,21 +467,24 @@ def _corner_norm(mats) -> float:
     return worst
 
 
-def _corner_pinch(mats, frames):
-    out = [np.zeros_like(c) for c in mats]
-    for fr in frames:
-        for l, z in enumerate(fr):
-            if z.shape[1] == 0:
-                continue
-            out[l] += z @ (z.conj().T @ mats[l] @ z) @ z.conj().T
-    return out
+def _diagonal_block_norm(c, sizes) -> float:
+    """Largest operator norm among the consecutive diagonal blocks of c with
+    the given sizes; blocks of one size go through one batched eigensolve."""
+    offsets = np.cumsum((0,) + tuple(sizes))
+    worst = 0.0
+    for s in set(sizes) - {0}:
+        blocks = np.stack([c[a:a + s, a:a + s] for a, t in zip(offsets, sizes) if t == s])
+        w = np.linalg.eigvalsh(blocks.conj().transpose(0, 2, 1) @ blocks)
+        worst = max(worst, float(w[:, -1].max()))
+    return math.sqrt(max(worst, 0.0))
 
 
 def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCertificate:
     """Constructive ε-paving pipeline.
 
-    Stages per attempt: (i) spectral partition p_1..p_n of a Haar-rotated
-    order-n cyclic unitary in N; (ii) per (i, x) the exceptional spectral
+    Stages per attempt: (i) an outer partition p_1..p_n of N whose frames
+    are n consecutive, near-equal slices of the columns of one Haar unitary
+    (no cyclic unitary is formed); (ii) per (i, x) the exceptional spectral
     projection of (p_i x p_i)*(p_i x p_i) above 4(n-1)/n² + δ', joined over x
     into q_i; (iii) b_{i,x} = q_i x* p_i x q_i, its expectation onto N and the
     support-trace bound; (iv) a Fourier refinement of each p_i into m pieces
@@ -556,7 +537,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                   "tau_q": [], "support_ranks": [], "compression_tail": [], "refined_expectation": [],
                   "transfer_lhs": [], "transfer_rhs": [], "schwarz_min": [],
                   "support_trace_bound": []}
-        frames_ij = []
+        stacks, ranks = [], []
         for i in range(n):
             w_i = u[:, bounds_idx[i]:bounds_idx[i + 1]]
             r_i = w_i.shape[1]
@@ -625,18 +606,20 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                 break
 
             # stage diagnostics (eq 2-4) in the corner picture: the M-corner
-            # coordinates of an embedded refined part are kron(1_mult, Z)
-            kron_frames = [
-                [np.kron(np.eye(mults[l]), z) for l in range(len(v_i))]
-                for z in refinement]
+            # coordinates of the embedded refinement are kron(1_mult, Z) for
+            # the stacked refinement frame Z, with its part labels tiled
+            z_stack = np.concatenate(refinement, axis=1)
+            z_labels = np.repeat(np.arange(m), [z.shape[1] for z in refinement])
+            kron_stacks = [(np.kron(np.eye(mults[l]), z_stack), np.tile(z_labels, mults[l]))
+                           for l in range(len(v_i))]
+
+            def corner_pinch(mats):
+                return [alg.pinch_stack(g, lab, c) for (g, lab), c in zip(kron_stacks, mats)]
+
             for h_c, b_x in zip(h_corners, b_corners):
-                pin_h = np.zeros_like(h_c)
-                for z in refinement:
-                    pin_h += z @ (z.conj().T @ h_c @ z) @ z.conj().T
-                refined = _corner_norm([pin_h])
+                refined = _corner_norm([alg.pinch_stack(z_stack, z_labels, h_c)])
                 record["refined_expectation"].append(refined)
-                record["transfer_lhs"].append(
-                    _corner_norm(_corner_pinch(b_x, kron_frames)))
+                record["transfer_lhs"].append(_corner_norm(corner_pinch(b_x)))
                 record["transfer_rhs"].append(problem.index * refined)
             for c_x in corners:
                 # y = p x q in corner coordinates
@@ -644,8 +627,8 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                 for l in range(len(v_i)):
                     z = q_frames[l]
                     y.append(c_x[l] @ (z @ z.conj().T))
-                phi_y = _corner_pinch(y, kron_frames)
-                phi_yy = _corner_pinch([yl.conj().T @ yl for yl in y], kron_frames)
+                phi_y = corner_pinch(y)
+                phi_yy = corner_pinch([yl.conj().T @ yl for yl in y])
                 resid = np.inf
                 for l in range(len(v_i)):
                     gap = phi_yy[l] - phi_y[l].conj().T @ phi_y[l]
@@ -654,13 +637,13 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                         resid = min(resid, float(w[0]))
                 record["schwarz_min"].append(resid if resid != np.inf else 0.0)
 
-            frames_ij.extend(w_i @ z for z in refinement)
+            stacks.append(w_i @ z_stack)
+            ranks.extend(z.shape[1] for z in refinement)
 
         attempts.append(record)
         if not record["stage_ok"]:
             continue
-        partition = PartitionOfUnity(
-            [alg.frame_projection(inc.n_shape, [f]) for f in frames_ij])
+        partition = PartitionOfUnity(inc.n_shape, [np.concatenate(stacks, axis=1)], [ranks])
         diagnostics = {
             "attempts": attempts,
             "theta_exceptional": theta_exc,
@@ -678,11 +661,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
         return best_cert
     # every attempt failed a stage budget: fall back to the outer partition
     u = alg.haar_block(child_rng(cfg.seed, cfg.retry_budget), dim_n)
-    sizes = alg.balanced_sizes(dim_n, n)
-    bounds_idx = np.cumsum([0] + sizes)
-    partition = PartitionOfUnity(
-        [alg.frame_projection(inc.n_shape, [u[:, bounds_idx[i]:bounds_idx[i + 1]]])
-         for i in range(n)])
+    partition = PartitionOfUnity(inc.n_shape, [u], [alg.balanced_sizes(dim_n, n)])
     return verify(problem, partition, seed=cfg.seed, config=base_config,
                   diagnostics={"attempts": attempts,
                                "theta_exceptional": theta_exc,
@@ -697,7 +676,8 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     Givens rotations of u; the global incumbent is kept across restarts."""
     inc = problem.inclusion
     nsh = inc.n_shape
-    slot_parts = alg.balanced_slot_partition(nsh, cfg.r)  # raises on granularity
+    base = alg.coordinate_partition(nsh, cfg.r)  # raises on granularity
+    order = [np.argmax(np.abs(u), axis=0) for u in base.stacks]
     config = {"r": cfg.r, "restarts": cfg.restarts, "steps": cfg.steps,
               "step_scale": cfg.step_scale, "cooling": cfg.cooling}
     if problem.epsilon >= 1.0:
@@ -705,26 +685,19 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     centered = _centered(problem)
     live = [it for it in centered if it["den"] > 1e-12]
 
-    cols_per_part = []
-    for part in slot_parts:
-        cols_per_part.append([np.array([i for blk, i in part if blk == k], dtype=int)
-                              for k in range(nsh.num_blocks)])
+    def partition_of(u_blocks):
+        # the columns of u reordered by part, as coordinate_partition does
+        return PartitionOfUnity(nsh, [u[:, o] for u, o in zip(u_blocks, order)],
+                                base.ranks)
 
     def objective(u_blocks):
+        # ‖pinched x‖ is the largest norm of a part-diagonal block of g* x g
+        embedded = inc.embed_partition(partition_of(u_blocks))
         worst = 0.0
         for it in live:
-            xt = it["diff"]
-            num = 0.0
-            for cols in cols_per_part:
-                frames = [u_blocks[k][:, cols[k]] for k in range(nsh.num_blocks)]
-                emb = inc.embed_frame(frames)
-                for l, g in enumerate(emb):
-                    if g.shape[1] == 0:
-                        continue
-                    c = g.conj().T @ xt.blocks[l] @ g
-                    w = np.linalg.eigvalsh(c.conj().T @ c)
-                    num = max(num, math.sqrt(max(float(w[-1]), 0.0)))
-            worst = max(worst, num / it["den"])
+            for l, g in enumerate(embedded.stacks):
+                c = alg.part_compression(g, embedded.labels(l), it["diff"].blocks[l])
+                worst = max(worst, _diagonal_block_norm(c, embedded.ranks[l]) / it["den"])
         return worst
 
     if not live:
@@ -733,15 +706,11 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     # slot pairs eligible for a cross-part rotation, per block; with a single
     # part there is no move and the objective is rotation-invariant
     pair_pool = []
-    for k in range(nsh.num_blocks):
-        owner = {}
-        for j, part in enumerate(slot_parts):
-            for blk, i in part:
-                if blk == k:
-                    owner[i] = j
-        slots = sorted(owner)
-        pair_pool.extend(((k, a, b) for ai, a in enumerate(slots)
-                          for b in slots[ai + 1:] if owner[a] != owner[b]))
+    for k, o in enumerate(order):
+        owner = np.empty(len(o), dtype=int)
+        owner[o] = base.labels(k)
+        pair_pool.extend((k, a, b) for a in range(len(o)) for b in range(a + 1, len(o))
+                         if owner[a] != owner[b])
 
     best_obj, best_u, history = np.inf, None, []
     for restart in range(cfg.restarts):
@@ -769,9 +738,7 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
                 scale *= cfg.cooling
             history.append(best_obj)
 
-    u_el = Element(nsh, best_u)
-    partition = alg.coordinate_partition(nsh, cfg.r, unitary=u_el)
-    return verify(problem, partition, seed=cfg.seed, config=config,
+    return verify(problem, partition_of(best_u), seed=cfg.seed, config=config,
                   diagnostics={"incumbent_history": history,
                                "best_objective": best_obj})
 
@@ -872,11 +839,9 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
             lower_candidates.append(float(trace(x).real) / op_norm(x))
     for gi, eps in enumerate(epsilons):
         theorem_r = paving_partition_bound(problem_index, eps)[2] if eps > 0 else None
-        if lower_candidates:
-            lower = max(math.ceil(averaging_count_lower_bound(t, eps) - 1e-12)
-                        for t in lower_candidates)
-        else:
-            lower = math.ceil(averaging_count_lower_bound(0.0, eps) - 1e-12)
+        # the averaging-count bound speaks only of positive elements
+        lower = max((math.ceil(averaging_count_lower_bound(t, eps) - 1e-12)
+                     for t in lower_candidates), default=None)
         problem = PavingProblem(inclusion=inclusion, operators=operators,
                                 epsilon=eps, index=problem_index)
         found, verified = None, False

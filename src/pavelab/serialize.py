@@ -3,8 +3,13 @@
 Elements serialize binary-free: block dims, trace weights, and blocks as
 nested [re, im] pairs.  Certificates embed the problem recipe (family or
 spec, ε, index, and how F was produced) so they can be re-verified
-standalone.  Partitions above an entry-count threshold go to .npy sidecars
-(one stacked array per N-block) referenced by SHA-256 from the JSON.
+standalone.  A partition of unity is stored only by its frames: inline as
+per-part, per-block nested [re, im] pairs under ``frames``, or, above
+``PARTITION_SIDE_CAR_LIMIT`` complex entries, as one stacked .npy sidecar
+per N-block referenced by SHA-256 from the JSON.  Readers of
+``paving-certificate/1`` ignore the dense ``projections`` copy that earlier
+writers added to inline payloads, and reject an inline payload without
+``frames``.
 
 All writes are atomic (temp file + rename) and canonical: sorted keys,
 two-space indent, trailing newline.  Timestamps live only under "meta", so
@@ -14,6 +19,7 @@ payloads are byte-identical across reruns with the same seed.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -26,7 +32,7 @@ from .inclusion import InclusionSpec
 
 ELEMENT_FORMAT = "element/1"
 CERT_FORMAT = "paving-certificate/1"
-PARTITION_SIDE_CAR_LIMIT = 2_000_000  # complex entries kept inline in JSON
+PARTITION_SIDE_CAR_LIMIT = 2 ** 16  # complex frame entries kept inline in JSON
 
 
 def _complex_matrix_to_pairs(mat: np.ndarray):
@@ -124,62 +130,44 @@ def timestamp_meta() -> dict:
 
 
 def partition_to_obj(partition: PartitionOfUnity, sidecar_stem: str = None) -> dict:
-    """Serialize a partition: dense blocks plus the producing frames.
+    """Serialize a partition by its frames.
 
-    Frames (orthonormal column factors with p = F F*) are included whenever
-    the projections carry them, and reconstruction rebuilds the blocks from
-    the frames with the same outer-product code path, so a round-tripped
-    partition is bit-identical to the original.  Above the inline size limit
-    the frames go to one .npy sidecar per algebra block, referenced by hash.
+    Inline payloads list, per part and per block, the frame F_i (p_i = F_i F_i*)
+    as nested [re, im] pairs.  When the complex entries written, sum_k d_k^2,
+    exceed the inline limit, each block's stacked frame goes to one .npy
+    sidecar referenced by hash, with the per-part column counts in ``ranks``.
+    Either way the reader restores the stacked frames bit for bit.
     """
     shape = partition.shape
-    framed = all("frame" in p.meta for p in partition.projections)
-    entries = partition.size * shape.l2_dim
-    if framed and entries > PARTITION_SIDE_CAR_LIMIT and sidecar_stem is not None:
-        ranks = [[int(p.meta["frame"][k].shape[1]) for p in partition.projections]
-                 for k in range(shape.num_blocks)]
+    entries = sum(d * d for d in shape.block_dims)
+    if entries > PARTITION_SIDE_CAR_LIMIT and sidecar_stem is not None:
         files = []
-        for k in range(shape.num_blocks):
-            stacked = np.concatenate(
-                [np.ascontiguousarray(p.meta["frame"][k])
-                 for p in partition.projections], axis=1)
+        for k, stack in enumerate(partition.stacks):
             path = f"{sidecar_stem}.block{k}.npy"
-            import io
-
             buf = io.BytesIO()
-            np.save(buf, stacked)
+            np.save(buf, stack)
             data = buf.getvalue()
             atomic_write_bytes(path, data)
             files.append({"path": os.path.basename(path),
                           "sha256": hashlib.sha256(data).hexdigest()})
         return {"kind": "frame-sidecar", "shape": shape_to_obj(shape),
-                "size": partition.size, "ranks": ranks, "files": files}
-    obj = {"kind": "inline", "shape": shape_to_obj(shape),
-           "projections": [[_complex_matrix_to_pairs(b) for b in p.blocks]
-                           for p in partition.projections]}
-    if framed:
-        obj["frames"] = [[_complex_matrix_to_pairs(p.meta["frame"][k])
-                          for k in range(shape.num_blocks)]
-                         for p in partition.projections]
-    return obj
+                "size": partition.size, "ranks": [list(rk) for rk in partition.ranks],
+                "files": files}
+    return {"kind": "inline", "shape": shape_to_obj(shape),
+            "frames": [[_complex_matrix_to_pairs(f) for f in frames]
+                       for frames in partition.frames()]}
 
 
 def partition_from_obj(obj, base_dir: str = ".") -> PartitionOfUnity:
+    """Read a partition payload; a stored dense ``projections`` key is ignored."""
     shape = shape_from_obj(obj["shape"])
     if obj["kind"] == "inline":
-        if "frames" in obj:
-            projections = []
-            for frames in obj["frames"]:
-                mats = [np.array([[complex(re, im) for re, im in row]
-                                  for row in f], dtype=np.complex128).reshape(d, -1)
-                        for f, d in zip(frames, shape.block_dims)]
-                from . import algebra as _alg
-
-                projections.append(_alg.frame_projection(shape, mats))
-            return PartitionOfUnity(projections)
-        return PartitionOfUnity(
-            [Element(shape, [_pairs_to_complex_matrix(b) for b in blocks])
-             for blocks in obj["projections"]])
+        if "frames" not in obj:
+            raise ValueError("inline partition payload carries no frames")
+        return PartitionOfUnity.from_frames(
+            shape, [[_pairs_to_complex_matrix(f).reshape(d, -1)
+                     for f, d in zip(frames, shape.block_dims)]
+                    for frames in obj["frames"]])
     if obj["kind"] != "frame-sidecar":
         raise ValueError(f"unknown partition payload kind {obj['kind']!r}")
     stacks = []
@@ -190,21 +178,8 @@ def partition_from_obj(obj, base_dir: str = ".") -> PartitionOfUnity:
         digest = hashlib.sha256(data).hexdigest()
         if digest != entry["sha256"]:
             raise ValueError(f"sidecar {path} digest mismatch")
-        import io
-
         stacks.append(np.load(io.BytesIO(data)))
-    from . import algebra as _alg
-
-    projections = []
-    offsets = [0] * shape.num_blocks
-    for i in range(obj["size"]):
-        frames = []
-        for k in range(shape.num_blocks):
-            r = obj["ranks"][k][i]
-            frames.append(stacks[k][:, offsets[k]:offsets[k] + r])
-            offsets[k] += r
-        projections.append(_alg.frame_projection(shape, frames))
-    return PartitionOfUnity(projections)
+    return PartitionOfUnity(shape, stacks, obj["ranks"])
 
 
 def certificate_to_obj(cert, problem_recipe: dict, sidecar_stem: str = None,
@@ -230,7 +205,6 @@ def strip_meta(obj: dict) -> dict:
 
 def write_csv(path: str, header, rows):
     import csv
-    import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

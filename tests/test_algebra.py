@@ -264,12 +264,12 @@ class TestPartitionsAndPinching:
     def test_cyclic_two_parts(self):
         p1 = Element(M2, [np.diag([1.0, 0.0]).astype(complex)])
         p2 = Element(M2, [np.diag([0.0, 1.0]).astype(complex)])
-        v = alg.cyclic_unitary_from_partition(alg.PartitionOfUnity([p1, p2]))
+        v = alg.cyclic_unitary_from_partition(alg.PartitionOfUnity.from_projections([p1, p2]))
         assert np.allclose(v.v.blocks[0], np.diag([1.0, -1.0]))
 
     def test_cyclic_trivial(self):
         v = alg.cyclic_unitary_from_partition(
-            alg.PartitionOfUnity([identity(M3)]))
+            alg.PartitionOfUnity.from_projections([identity(M3)]))
         assert v.v.allclose(identity(M3), tol=0.0)
 
     def test_average_over_powers_equals_pinch(self):
@@ -290,12 +290,13 @@ class TestPartitionsAndPinching:
         v = alg.cyclic_unitary_from_partition(part)
         plain = alg.CyclicUnitary(v=Element(sh, [v.v.blocks[0].copy()]), order=4)
         rec = plain.spectral_partition()
-        for p, q in zip(part.projections, rec.projections):
+        for f, g in zip(part.frames(), rec.frames()):
+            p, q = alg.frame_projection(sh, f), alg.frame_projection(sh, g)
             assert p.allclose(q, tol=1e-9)
 
     def test_pinch_trivial(self):
         x = rand_generic(M3, 25)
-        pinched = alg.pinch(alg.PartitionOfUnity([identity(M3)]), x)
+        pinched = alg.pinch(alg.PartitionOfUnity.from_projections([identity(M3)]), x)
         assert pinched.allclose(x, tol=1e-14)
 
     def test_pinch_diagonal(self):
@@ -334,10 +335,14 @@ class TestPartitionsAndPinching:
         with pytest.raises(alg.AlgebraError):
             alg.unitary_average([], identity(M2))
 
+    def test_from_projections_rejects_non_projection(self):
+        with pytest.raises(alg.AlgebraError):
+            alg.PartitionOfUnity.from_projections([0.6 * identity(M3)])
+
     def test_invalid_partition_rejected(self):
         p1 = Element(M2, [np.diag([1.0, 0.0]).astype(complex)])
         with pytest.raises(alg.AlgebraError):
-            alg.PartitionOfUnity([p1, p1]).validate()
+            alg.PartitionOfUnity.from_projections([p1, p1]).validate()
 
     def test_cyclic_unitary_identity_property(self):
         # (1/n) sum_k v^k x v^-k stays within 1e-9 of the pinching

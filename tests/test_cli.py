@@ -74,6 +74,22 @@ class TestPaveCommand:
         verify = load(os.path.join(out2, "verify.json"))
         assert verify["per_x_ratio"] == cert["per_x_ratio"]
 
+    def test_verify_rejects_tampered_inline_frame(self, tmp_path):
+        out1 = os.path.join(tmp_path, "a")
+        assert run(["pave", "--family", "tensor(8,2)", "--epsilon", "0.9",
+                    "--f-random", "selfadjoint:1", "--seed", "3",
+                    "--mode", "pipeline", "--n-parts", "2", "--m-refine", "2",
+                    "--out", out1]) == 0
+        cert_path = os.path.join(out1, "pave_certificate.json")
+        for scale in (1.0 + 1e-6, 0.0, 2.0):
+            cert = load(cert_path)
+            cert["partition"]["frames"][0][0][1][0][0] *= scale
+            tampered = os.path.join(tmp_path, f"tampered_{scale}.json")
+            with open(tampered, "w") as handle:
+                json.dump(cert, handle)
+            assert run(["pave", "--mode", "verify", "--certificate", tampered,
+                        "--seed", "0", "--out", os.path.join(tmp_path, "b")]) != 0
+
     def test_emitted_certificate_passes_standalone_verify(self, tmp_path):
         code = run(["pave", "--family", "tensor(8,2)", "--epsilon", "0.9",
                     "--f-random", "selfadjoint:2", "--seed", "4",
@@ -103,6 +119,33 @@ class TestPaveCommand:
         cert = load(os.path.join(tmp_path, "pave_certificate.json"))
         assert cert["mode"] == "l2"
         assert cert["threshold"] == 0.25 + 0.05
+
+    @pytest.mark.parametrize("flags", [
+        ["--family", "tensor(8,2)", "--epsilon", "0.9", "--mode", "search",
+         "--n-parts", "4"],
+        ["--family", "self(64)", "--epsilon", "0.3", "--mode", "l2", "--n-parts", "16"],
+    ])
+    def test_search_and_l2_verify_bit_identical(self, tmp_path, flags):
+        out1, out2 = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
+        run(["pave", "--f-random", "selfadjoint:2", "--seed", "4", "--out", out1] + flags)
+        cert_path = os.path.join(out1, "pave_certificate.json")
+        run(["pave", "--mode", "verify", "--certificate", cert_path,
+             "--seed", "0", "--out", out2])
+        assert load(os.path.join(out2, "verify.json"))["per_x_ratio"] == \
+            load(cert_path)["per_x_ratio"]
+
+    def test_sidecar_certificate_verifies_bit_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ser, "PARTITION_SIDE_CAR_LIMIT", 100)
+        out1, out2 = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
+        assert run(["pave", "--family", "tensor(16,2)", "--epsilon", "0.9",
+                    "--f-random", "selfadjoint:2", "--seed", "3", "--mode", "pipeline",
+                    "--n-parts", "2", "--m-refine", "2", "--out", out1]) == 0
+        cert_path = os.path.join(out1, "pave_certificate.json")
+        cert = load(cert_path)
+        assert cert["partition"]["kind"] == "frame-sidecar"
+        assert run(["pave", "--mode", "verify", "--certificate", cert_path,
+                    "--seed", "0", "--out", out2]) == 0
+        assert load(os.path.join(out2, "verify.json"))["per_x_ratio"] == cert["per_x_ratio"]
 
     def test_unitary_mode(self, tmp_path):
         code = run(["pave", "--family", "self(16)", "--epsilon", "0.25",
@@ -158,6 +201,22 @@ class TestKestenCommand:
         with open(os.path.join(tmp_path, "kesten.csv")) as handle:
             rows = handle.read().splitlines()[1:]
         assert all(row.split(",")[5] for row in rows)
+
+    def test_defect_is_of_the_row_pair(self, tmp_path):
+        # row t's norm is the literal pinched norm of the pair whose defect
+        # row t reports
+        from pavelab import freeness as fr
+        from pavelab.seeding import child_rng
+
+        assert run(["kesten", "--n", "4", "--dim", "64", "--trials", "2",
+                    "--seed", "3", "--defect-len", "2", "--out", str(tmp_path)]) == 0
+        with open(os.path.join(tmp_path, "kesten.csv")) as handle:
+            rows = [line.split(",") for line in handle.read().splitlines()[1:]]
+        for t, row in enumerate(rows):
+            v, x = fr.trial_pair(4, 64, child_rng(3, t))
+            literal = alg.op_norm(alg.pinch(v.spectral_partition(), x))
+            assert abs(float(row[3]) - literal) <= 1e-12
+            assert float(row[5]) == fr.freeness_defect(v, x, 2)
 
     def test_byte_determinism_modulo_timestamp(self, tmp_path):
         a, b = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")

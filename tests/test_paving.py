@@ -62,7 +62,7 @@ class TestSmallSupportPaving:
         sh = AlgebraShape.matrix(16)
         part = pv.pave_small_support([zero(sh)], 0.5)
         assert part.size == 1
-        assert part.projections[0].allclose(identity(sh))
+        assert alg.frame_projection(sh, part.frames()[0]).allclose(identity(sh))
 
     def test_random_small_support_families(self):
         # guarantee ‖sum q x q‖ <= ‖x‖ / m for every member, across seeds
@@ -224,13 +224,13 @@ class TestConstructivePipeline:
         problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.95,
                                    index=4.0)
         cert = pv.pave_constructive(problem, pv.PipelineConfig(2, 2, seed=10))
-        frames = [alg.projection_frame(p) for p in cert.partition.projections]
+        embedded = inc.embed_partition(cert.partition)
         for t in range(100):
             rng = child_rng(11, t)
             y = Element(inc.m_shape, [rng.standard_normal((16, 16))
                                       + 1j * rng.standard_normal((16, 16))])
-            phi_y = pv._pinched(inc, frames, y)
-            phi_yy = pv._pinched(inc, frames, y.adjoint() @ y)
+            phi_y = alg.pinch(embedded, y)
+            phi_yy = alg.pinch(embedded, y.adjoint() @ y)
             gap = phi_yy - phi_y.adjoint() @ phi_y
             lam = min(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]
                       for b in gap.blocks)
@@ -305,7 +305,7 @@ class TestVerify:
         problem = pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 19)],
                                    epsilon=0.5, index=1.0)
         with pytest.raises(pv.CandidateRejected):
-            pv.verify(problem, alg.PartitionOfUnity([p, p]))
+            pv.verify(problem, alg.PartitionOfUnity.from_projections([p, p]))
 
     def test_rejects_candidate_outside_subalgebra(self):
         inc = families.tensor_product(2, 2)
@@ -314,7 +314,7 @@ class TestVerify:
         p = alg.random_element(inc.m_shape, alg.PROJECTION, 21, theta=0.5)
         q = identity(inc.m_shape) - p
         with pytest.raises(pv.CandidateRejected) as err:
-            pv.verify(problem, alg.PartitionOfUnity([p, q]))
+            pv.verify(problem, alg.PartitionOfUnity.from_projections([p, q]))
         assert "expectation_residual" in err.value.residuals
 
     def test_accepts_embedded_partition(self):
@@ -322,8 +322,8 @@ class TestVerify:
         problem = pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 22)],
                                    epsilon=1.5, index=4.0)
         parts_n = alg.coordinate_partition(inc.n_shape, 2)
-        embedded = alg.PartitionOfUnity(
-            [inc.embed(p) for p in parts_n.projections])
+        embedded = alg.PartitionOfUnity.from_projections(
+            [inc.embed(alg.frame_projection(inc.n_shape, f)) for f in parts_n.frames()])
         cert = pv.verify(problem, embedded)
         assert cert.r == 2 and cert.verified
 
@@ -340,8 +340,37 @@ class TestVerify:
         x = trace_zero_free = 0.7 * identity(inc.m_shape)
         problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.5,
                                    index=9.0)
-        cert = pv.verify(problem, alg.PartitionOfUnity([identity(inc.n_shape)]))
+        cert = pv.verify(problem, alg.PartitionOfUnity.from_projections(
+            [identity(inc.n_shape)]))
         assert cert.per_x_ratio == [0.0] and cert.verified
+
+    def test_rejects_perturbed_frame(self):
+        inc = families.self_inclusion(8)
+        problem = pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 24)],
+                                   epsilon=0.5, index=1.0)
+        part = alg.coordinate_partition(
+            inc.n_shape, 4, unitary=alg.random_haar_unitary(inc.n_shape, 25))
+        pv.verify(problem, part)
+        stack = part.stacks[0].copy()
+        stack[3, 5] += 1e-6
+        with pytest.raises(pv.CandidateRejected) as err:
+            pv.verify(problem, alg.PartitionOfUnity(part.shape, [stack], part.ranks))
+        assert err.value.residuals["frame_residual"] > alg.TOL_PROJ
+
+    def test_forged_frame_cannot_be_built(self):
+        # identity blocks next to a one-vector frame: the frame alone is the
+        # partition, and a non-square stack is not a partition of unity
+        inc = families.self_inclusion(8)
+        x = selfadjoint(inc.m_shape, 26)
+        problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.5, index=1.0)
+        honest = pv.verify(problem, alg.PartitionOfUnity.from_projections(
+            [identity(inc.n_shape)]))
+        assert abs(honest.per_x_ratio[0] - 1.0) < 1e-12 and not honest.verified
+        e0 = np.eye(8, dtype=complex)[:, :1]
+        with pytest.raises(alg.AlgebraError):
+            alg.PartitionOfUnity(inc.n_shape, [e0], [[1]])
+        with pytest.raises(alg.AlgebraError):
+            alg.PartitionOfUnity.from_frames(inc.n_shape, [[e0]])
 
 
 class TestDixmier:
@@ -473,6 +502,15 @@ class TestScan:
         row = rows[0]
         assert row["r_verified"]
         assert row["r_found"] >= row["lower_bound"]
+
+    def test_no_positive_member_has_no_lower_bound(self):
+        # the averaging-count floor speaks only of positive elements; a
+        # Hadamard-basis pair pinches diag(1, -1) to exactly 0
+        inc = families.self_inclusion(2)
+        x = Element(inc.m_shape, [np.diag([1.0, -1.0]).astype(complex)])
+        rows = pv.scan(inc, [0.1, 0.05], [x], 1.0)
+        assert [row["lower_bound"] for row in rows] == [None, None]
+        assert [row["r_found"] for row in rows] == [2, 2]
 
     def test_empty_grid(self):
         inc = families.self_inclusion(8)

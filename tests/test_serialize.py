@@ -8,6 +8,7 @@ import pytest
 
 from pavelab import algebra as alg
 from pavelab import families
+from pavelab import paving as pv
 from pavelab import serialize as ser
 from pavelab.algebra import AlgebraShape
 
@@ -34,6 +35,10 @@ def test_inclusion_spec_roundtrip():
     assert back == spec
 
 
+def dense(part):
+    return [alg.frame_projection(part.shape, f) for f in part.frames()]
+
+
 def test_partition_roundtrip_inline():
     sh = AlgebraShape.matrix(6)
     part = alg.coordinate_partition(sh, 3, unitary=alg.random_haar_unitary(sh, 2))
@@ -41,7 +46,7 @@ def test_partition_roundtrip_inline():
     assert obj["kind"] == "inline"
     back = ser.partition_from_obj(obj)
     back.validate()
-    for p, q in zip(part.projections, back.projections):
+    for p, q in zip(dense(part), dense(back)):
         assert p.allclose(q, tol=0.0)
 
 
@@ -49,11 +54,35 @@ def test_partition_frames_roundtrip_exact(tmp_path):
     sh = AlgebraShape.matrix(6)
     part = alg.coordinate_partition(sh, 3, unitary=alg.random_haar_unitary(sh, 9))
     obj = ser.partition_to_obj(part)
-    assert "frames" in obj
+    assert "frames" in obj and "projections" not in obj
     back = ser.partition_from_obj(obj)
-    for p, q in zip(part.projections, back.projections):
+    for p, q in zip(dense(part), dense(back)):
         assert all((a == b).all() for a, b in zip(p.blocks, q.blocks))
-        assert all((a == b).all() for a, b in zip(p.meta["frame"], q.meta["frame"]))
+    for f, g in zip(part.frames(), back.frames()):
+        assert all((a == b).all() for a, b in zip(f, g))
+    assert all(b.flags.c_contiguous for b in back.stacks)
+    x = alg.random_element(sh, alg.SELFADJOINT, 10)
+    assert all((a == b).all() for a, b in
+               zip(alg.pinch(part, x).blocks, alg.pinch(back, x).blocks))
+
+
+def test_inline_payload_dense_projections_ignored():
+    # payloads of earlier writers carried a dense copy next to the frames
+    inc = families.self_inclusion(6)
+    problem = pv.PavingProblem(
+        inclusion=inc, operators=[alg.random_element(inc.m_shape, alg.SELFADJOINT, 11)],
+        epsilon=1.0, index=1.0)
+    part = alg.coordinate_partition(inc.n_shape, 3,
+                                    unitary=alg.random_haar_unitary(inc.n_shape, 12))
+    obj = ser.partition_to_obj(part)
+    obj["projections"] = [[ser._complex_matrix_to_pairs(b) for b in p.blocks]
+                          for p in dense(part)]
+    cert = pv.verify(problem, ser.partition_from_obj(obj))
+    assert cert.verified
+    assert cert.per_x_ratio == pv.verify(problem, part).per_x_ratio
+    del obj["frames"]
+    with pytest.raises(ValueError, match="frames"):
+        ser.partition_from_obj(obj)
 
 
 def test_partition_sidecar_roundtrip(tmp_path, monkeypatch):
@@ -64,8 +93,9 @@ def test_partition_sidecar_roundtrip(tmp_path, monkeypatch):
     obj = ser.partition_to_obj(part, sidecar_stem=stem)
     assert obj["kind"] == "frame-sidecar"
     back = ser.partition_from_obj(obj, base_dir=str(tmp_path))
-    for p, q in zip(part.projections, back.projections):
+    for p, q in zip(dense(part), dense(back)):
         assert all((a == b).all() for a, b in zip(p.blocks, q.blocks))
+    assert back.ranks == part.ranks
     # digest check trips on corruption
     target = os.path.join(tmp_path, obj["files"][0]["path"])
     with open(target, "r+b") as handle:
