@@ -203,6 +203,12 @@ def hermitian_part_residual(x: Element) -> float:
     return max(float(np.linalg.norm(b - b.conj().T)) for b in x.blocks)
 
 
+def unitary_residual(u: Element) -> float:
+    """max_k ‖u_k u_k* - 1‖ in Frobenius norm."""
+    return max(float(np.linalg.norm(b @ b.conj().T - np.eye(len(b))))
+               for b in u.blocks)
+
+
 def herm_eig(x: Element, tol: float = TOL_PROJ):
     """Eigenvalues (ascending) and unitary diagonalizers per block.
 
@@ -518,8 +524,7 @@ class CyclicUnitary:
 
     def validate(self, tol: float = TOL_PROJ) -> float:
         one = identity(self.v.shape)
-        worst = max(float(np.linalg.norm(a - b)) for a, b in
-                    zip((self.v @ self.v.adjoint()).blocks, one.blocks))
+        worst = unitary_residual(self.v)
         power = one
         for _ in range(self.order):
             power = power @ self.v
@@ -572,10 +577,8 @@ def unitary_average(unitaries, x: Element, tol: float = TOL_PROJ) -> Element:
     us = list(unitaries)
     if not us:
         raise AlgebraError("need at least one unitary")
-    one = identity(x.shape)
     for u in us:
-        resid = max(float(np.linalg.norm(a - b)) for a, b in
-                    zip((u @ u.adjoint()).blocks, one.blocks))
+        resid = unitary_residual(u)
         if resid > max(tol, 1e-6):
             raise AlgebraError(f"operand is not unitary (residual {resid:.3e})")
     acc = zero(x.shape)

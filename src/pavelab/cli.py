@@ -10,6 +10,7 @@ payloads (modulo the isolated meta.timestamp field).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -280,32 +281,27 @@ def cmd_basis(args) -> int:
 def cmd_spec(args) -> int:
     """Validate an inclusion-spec JSON and echo its normalized weights.
 
-    Weights may come in unnormalized; the M-side weights are rescaled to a
-    unit trace and the N-side weights recomputed through the multiplicity
-    matrix, so the echoed spec is always trace-compatible if the dimension
-    bookkeeping holds.
+    Weights may come in unnormalized; once the dimension bookkeeping holds
+    (`incl.check_multiplicities`), the M-side weights are rescaled to a unit
+    trace and the N-side weights recomputed through the multiplicity
+    matrix, so the echoed spec is always trace-compatible.
     """
     with open(args.spec) as handle:
         raw = json.load(handle)
     m_dims = [int(v) for v in raw["m_blocks"]]
+    n_dims = [int(v) for v in raw["n_blocks"]]
+    lam = incl.check_multiplicities(n_dims, m_dims, raw["lambda"])
     m_weights = [float(v) for v in raw["m_weights"]]
     total = sum(w * d for w, d in zip(m_weights, m_dims))
     if total <= 0:
         raise UsageError("M trace weights must have positive total")
     m_weights = [w / total for w in m_weights]
-    lam = [[int(v) for v in row] for row in raw["lambda"]]
-    n_dims = [int(v) for v in raw["n_blocks"]]
-    for l, ml in enumerate(m_dims):
-        filled = sum(lam[k][l] * n_dims[k] for k in range(len(n_dims)))
-        if filled != ml:
-            raise UsageError(
-                f"M-block {l}: multiplicities fill {filled} of {ml} dimensions")
     n_weights = [sum(lam[k][l] * m_weights[l] for l in range(len(m_dims)))
                  for k in range(len(n_dims))]
     spec = incl.InclusionSpec(
         n_shape=alg.AlgebraShape(tuple(n_dims), tuple(n_weights)),
         m_shape=alg.AlgebraShape(tuple(m_dims), tuple(m_weights)),
-        inclusion_matrix=tuple(tuple(row) for row in lam))
+        inclusion_matrix=lam)
     obj = serialize.inclusion_spec_to_obj(spec)
     print(serialize.canonical_dumps(obj), end="")
     if args.out:
@@ -407,10 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()` once per process; parse_args fills a fresh namespace
+    per call, so in-process callers of `main` share it safely."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -7,9 +7,18 @@ Haar-rotated in M_dim, which is asymptotically free, and the acceptance
 contract allows a fixed slack (0.05 at dim 512) for the finite-dimension
 defect.
 
-The trial sampler uses the extremal spectrum for x (balanced +/-1 signs), so
-the pinched norms approach the bound from below instead of sitting far under
-it: the experiment actually probes the constant.
+The trial sampler uses the extremal spectrum for x (balanced +/-1 signs, one
+0 when dim is odd), so the pinched norms approach the bound from below
+instead of sitting far under it: the experiment actually probes the constant.
+
+By Haar invariance only the relative position of the two elements matters,
+so a trial fixes v = diag(roots) and draws x = Q diag(w) Q* - 1 from one
+dim x k Haar isometry Q, k = ceil(dim/2), with w = (2, ..., 2) and a last
+weight 1 when dim is odd (x = 2 P + e - 1, e the rank-one projection onto
+the 0 eigenvector).  Pinching by the spectral partition of v keeps the
+diagonal blocks Q_g diag(w) Q_g* - 1 over the n row groups of Q: for even
+dim these are 2 Q_g Q_g* - 1, the diagonal blocks of a random rank-dim/2
+projection, a Jacobi (MANOVA) ensemble (Collins 2005).
 """
 
 from __future__ import annotations
@@ -151,47 +160,66 @@ def freeness_defect(v: alg.CyclicUnitary, x: Element, max_word_len: int = 4) -> 
     return worst
 
 
+def _half_rank_draw(dim: int, rng: np.random.Generator):
+    """(Q, w): a dim x k Haar isometry, k = ceil(dim/2), and the weights
+    with Q diag(w) Q* - 1 = x of spectrum `_sign_spectrum(dim)`.
+
+    Q is the reduced QR factor of a complex Gaussian matrix (real and
+    imaginary parts interleaved in one draw).  Only span(Q) and the line of
+    its last column enter x, and their law is unitarily invariant whatever
+    the phases of R, so no phase fix is applied."""
+    k = dim - dim // 2
+    g = rng.standard_normal((dim, 2 * k)).view(np.complex128)
+    q, _ = np.linalg.qr(g)
+    w = np.full(k, 2.0)
+    if dim % 2:
+        w[-1] = 1.0
+    return q, w
+
+
 def trial_pair(n: int, dim: int, rng: np.random.Generator):
-    """(v, x) of one `run_kesten` trial, from the same Haar draw z that
+    """(v, x) of one `run_kesten` trial, from the same draw (Q, w) that
     `_pinched_norms_fast` takes from `rng`: v = diag(roots) and
-    x = z* diag(s) z, so pinching x by the spectral partition of v gives
+    x = Q diag(w) Q* - 1, so pinching x by the spectral partition of v gives
     the trial's norm up to rounding."""
-    z = alg.haar_block(rng, dim)
+    q, w = _half_rank_draw(dim, rng)
     shape = AlgebraShape.matrix(dim)
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     v = Element(shape, [np.diag(np.repeat(roots, dim // n))])
-    x_mat = (z.conj().T * _sign_spectrum(dim)) @ z
+    x_mat = (q * w) @ q.conj().T - np.eye(dim)
     x = Element(shape, [(x_mat + x_mat.conj().T) / 2])
     return alg.CyclicUnitary(v=v, order=n), x
 
 
 def _pinched_norms_fast(n: int, dim: int, rng: np.random.Generator) -> float:
-    """Pinched operator norm of one trial via a single relative rotation.
+    """Pinched operator norm of one trial from one half-rank draw.
 
-    Pinching by the spectral partition of v is block-diagonal in the frame of
-    v, with blocks U_k* x U_k; by unitary invariance of the Haar measure the
-    relative rotation z = u_v* u_x of two independent Haar unitaries is Haar,
-    so one draw of z reproduces the trial distribution exactly while skipping
-    one QR and every dense dim x dim product.
+    With v = diag(roots) the pinch of x = Q diag(w) Q* - 1 keeps its n
+    diagonal blocks Q_g diag(w) Q_g* - 1, Q_g the g-th group of dim/n rows
+    of Q, so the norm is max_g max |eig(Q_g diag(w) Q_g*) - 1|.  For even
+    dim w = 2 and the blocks are those of the Jacobi ensemble 2 P - 1; for
+    odd dim the last weight 1 adds the 0 eigenvector of x.  Against a full
+    Haar unitary per trial this halves the QR and skips every dim x dim
+    product, with the same law of x relative to v.
     """
-    z = alg.haar_block(rng, dim)
-    s = _sign_spectrum(dim)
+    q, w = _half_rank_draw(dim, rng)
     worst = 0.0
     for sl in _group_slices(dim, n):
-        zg = z[:, sl]
-        block = (zg.conj().T * s) @ zg
-        w = np.linalg.eigvalsh((block + block.conj().T) / 2)
-        worst = max(worst, max(abs(float(w[0])), abs(float(w[-1]))))
+        qg = q[sl]
+        lam = np.linalg.eigvalsh((qg * w) @ qg.conj().T)
+        worst = max(worst, abs(float(lam[0]) - 1.0), abs(float(lam[-1]) - 1.0))
     return worst
 
 
 def run_kesten(experiment: KestenExperiment) -> KestenResult:
-    """Per trial: sample a pair, pinch x by the spectral partition of v,
-    record the operator norm; exceedances are counted against bound + slack.
+    """Per trial: draw the pair of `trial_pair`, pinch x by the spectral
+    partition of v, record the operator norm; exceedances are counted
+    against bound + slack.
 
-    Trials use the one-rotation fast path (see `_pinched_norms_fast`); its
-    exact agreement with the literal pinch of `sample_pair` outputs is
-    covered by tests on small dimensions.
+    Trial t reads only `child_rng(seed, t)`, one dim x ceil(dim/2) Haar
+    isometry Q (see `_pinched_norms_fast`): x = Q diag(w) Q* - 1 with
+    w = 2 and, for odd dim, a last weight 1 for the 0 eigenvector.  The
+    norm is read off the n row-group blocks of Q, without forming x.
     """
     norms = np.empty(experiment.trials)
     for t in range(experiment.trials):

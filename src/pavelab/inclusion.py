@@ -39,6 +39,31 @@ class ResourceBudgetError(RuntimeError):
     """Construction would exceed the configured dimension budget."""
 
 
+def check_multiplicities(n_dims, m_dims, inclusion_matrix) -> tuple:
+    """The dimension bookkeeping of an inclusion: Λ has one nonnegative row
+    per N-block and one column per M-block, no zero row or column, and each
+    M-block is filled exactly, sum_k Λ[k][l] n_k = m_l.  Returns Λ as a
+    tuple of int tuples; raises InclusionSpecError otherwise."""
+    lam = tuple(tuple(int(v) for v in row) for row in inclusion_matrix)
+    nk, ml = len(n_dims), len(m_dims)
+    if len(lam) != nk or any(len(row) != ml for row in lam):
+        raise InclusionSpecError("inclusion matrix shape does not match block counts")
+    if any(v < 0 for row in lam for v in row):
+        raise InclusionSpecError("multiplicities must be nonnegative")
+    for k in range(nk):
+        if all(lam[k][l] == 0 for l in range(ml)):
+            raise InclusionSpecError(f"N-block {k} does not embed anywhere (zero row)")
+    for l in range(ml):
+        if all(lam[k][l] == 0 for k in range(nk)):
+            raise InclusionSpecError(f"M-block {l} contains no copy of N (zero column)")
+    for l in range(ml):
+        filled = sum(lam[k][l] * n_dims[k] for k in range(nk))
+        if filled != m_dims[l]:
+            raise InclusionSpecError(
+                f"M-block {l}: multiplicities fill {filled} of {m_dims[l]} dimensions")
+    return lam
+
+
 @dataclass(frozen=True)
 class InclusionSpec:
     """Shapes of N and M plus the multiplicity matrix Λ[k][l]."""
@@ -48,25 +73,10 @@ class InclusionSpec:
     inclusion_matrix: tuple
 
     def __post_init__(self):
-        lam = tuple(tuple(int(v) for v in row) for row in self.inclusion_matrix)
+        lam = check_multiplicities(self.n_shape.block_dims,
+                                   self.m_shape.block_dims, self.inclusion_matrix)
         object.__setattr__(self, "inclusion_matrix", lam)
         nk, ml = self.n_shape.num_blocks, self.m_shape.num_blocks
-        if len(lam) != nk or any(len(row) != ml for row in lam):
-            raise InclusionSpecError("inclusion matrix shape does not match block counts")
-        if any(v < 0 for row in lam for v in row):
-            raise InclusionSpecError("multiplicities must be nonnegative")
-        for k in range(nk):
-            if all(lam[k][l] == 0 for l in range(ml)):
-                raise InclusionSpecError(f"N-block {k} does not embed anywhere (zero row)")
-        for l in range(ml):
-            if all(lam[k][l] == 0 for k in range(nk)):
-                raise InclusionSpecError(f"M-block {l} contains no copy of N (zero column)")
-        for l in range(ml):
-            filled = sum(lam[k][l] * self.n_shape.block_dims[k] for k in range(nk))
-            if filled != self.m_shape.block_dims[l]:
-                raise InclusionSpecError(
-                    f"M-block {l}: multiplicities fill {filled} of "
-                    f"{self.m_shape.block_dims[l]} dimensions")
         for k in range(nk):
             s = sum(lam[k][l] * self.m_shape.trace_weights[l] for l in range(ml))
             if abs(s - self.n_shape.trace_weights[k]) > 1e-12:

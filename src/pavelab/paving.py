@@ -284,15 +284,12 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
                 f"candidate is not inside the subalgebra (residual {worst:.3e})",
                 {"expectation_residual": worst})
         unitaries = [inc.restrict_to_n(u) for u in unitaries]
-    one = identity(inc.n_shape)
     worst_unitary = 0.0
     for u in unitaries:
         if u.shape != inc.n_shape:
             raise CandidateRejected("unitaries must live over N",
                                     {"shape": str(u.shape)})
-        worst_unitary = max(worst_unitary, max(
-            float(np.linalg.norm(a - b)) for a, b in
-            zip((u @ u.adjoint()).blocks, one.blocks)))
+        worst_unitary = max(worst_unitary, alg.unitary_residual(u))
     if worst_unitary > TOL_PROJ:
         raise CandidateRejected(
             f"candidate family is not unitary within {TOL_PROJ}",

@@ -98,17 +98,7 @@ def canonical_dumps(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str, data: bytes):

@@ -335,6 +335,18 @@ class TestPartitionsAndPinching:
         with pytest.raises(alg.AlgebraError):
             alg.unitary_average([], identity(M2))
 
+    def test_unitary_residual_and_its_checks(self):
+        # max over blocks of ‖u u* - 1‖_F: block 3 of 2·1 gives 3 sqrt(3)
+        assert alg.unitary_residual(2.0 * identity(MIXED)) == pytest.approx(
+            3.0 * np.sqrt(3.0), rel=1e-15)
+        assert alg.unitary_residual(alg.random_haar_unitary(MIXED, 30)) < 1e-13
+        x = rand_generic(MIXED, 31)
+        alg.unitary_average([(1.0 + 1e-7) * identity(MIXED)], x)  # within 1e-6
+        with pytest.raises(alg.AlgebraError, match="not unitary"):
+            alg.unitary_average([(1.0 + 1e-5) * identity(MIXED)], x)
+        with pytest.raises(alg.AlgebraError, match="cyclic unitary residual"):
+            alg.CyclicUnitary(v=(1.0 + 1e-7) * identity(MIXED), order=2).validate()
+
     def test_from_projections_rejects_non_projection(self):
         with pytest.raises(alg.AlgebraError):
             alg.PartitionOfUnity.from_projections([0.6 * identity(M3)])

@@ -276,3 +276,63 @@ class TestScanCommand:
 
     def test_unknown_command_usage(self):
         assert run(["unknown-command"]) == 2
+
+
+class TestSpecCommand:
+    def write_spec(self, tmp_path, obj):
+        path = os.path.join(tmp_path, "spec.json")
+        with open(path, "w") as handle:
+            json.dump(obj, handle)
+        return path
+
+    def test_valid_spec_echoes_normalized_weights(self, tmp_path, capsys):
+        path = self.write_spec(tmp_path, {
+            "n_blocks": [1, 2], "n_weights": [1, 1], "m_blocks": [3, 4],
+            "m_weights": [2, 1], "lambda": [[1, 0], [1, 2]]})
+        assert run(["spec", "--spec", path]) == 0
+        echoed = json.loads(capsys.readouterr().out)
+        assert echoed["m_weights"] == pytest.approx([0.2, 0.1], abs=1e-15)
+        assert echoed["n_weights"] == pytest.approx([0.2, 0.4], abs=1e-15)
+        assert echoed["lambda"] == [[1, 0], [1, 2]]
+
+    @pytest.mark.parametrize("lam,m_blocks,message", [
+        # two copies of M_2 fill 4 of the 5 dimensions of M_5
+        ([[2]], [5], "M-block 0: multiplicities fill 4 of 5 dimensions"),
+        ([[1]], [2, 2], "inclusion matrix shape does not match block counts"),
+    ])
+    def test_bad_spec_usage_error(self, tmp_path, capsys, lam, m_blocks, message):
+        path = self.write_spec(tmp_path, {
+            "n_blocks": [2], "n_weights": [0.5], "m_blocks": m_blocks,
+            "m_weights": [1.0] * len(m_blocks), "lambda": lam})
+        assert run(["spec", "--spec", path]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_calls_in_one_process(self, tmp_path, monkeypatch):
+        from pavelab import cli
+
+        cert_dir = os.path.join(tmp_path, "cert")
+        assert run(["pave", "--family", "tensor(8,2)", "--epsilon", "0.9",
+                    "--f-random", "selfadjoint:1", "--seed", "3",
+                    "--n-parts", "2", "--m-refine", "2", "--out", cert_dir]) == 0
+        parser = cli._parser()
+        assert cli._parser() is parser
+        parse, seen = parser.parse_args, []
+        monkeypatch.setattr(parser, "parse_args",
+                            lambda argv=None: seen.append(parse(argv)) or seen[-1])
+        codes = [
+            run(["kesten", "--n", "2", "--dim", "16", "--trials", "2",
+                 "--seed", "4", "--out", os.path.join(tmp_path, "k")]),
+            run(["pave", "--mode", "verify", "--certificate",
+                 os.path.join(cert_dir, "pave_certificate.json"),
+                 "--seed", "0", "--out", os.path.join(tmp_path, "v")]),
+            run(["kesten", "--n", "2"]),
+        ]
+        assert codes == [0, 0, 2]
+        assert len(seen) == 2 and seen[0] is not seen[1]
+        assert seen[0].command == "kesten" and seen[0].dim == 16
+        assert seen[1].command == "pave" and seen[1].mode == "verify"
+        assert not hasattr(seen[1], "dim") and seen[1].epsilon is None
+        assert os.path.exists(os.path.join(tmp_path, "k", "kesten.csv"))
+        assert os.path.exists(os.path.join(tmp_path, "v", "verify.json"))

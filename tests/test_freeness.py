@@ -6,7 +6,7 @@ import pytest
 from pavelab import algebra as alg
 from pavelab import freeness as fr
 from pavelab.algebra import identity, op_norm, trace
-from pavelab.seeding import child_seed
+from pavelab.seeding import child_rng, child_seed
 
 
 class TestBound:
@@ -98,6 +98,33 @@ class TestRunKesten:
             w = np.linalg.eigvalsh((block + block.conj().T) / 2)
             worst = max(worst, abs(float(w[0])), abs(float(w[-1])))
         assert abs(literal - worst) < 1e-12
+
+    def test_half_rank_formula_matches_literal_pinch(self):
+        # with Q = z[:dim/2, :]* the row-group blocks 2 Q_g Q_g* - 1 are the
+        # pinched blocks of the sampled pair
+        n, dim = 3, 12
+        v, x = fr.sample_pair(n, dim, 7)
+        part = v.spectral_partition()
+        literal = op_norm(alg.pinch(part, x))
+        z = x.meta["rotation"].conj().T @ v.v.meta["rotation"]
+        q = z[:dim // 2, :].conj().T
+        worst = 0.0
+        for sl in fr._group_slices(dim, n):
+            qg = q[sl]
+            w = np.linalg.eigvalsh(2.0 * qg @ qg.conj().T)
+            worst = max(worst, abs(float(w[0]) - 1.0), abs(float(w[-1]) - 1.0))
+        assert abs(literal - worst) < 1e-12
+
+    def test_odd_dim_trial_matches_literal_pinch(self):
+        # odd dim: the last weight 1 carries the 0 eigenvector of x
+        n, dim = 3, 9
+        for t in range(3):
+            v, x = fr.trial_pair(n, dim, child_rng(12, t))
+            spectrum = np.linalg.eigvalsh(x.blocks[0])
+            assert np.allclose(spectrum, np.sort(fr._sign_spectrum(dim)), atol=1e-12)
+            literal = op_norm(alg.pinch(v.spectral_partition(), x))
+            fast = fr._pinched_norms_fast(n, dim, child_rng(12, t))
+            assert abs(literal - fast) < 1e-12
 
     def test_pinch_average_identity_per_trial(self):
         n, dim = 4, 16
