@@ -1,15 +1,23 @@
 """Batch front door: build inclusions, dispatch experiments, emit artifacts.
 
-Subcommands: index, pave, kesten, dixmier, basis, scan.  Exit codes follow
-one contract everywhere: 0 = done and verified, 1 = ran but unverified,
-2 = usage or specification error.  Every file is written atomically and all
-randomness is seeded, so reruns with the same flags reproduce byte-identical
-payloads (modulo the isolated meta.timestamp field).
+Subcommands: index, pave, kesten, dixmier, basis, scan, spec.  Every problem
+takes one path, args -> recipe -> problem: `_recipe` turns the arguments
+into the recipe dict a certificate stores, and `_problem_from_recipe` is the
+only code that turns a recipe into an inclusion and an operator set, both
+when a certificate is made and when `pave --mode verify` rebuilds it from
+the saved recipe (`index` and `basis` use its inclusion half).
+
+Exit codes follow one contract everywhere: 0 = done and verified, 1 = ran
+but unverified, 2 = usage or specification error, a malformed input file
+included.  Every file is written atomically and all randomness is seeded,
+so reruns with the same flags reproduce byte-identical payloads (modulo the
+isolated meta.timestamp field).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -53,50 +61,60 @@ def _parse_f_random(text: str):
     return kind, theta, count
 
 
-def _build_inclusion(args):
-    if getattr(args, "family", None):
-        inc = families.parse_family(args.family)
-        recipe = {"family": args.family}
-    elif getattr(args, "spec", None):
-        with open(args.spec) as handle:
-            spec = serialize.inclusion_spec_from_obj(json.load(handle))
-        embed_seed = getattr(args, "seed", 0) or 0
-        inc = incl.build_inclusion(spec, seed=embed_seed, embed="haar")
-        recipe = {"spec": serialize.inclusion_spec_to_obj(spec),
-                  "embed_seed": embed_seed}
-    else:
-        raise UsageError("need --family or --spec")
-    return inc, recipe
+@contextlib.contextmanager
+def _input_file(path):
+    """Yield the JSON in `path`; a key the body finds missing is a usage error."""
+    try:
+        with open(path) as handle:
+            yield json.load(handle)
+    except KeyError as exc:
+        raise UsageError(f"{path} lacks key {exc}") from exc
 
 
-def _build_operators(inc, args):
-    sources = [s for s in (getattr(args, "f_random", None),
-                           getattr(args, "f_file", None)) if s]
-    if len(sources) != 1:
+def _inclusion_recipe(args) -> dict:
+    if args.family:
+        return {"family": args.family}
+    if args.spec:
+        with _input_file(args.spec) as obj:
+            spec = serialize.inclusion_spec_from_obj(obj)
+        return {"spec": serialize.inclusion_spec_to_obj(spec),
+                "embed_seed": args.seed or 0}
+    raise UsageError("need --family or --spec")
+
+
+def _recipe(args) -> dict:
+    """The recipe a certificate stores, from the arguments.
+
+    ε is --epsilon, or for `scan` the first grid point; the index is --index
+    and may still be None, for `_problem` to fill in.
+    """
+    epsilon = args.epsilon if "epsilon" in args else _parse_grid(args.grid)[0]
+    if epsilon is None:
+        raise UsageError(f"{args.command} needs --epsilon")
+    inclusion = _inclusion_recipe(args)
+    if bool(args.f_random) == bool(args.f_file):
         raise UsageError("need exactly one operator source (--f-random or --f-file)")
-    if getattr(args, "f_random", None):
-        kind, theta, count = _parse_f_random(args.f_random)
-        ops = [alg.random_element(inc.m_shape, kind, child_seed(args.seed, 9, i),
-                                  theta=theta)
-               for i in range(count)]
-        recipe = {"random": args.f_random, "seed": args.seed}
-        return ops, recipe
-    with open(args.f_file) as handle:
-        payload = json.load(handle)
-    ops = [serialize.element_from_obj(o) for o in payload["elements"]]
-    recipe = {"file": os.path.basename(args.f_file),
-              "elements": payload["elements"]}
-    return ops, recipe
+    if args.f_random:
+        f = {"random": args.f_random, "seed": args.seed}
+    else:
+        with _input_file(args.f_file) as obj:
+            f = {"file": os.path.basename(args.f_file), "elements": obj["elements"]}
+            for element in f["elements"]:  # read here so a missing key names the file
+                serialize.element_from_obj(element)
+    return {"inclusion": inclusion, "f": f, "epsilon": epsilon, "index": args.index}
+
+
+def _inclusion_from_recipe(recipe: dict) -> incl.Inclusion:
+    if "family" in recipe:
+        return families.parse_family(recipe["family"])
+    spec = serialize.inclusion_spec_from_obj(recipe["spec"])
+    return incl.build_inclusion(spec, seed=recipe["embed_seed"], embed="haar")
 
 
 def _problem_from_recipe(recipe: dict) -> paving.PavingProblem:
-    """Rebuild a paving problem from a certificate's embedded recipe."""
-    if "family" in recipe["inclusion"]:
-        inc = families.parse_family(recipe["inclusion"]["family"])
-    else:
-        spec = serialize.inclusion_spec_from_obj(recipe["inclusion"]["spec"])
-        inc = incl.build_inclusion(spec, seed=recipe["inclusion"]["embed_seed"],
-                                   embed="haar")
+    """Build the paving problem a recipe describes; the one path from user
+    input to an inclusion and an operator set."""
+    inc = _inclusion_from_recipe(recipe["inclusion"])
     fsrc = recipe["f"]
     if "random" in fsrc:
         kind, theta, count = _parse_f_random(fsrc["random"])
@@ -109,6 +127,24 @@ def _problem_from_recipe(recipe: dict) -> paving.PavingProblem:
                                 epsilon=recipe["epsilon"], index=recipe["index"])
 
 
+def _exact_index(index, inc: incl.Inclusion, fallback=None):
+    """--index, else the inclusion's exact index, else `fallback`."""
+    if index is None:
+        index = inc.known_index if inc.known_index is not None else fallback
+    if index is None:
+        raise UsageError("no exact index known; pass --index")
+    return index
+
+
+def _problem(args, index_fallback=None):
+    """args -> recipe -> problem; the recipe records the index the problem uses."""
+    recipe = _recipe(args)
+    problem = _problem_from_recipe(recipe)
+    problem.index = recipe["index"] = _exact_index(problem.index, problem.inclusion,
+                                                   index_fallback)
+    return problem, recipe
+
+
 def _write_json(args, name: str, obj) -> str:
     path = os.path.join(args.out, name)
     serialize.atomic_write_text(path, serialize.canonical_dumps(obj))
@@ -116,7 +152,8 @@ def _write_json(args, name: str, obj) -> str:
 
 
 def cmd_index(args) -> int:
-    inc, inc_recipe = _build_inclusion(args)
+    inc_recipe = _inclusion_recipe(args)
+    inc = _inclusion_from_recipe(inc_recipe)
     est = incl.expectation_index_estimate(inc, trials=args.trials, seed=args.seed)
     print(f"inclusion       : {inc.label or 'custom'}")
     print(f"lambda estimate : {est.lambda_est:.12g}")
@@ -150,20 +187,11 @@ def cmd_pave(args) -> int:
     if args.mode == "verify":
         if not args.certificate:
             raise UsageError("verify mode needs --certificate")
-        with open(args.certificate) as handle:
-            saved = json.load(handle)
-        problem = _problem_from_recipe(saved["problem"])
-        base = os.path.dirname(os.path.abspath(args.certificate))
-        if "partition" in saved:
-            candidate = serialize.partition_from_obj(saved["partition"], base)
-        elif "unitaries" in saved:
-            candidate = [serialize.element_from_obj(o) for o in saved["unitaries"]]
-        else:
-            raise UsageError("certificate carries no candidate to verify")
-        cert = paving.verify(problem, candidate, mode=saved["mode"],
-                             l2_parts=saved.get("config", {}).get("n_parts"),
-                             l2_slack=saved.get("config", {}).get("delta_l2", 0.05),
-                             seed=saved.get("seed"), config=saved.get("config"))
+        with _input_file(args.certificate) as saved:
+            problem = _problem_from_recipe(saved["problem"])
+            stored = serialize.certificate_from_obj(
+                saved, os.path.dirname(os.path.abspath(args.certificate)))
+        cert = paving.verify(problem, stored)
         _print_pave_table(problem, cert)
         report = {"command": "pave-verify",
                   "per_x_ratio": cert.per_x_ratio,
@@ -173,23 +201,17 @@ def cmd_pave(args) -> int:
         _write_json(args, "verify.json", report)
         return 0 if cert.verified else 1
 
-    inc, inc_recipe = _build_inclusion(args)
-    ops, f_recipe = _build_operators(inc, args)
-    index = args.index if args.index is not None else inc.known_index
-    if index is None:
-        raise UsageError("no exact index known; pass --index")
-    problem = paving.PavingProblem(inclusion=inc, operators=ops,
-                                   epsilon=args.epsilon, index=index)
+    problem, recipe = _problem(args)
     if args.mode == "pipeline":
         if args.n_parts and args.m_refine:
             n, m = args.n_parts, args.m_refine
         else:
-            n, m, _ = paving.paving_partition_bound(index, args.epsilon)
+            n, m, _ = paving.paving_partition_bound(problem.index, args.epsilon)
         cfg = paving.PipelineConfig(n_parts=n, m_refine=m, seed=args.seed,
                                     retry_budget=args.budget)
         cert = paving.pave_constructive(problem, cfg)
     elif args.mode == "search":
-        r = args.n_parts or paving.paving_partition_bound(index, args.epsilon)[2]
+        r = args.n_parts or paving.paving_partition_bound(problem.index, args.epsilon)[2]
         cert = paving.pave_search(problem, paving.SearchConfig(
             r=r, steps=args.budget * 50 if args.budget else 300, seed=args.seed))
     elif args.mode == "l2":
@@ -200,8 +222,6 @@ def cmd_pave(args) -> int:
         cert = paving.dixmier_average_run(problem, seed=args.seed)
     else:
         raise UsageError(f"unknown mode {args.mode!r}")
-    recipe = {"inclusion": inc_recipe, "epsilon": args.epsilon,
-              "index": index, "f": f_recipe}
     stem = os.path.join(args.out, "pave_certificate")
     obj = serialize.certificate_to_obj(cert, recipe, sidecar_stem=stem)
     _write_json(args, "pave_certificate.json", obj)
@@ -237,17 +257,11 @@ def cmd_kesten(args) -> int:
 
 
 def cmd_dixmier(args) -> int:
-    inc, inc_recipe = _build_inclusion(args)
-    ops, f_recipe = _build_operators(inc, args)
-    index = args.index if args.index is not None else (inc.known_index or 1.0)
-    problem = paving.PavingProblem(inclusion=inc, operators=ops,
-                                   epsilon=args.epsilon, index=index)
+    problem, recipe = _problem(args, index_fallback=1.0)
     cert = paving.dixmier_average_run(problem, seed=args.seed)
     bound = paving.dixmier_count_bound(min(args.epsilon, 1.0))
     print(f"unitary count = {cert.r} (single-element bound {bound}); "
           f"max ratio = {max(cert.per_x_ratio):.6g}; verified = {cert.verified}")
-    recipe = {"inclusion": inc_recipe, "epsilon": args.epsilon,
-              "index": index, "f": f_recipe}
     obj = serialize.certificate_to_obj(cert, recipe)
     obj["count_bound"] = bound
     _write_json(args, "dixmier_certificate.json", obj)
@@ -255,10 +269,9 @@ def cmd_dixmier(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    inc, inc_recipe = _build_inclusion(args)
-    index = args.index if args.index is not None else inc.known_index
-    if index is None:
-        raise UsageError("no exact index known; pass --index")
+    inc_recipe = _inclusion_recipe(args)
+    inc = _inclusion_from_recipe(inc_recipe)
+    index = _exact_index(args.index, inc)
     basis = incl.orthonormal_basis(inc, seed=args.seed or 0)
     value = incl.d_ob(inc, basis)
     lo, hi = incl.d_ob_interval(index)
@@ -286,12 +299,11 @@ def cmd_spec(args) -> int:
     trace and the N-side weights recomputed through the multiplicity
     matrix, so the echoed spec is always trace-compatible.
     """
-    with open(args.spec) as handle:
-        raw = json.load(handle)
-    m_dims = [int(v) for v in raw["m_blocks"]]
-    n_dims = [int(v) for v in raw["n_blocks"]]
-    lam = incl.check_multiplicities(n_dims, m_dims, raw["lambda"])
-    m_weights = [float(v) for v in raw["m_weights"]]
+    with _input_file(args.spec) as raw:
+        m_dims = [int(v) for v in raw["m_blocks"]]
+        n_dims = [int(v) for v in raw["n_blocks"]]
+        lam = incl.check_multiplicities(n_dims, m_dims, raw["lambda"])
+        m_weights = [float(v) for v in raw["m_weights"]]
     total = sum(w * d for w, d in zip(m_weights, m_dims))
     if total <= 0:
         raise UsageError("M trace weights must have positive total")
@@ -311,14 +323,9 @@ def cmd_spec(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    inc, inc_recipe = _build_inclusion(args)
-    ops, f_recipe = _build_operators(inc, args)
-    index = args.index if args.index is not None else inc.known_index
-    if index is None:
-        raise UsageError("no exact index known; pass --index")
-    grid = _parse_grid(args.grid)
-    rows = paving.scan(inc, grid, ops, index, seed=args.seed,
-                       r_cap=args.budget or 64)
+    problem, _ = _problem(args)
+    rows = paving.scan(problem.inclusion, _parse_grid(args.grid), problem.operators,
+                       problem.index, seed=args.seed, r_cap=args.budget or 64)
     csv_rows = [[r["epsilon"], r["r_found"], r["r_verified"], r["theorem_r"],
                  r["lower_bound"], r["seed"]] for r in rows]
     serialize.write_csv(os.path.join(args.out, "scan.csv"),
@@ -416,9 +423,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "command", None) == "pave" and args.mode != "verify":
-            if args.epsilon is None:
-                raise UsageError("pave needs --epsilon")
         return args.func(args)
     except (UsageError, paving.PavingError, incl.InclusionSpecError,
             alg.AlgebraError, incl.ResourceBudgetError,

@@ -35,6 +35,10 @@ from .inclusion import Inclusion
 from .seeding import child_rng
 
 VERIFY_SLACK = 1e-9
+# ‖x - E_{N'∩M}(x)‖ at or below this: x already lies in the relative
+# commutant, its ratio is 0 and there is nothing to pave
+DEGENERATE_DEN = 1e-12
+L2_SLACK = 0.05  # default delta_l2 of an l2 paving
 
 
 class PavingError(RuntimeError):
@@ -213,6 +217,13 @@ def _restrict_candidate_partition(inc: Inclusion, partition: PartitionOfUnity):
         raise CandidateRejected(str(exc)) from exc
 
 
+def _is_positive(x: Element) -> bool:
+    """x = x* and x >= 0, both within TOL_PROJ."""
+    return (alg.hermitian_part_residual(x) <= TOL_PROJ
+            and min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0])
+                    for b in x.blocks) >= -TOL_PROJ)
+
+
 def _averaged(inc: Inclusion, unitaries_n: list, x: Element) -> Element:
     us = [inc.embed(u) for u in unitaries_n]
     return alg.unitary_average(us, x)
@@ -221,28 +232,27 @@ def _averaged(inc: Inclusion, unitaries_n: list, x: Element) -> Element:
 # -- verification --------------------------------------------------------------
 
 def verify(problem: PavingProblem, candidate, mode: str = None,
-           l2_parts: int = None, l2_slack: float = 0.05,
            seed=None, config: dict = None,
            diagnostics: dict = None) -> PavingCertificate:
     """Recompute every ratio of a candidate paving from scratch.
 
     `candidate` is a PartitionOfUnity over N, a list of N-unitaries, or an
     existing certificate (whose candidate is re-verified independently of how
-    it was produced).  For unitary candidates containing a positive norm-one
-    operator with scalar commutant expectation, the averaging-count lower
-    bound is asserted; a violation sets the soundness alarm, which means the
-    verifier itself is broken.
+    it was produced).  In l2 mode the threshold is n_parts^(-1/2) + delta_l2,
+    both read from `config` (n_parts defaults to the partition size,
+    delta_l2 to L2_SLACK).  For unitary candidates containing a positive
+    norm-one operator with scalar commutant expectation, the averaging-count
+    lower bound is asserted; a violation sets the soundness alarm, which
+    means the verifier itself is broken.
     """
     if isinstance(candidate, PavingCertificate):
         inner = candidate.partition if candidate.partition is not None else candidate.unitaries
-        return verify(problem, inner, mode=candidate.mode,
-                      l2_parts=candidate.config.get("n_parts"),
-                      l2_slack=candidate.config.get("delta_l2", l2_slack),
-                      seed=candidate.seed, config=candidate.config,
-                      diagnostics=candidate.diagnostics)
+        return verify(problem, inner, mode=candidate.mode, seed=candidate.seed,
+                      config=candidate.config, diagnostics=candidate.diagnostics)
 
     inc = problem.inclusion
     centered = _centered(problem)
+    config = config or {}
     diagnostics = dict(diagnostics or {})
 
     if isinstance(candidate, PartitionOfUnity):
@@ -259,18 +269,18 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
             pin = alg.pinch(embedded, item["x"])
             num = op_norm(pin - item["e"]) if mode != "l2" else l2_norm(pin - item["e"])
             den = item["den"] if mode != "l2" else l2_norm(item["diff"])
-            ratios.append(0.0 if den <= 1e-12 else num / den)
+            ratios.append(0.0 if den <= DEGENERATE_DEN else num / den)
         r = candidate.size
         if mode == "l2":
-            parts = l2_parts or r
-            threshold = parts ** -0.5 + l2_slack
+            parts = config.get("n_parts") or r
+            threshold = parts ** -0.5 + config.get("delta_l2", L2_SLACK)
         else:
             threshold = problem.epsilon
         verified = max(ratios, default=0.0) <= threshold + VERIFY_SLACK
         return PavingCertificate(
             mode=mode, per_x_ratio=ratios, r=r, epsilon=problem.epsilon,
             threshold=threshold, verified=verified, seed=seed,
-            config=config or {}, diagnostics=diagnostics,
+            config=config, diagnostics=diagnostics,
             partition=candidate)
 
     # unitary family
@@ -299,15 +309,11 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     for item in centered:
         avg = _averaged(inc, unitaries, item["x"])
         num = op_norm(avg - item["e"])
-        ratios.append(0.0 if item["den"] <= 1e-12 else num / item["den"])
+        ratios.append(0.0 if item["den"] <= DEGENERATE_DEN else num / item["den"])
         x = item["x"]
-        herm = alg.hermitian_part_residual(x) <= 1e-8
-        lam_min = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0])
-                      for b in x.blocks)
-        tau_x = float(trace(x).real)
-        scalar_exp = op_norm(item["e"] - trace(x) * identity(inc.m_shape)) <= 1e-8
-        if herm and lam_min >= -1e-8 and abs(op_norm(x) - 1.0) <= 1e-8 and scalar_exp:
-            lb = averaging_count_lower_bound(tau_x, max(num, 1e-30))
+        if (_is_positive(x) and abs(op_norm(x) - 1.0) <= TOL_PROJ
+                and op_norm(item["e"] - trace(x) * identity(inc.m_shape)) <= TOL_PROJ):
+            lb = averaging_count_lower_bound(float(trace(x).real), max(num, 1e-30))
             lower_bounds.append(lb)
             if num <= problem.epsilon * max(item["den"], 1e-30) + VERIFY_SLACK:
                 if len(unitaries) < lb - VERIFY_SLACK:
@@ -319,7 +325,7 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     return PavingCertificate(
         mode="unitaries", per_x_ratio=ratios, r=len(unitaries),
         epsilon=problem.epsilon, threshold=problem.epsilon,
-        verified=verified and not alarm, seed=seed, config=config or {},
+        verified=verified and not alarm, seed=seed, config=config,
         diagnostics=diagnostics, unitaries=unitaries, soundness_alarm=alarm)
 
 
@@ -510,7 +516,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
         return _trivial_certificate(problem, cfg.seed, base_config)
 
     centered = _centered(problem)
-    live = [it for it in centered if it["den"] > 1e-12]
+    live = [it for it in centered if it["den"] > DEGENERATE_DEN]
     if not live:
         cert = _trivial_certificate(problem, cfg.seed, base_config)
         cert.diagnostics["normalization"] = "all operators lie in the commutant"
@@ -680,7 +686,7 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     if problem.epsilon >= 1.0:
         return _trivial_certificate(problem, cfg.seed, config)
     centered = _centered(problem)
-    live = [it for it in centered if it["den"] > 1e-12]
+    live = [it for it in centered if it["den"] > DEGENERATE_DEN]
 
     def partition_of(u_blocks):
         # the columns of u reordered by part, as coordinate_partition does
@@ -755,7 +761,7 @@ def dixmier_average_run(problem: PavingProblem, stall_budget: int = 4,
     inc = problem.inclusion
     config = {"stall_budget": stall_budget, "max_folds": max_folds}
     centered = _centered(problem)
-    live = [it for it in centered if it["den"] > 1e-12]
+    live = [it for it in centered if it["den"] > DEGENERATE_DEN]
     if not live:
         return verify(problem, [identity(inc.n_shape)], seed=seed, config=config)
     if not inc.spec.is_trivial:
@@ -802,7 +808,7 @@ def dixmier_average_run(problem: PavingProblem, stall_budget: int = 4,
 
 # -- trace-norm paving -----------------------------------------------------------
 
-def l2_pave(problem: PavingProblem, n_parts: int, delta_l2: float = 0.05,
+def l2_pave(problem: PavingProblem, n_parts: int, delta_l2: float = L2_SLACK,
             seed: int = 0) -> PavingCertificate:
     """Pinch by a Haar-rotated balanced diagonal partition and report trace-norm
     ratios; verified when every ratio is within delta_l2 of n^(-1/2)."""
@@ -810,8 +816,7 @@ def l2_pave(problem: PavingProblem, n_parts: int, delta_l2: float = 0.05,
     u = alg.random_haar_unitary(inc.n_shape, child_rng(seed))
     partition = alg.coordinate_partition(inc.n_shape, n_parts, unitary=u)
     config = {"n_parts": n_parts, "delta_l2": delta_l2}
-    return verify(problem, partition, mode="l2", l2_parts=n_parts,
-                  l2_slack=delta_l2, seed=seed, config=config)
+    return verify(problem, partition, mode="l2", seed=seed, config=config)
 
 
 # -- profile scan ----------------------------------------------------------------
@@ -829,10 +834,7 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
     rows = []
     lower_candidates = []
     for x in operators:
-        herm = alg.hermitian_part_residual(x) <= 1e-8
-        lam_min = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0])
-                      for b in x.blocks)
-        if herm and lam_min >= -1e-10:
+        if _is_positive(x):
             lower_candidates.append(float(trace(x).real) / op_norm(x))
     for gi, eps in enumerate(epsilons):
         theorem_r = paving_partition_bound(problem_index, eps)[2] if eps > 0 else None

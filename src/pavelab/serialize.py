@@ -3,13 +3,14 @@
 Elements serialize binary-free: block dims, trace weights, and blocks as
 nested [re, im] pairs.  Certificates embed the problem recipe (family or
 spec, ε, index, and how F was produced) so they can be re-verified
-standalone.  A partition of unity is stored only by its frames: inline as
-per-part, per-block nested [re, im] pairs under ``frames``, or, above
-``PARTITION_SIDE_CAR_LIMIT`` complex entries, as one stacked .npy sidecar
-per N-block referenced by SHA-256 from the JSON.  Readers of
-``paving-certificate/1`` ignore the dense ``projections`` copy that earlier
-writers added to inline payloads, and reject an inline payload without
-``frames``.
+standalone; `certificate_from_obj` is the one reader of what
+`certificate_to_obj` writes.  A partition of unity is stored only by its
+frames: inline as per-part, per-block nested [re, im] pairs under
+``frames``, or, above ``PARTITION_SIDE_CAR_LIMIT`` complex entries, as one
+stacked .npy sidecar per N-block referenced by SHA-256 from the JSON.
+Readers of ``paving-certificate/1`` ignore the dense ``projections`` copy
+that earlier writers added to inline payloads, and reject an inline payload
+without ``frames``.
 
 All writes are atomic (temp file + rename) and canonical: sorted keys,
 two-space indent, trailing newline.  Timestamps live only under "meta", so
@@ -29,6 +30,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, Element, PartitionOfUnity
 from .inclusion import InclusionSpec
+from .paving import PavingCertificate
 
 ELEMENT_FORMAT = "element/1"
 CERT_FORMAT = "paving-certificate/1"
@@ -172,19 +174,38 @@ def partition_from_obj(obj, base_dir: str = ".") -> PartitionOfUnity:
     return PartitionOfUnity(shape, stacks, obj["ranks"])
 
 
-def certificate_to_obj(cert, problem_recipe: dict, sidecar_stem: str = None,
-                       include_candidate: bool = True) -> dict:
+def certificate_to_obj(cert: PavingCertificate, problem_recipe: dict,
+                       sidecar_stem: str = None) -> dict:
     obj = {
         "format": CERT_FORMAT,
         "problem": problem_recipe,
         **cert.summary(),
         "meta": timestamp_meta(),
     }
-    if include_candidate and cert.partition is not None:
+    if cert.partition is not None:
         obj["partition"] = partition_to_obj(cert.partition, sidecar_stem)
-    if include_candidate and cert.unitaries is not None:
+    if cert.unitaries is not None:
         obj["unitaries"] = [element_to_obj(u) for u in cert.unitaries]
     return obj
+
+
+def certificate_from_obj(obj, base_dir: str = ".") -> PavingCertificate:
+    """Read back what `certificate_to_obj` wrote, its candidate included.
+
+    The recipe under ``problem`` is left to the caller; `paving.verify` of the
+    rebuilt problem and this certificate recomputes every stored ratio.
+    """
+    partition = unitaries = None
+    if "partition" in obj:
+        partition = partition_from_obj(obj["partition"], base_dir)
+    elif "unitaries" in obj:
+        unitaries = [element_from_obj(u) for u in obj["unitaries"]]
+    else:
+        raise ValueError("certificate carries no candidate to verify")
+    summary = {key: obj[key] for key in (
+        "mode", "per_x_ratio", "r", "epsilon", "threshold", "verified", "seed",
+        "config", "diagnostics", "soundness_alarm")}
+    return PavingCertificate(**summary, partition=partition, unitaries=unitaries)
 
 
 def strip_meta(obj: dict) -> dict:

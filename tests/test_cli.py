@@ -167,6 +167,30 @@ class TestPaveCommand:
                     "--n-parts", "2", "--out", str(tmp_path)])
         assert code == 0
 
+    def test_spec_f_file_certificate_verifies_bit_identical(self, tmp_path):
+        spec = {"n_blocks": [2], "n_weights": [0.5], "m_blocks": [4, 2],
+                "m_weights": [0.125, 0.25], "lambda": [[2, 1]]}
+        spec_path = os.path.join(tmp_path, "spec.json")
+        ser.atomic_write_text(spec_path, ser.canonical_dumps(spec))
+        shape = alg.AlgebraShape((4, 2), (0.125, 0.25))
+        ops_path = os.path.join(tmp_path, "ops.json")
+        ser.atomic_write_text(ops_path, ser.canonical_dumps({"elements": [
+            ser.element_to_obj(alg.random_element(shape, alg.SELFADJOINT, s))
+            for s in (70, 71)]}))
+        out1, out2 = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
+        assert run(["pave", "--spec", spec_path, "--index", "2.5", "--f-file", ops_path,
+                    "--epsilon", "0.9", "--seed", "3", "--mode", "search",
+                    "--n-parts", "2", "--out", out1]) in (0, 1)
+        cert_path = os.path.join(out1, "pave_certificate.json")
+        cert = load(cert_path)
+        assert cert["problem"]["index"] == 2.5
+        assert cert["problem"]["f"]["file"] == "ops.json"
+        code = run(["pave", "--mode", "verify", "--certificate", cert_path,
+                    "--seed", "0", "--out", out2])
+        verify = load(os.path.join(out2, "verify.json"))
+        assert verify["per_x_ratio"] == cert["per_x_ratio"]
+        assert verify["verified"] == cert["verified"] and code == (0 if cert["verified"] else 1)
+
     def test_missing_epsilon_usage(self, tmp_path):
         assert run(["pave", "--family", "self(4)", "--f-random",
                     "selfadjoint:1", "--seed", "1", "--out", str(tmp_path)]) == 2
@@ -247,6 +271,18 @@ class TestDixmierCommand:
         again = pv.verify(problem, us)
         assert again.per_x_ratio == cert["per_x_ratio"]
 
+    def test_certificate_verifies_through_pave(self, tmp_path):
+        out1, out2 = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
+        assert run(["dixmier", "--family", "self(16)", "--epsilon", "0.25",
+                    "--f-random", "selfadjoint:2", "--seed", "12", "--out", out1]) == 0
+        cert_path = os.path.join(out1, "dixmier_certificate.json")
+        assert run(["pave", "--mode", "verify", "--certificate", cert_path,
+                    "--seed", "0", "--out", out2]) == 0
+        verify = load(os.path.join(out2, "verify.json"))
+        cert = load(cert_path)
+        assert verify["per_x_ratio"] == cert["per_x_ratio"]
+        assert verify["r"] == cert["r"] and verify["verified"]
+
 
 class TestBasisCommand:
     def test_report(self, tmp_path):
@@ -306,6 +342,27 @@ class TestSpecCommand:
             "m_weights": [1.0] * len(m_blocks), "lambda": lam})
         assert run(["spec", "--spec", path]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj,argv,key", [
+    ({"n_blocks": [2], "n_weights": [0.5], "m_blocks": [2], "m_weights": [0.5]},
+     ["spec", "--spec", "{path}"], "lambda"),
+    ({"n_blocks": [2], "m_blocks": [2], "m_weights": [0.5], "lambda": [[1]]},
+     ["index", "--spec", "{path}", "--trials", "5", "--seed", "1"], "n_weights"),
+    ({"problem": {}},
+     ["pave", "--mode", "verify", "--certificate", "{path}", "--seed", "0"], "inclusion"),
+    ({"elements": [{"format": "element/1"}]},
+     ["pave", "--family", "self(2)", "--epsilon", "0.5", "--f-file", "{path}",
+      "--seed", "1"], "shape"),
+])
+def test_malformed_input_file_usage_error(tmp_path, capsys, obj, argv, key):
+    path = os.path.join(tmp_path, "input.json")
+    with open(path, "w") as handle:
+        json.dump(obj, handle)
+    argv = [a.replace("{path}", path) for a in argv]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path} lacks key '{key}'\n"
 
 
 class TestParserReuse:

@@ -467,6 +467,18 @@ class TestL2Paving:
         assert abs(cert.per_x_ratio[0] - 1.0) < 1e-9
         assert not cert.verified
 
+    def test_verify_reads_l2_threshold_from_config(self):
+        inc = families.self_inclusion(16)
+        problem = pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 34)],
+                                   epsilon=0.3, index=1.0)
+        part = alg.coordinate_partition(inc.n_shape, 8)
+        configured = pv.verify(problem, part, mode="l2",
+                               config={"n_parts": 4, "delta_l2": 0.1})
+        assert configured.threshold == 4 ** -0.5 + 0.1
+        assert pv.verify(problem, part, mode="l2").threshold == 8 ** -0.5 + pv.L2_SLACK
+        cert = pv.l2_pave(problem, 4, delta_l2=0.2, seed=1)
+        assert pv.verify(problem, cert).threshold == cert.threshold == 0.5 + 0.2
+
     def test_haar_band(self):
         inc = families.self_inclusion(64)
         ratios = []
@@ -511,6 +523,15 @@ class TestScan:
         rows = pv.scan(inc, [0.1, 0.05], [x], 1.0)
         assert [row["lower_bound"] for row in rows] == [None, None]
         assert [row["r_found"] for row in rows] == [2, 2]
+
+    def test_positive_within_tol_proj_has_lower_bound(self):
+        # one positivity test for scan and verify: smallest eigenvalue
+        # >= -TOL_PROJ counts as positive, below it does not
+        inc = families.self_inclusion(2)
+        for lam, positive in ((-0.5 * alg.TOL_PROJ, True), (-2 * alg.TOL_PROJ, False)):
+            x = Element(inc.m_shape, [np.diag([1.0, lam]).astype(complex)])
+            row = pv.scan(inc, [0.9], [x], 1.0, r_cap=2)[0]
+            assert (row["lower_bound"] is not None) == positive
 
     def test_empty_grid(self):
         inc = families.self_inclusion(8)

@@ -105,6 +105,25 @@ def test_partition_sidecar_roundtrip(tmp_path, monkeypatch):
         ser.partition_from_obj(obj, base_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("make", [
+    lambda problem: pv.pave_search(problem, pv.SearchConfig(r=2, steps=20, seed=1)),
+    lambda problem: pv.dixmier_average_run(problem, seed=1),
+])
+def test_certificate_roundtrip(make):
+    inc = families.self_inclusion(4)
+    x = alg.random_element(inc.m_shape, alg.SELFADJOINT, 5)
+    problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.9, index=1.0)
+    cert = make(problem)
+    obj = json.loads(ser.canonical_dumps(ser.certificate_to_obj(cert, {"recipe": 1})))
+    back = ser.certificate_from_obj(obj)
+    assert json.loads(ser.canonical_dumps(back.summary())) == \
+        json.loads(ser.canonical_dumps(cert.summary()))
+    assert pv.verify(problem, back).per_x_ratio == cert.per_x_ratio
+    del obj["partition" if cert.partition is not None else "unitaries"]
+    with pytest.raises(ValueError, match="no candidate"):
+        ser.certificate_from_obj(obj)
+
+
 def test_canonical_dumps_handles_numpy_and_sorts():
     obj = {"b": np.float64(1.5), "a": np.int64(2),
            "c": np.array([1.0, 2.0]), "d": np.bool_(True)}
