@@ -201,6 +201,8 @@ def cmd_pave(args) -> int:
         _write_json(args, "verify.json", report)
         return 0 if cert.verified else 1
 
+    if args.seed is None:  # optional only in verify mode, which reads it from the certificate
+        raise UsageError(f"pave --mode {args.mode} needs --seed")
     problem, recipe = _problem(args)
     if args.mode == "pipeline":
         if args.n_parts and args.m_refine:
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("pave", help="construct/search/verify a paving certificate")
-    common(p)
+    common(p, seed_required=False)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--mode", default="pipeline",
                    choices=["pipeline", "search", "verify", "unitary", "l2"])

@@ -256,18 +256,28 @@ class Inclusion:
             out.append(self._from_grouped_cols(l, stacked))
         return out
 
-    def embed_partition(self, partition: alg.PartitionOfUnity) -> alg.PartitionOfUnity:
-        """The embedded parts as a partition of unity of M.
+    def embed_parts(self, frames_n: list, labels_n: list) -> list:
+        """Embed per-N-block columns tagged with part labels.
 
-        `embed_frame` lays the stacked frame of each N-block once per copy;
-        a stable sort by part label regroups those columns part by part.
+        `embed_frame` lays the columns of each N-block once per copy; a
+        stable sort by label regroups them part by part.  Per M-block this
+        returns the regrouped columns and their sorted labels.
         """
+        out = []
+        for l, g in enumerate(self.embed_frame(frames_n)):
+            labels = np.concatenate([labels_n[k] for k, _ in self._offsets[l]])
+            order = np.argsort(labels, kind="stable")
+            out.append((g[:, order], labels[order]))
+        return out
+
+    def embed_partition(self, partition: alg.PartitionOfUnity) -> alg.PartitionOfUnity:
+        """The embedded parts as a partition of unity of M."""
         if partition.shape != self.n_shape:
             raise alg.ShapeMismatchError("partition does not live over N")
+        labels_n = [partition.labels(k) for k in range(self.n_shape.num_blocks)]
         stacks, ranks = [], []
-        for l, g in enumerate(self.embed_frame(partition.stacks)):
-            labels = np.concatenate([partition.labels(k) for k, _ in self._offsets[l]])
-            stacks.append(g[:, np.argsort(labels, kind="stable")])
+        for g, labels in self.embed_parts(partition.stacks, labels_n):
+            stacks.append(g)
             ranks.append(np.bincount(labels, minlength=partition.size))
         return alg.PartitionOfUnity(self.m_shape, stacks, ranks)
 

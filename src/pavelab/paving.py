@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,16 +62,31 @@ class CandidateRejected(PavingError):
         self.residuals = residuals or {}
 
 
+class Centered(NamedTuple):
+    """One operator x of F with e = E_{N'∩M}(x), diff = x - e and den = ‖x - e‖."""
+
+    x: Element
+    e: Element
+    diff: Element
+    den: float
+
+
 @dataclass
 class PavingProblem:
-    """A finite operator set F in M, a target ε, and the index to use in bounds."""
+    """A finite operator set F in M, a target ε, and the index to use in bounds.
+
+    F is stored as a tuple and centered once, here: `centered` holds one
+    `Centered` per operator, which every producer and `verify` read.
+    """
 
     inclusion: Inclusion
-    operators: list
+    operators: tuple
     epsilon: float
     index: float = None
+    centered: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.operators = tuple(self.operators)
         if not self.operators:
             raise PavingError("F must be nonempty")
         if self.epsilon <= 0:
@@ -80,6 +96,16 @@ class PavingProblem:
         for x in self.operators:
             if x.shape != self.inclusion.m_shape:
                 raise alg.ShapeMismatchError("operators must live over M")
+        centered = []
+        for x in self.operators:
+            e = self.inclusion.cond_exp_comm(x)
+            diff = x - e
+            centered.append(Centered(x, e, diff, op_norm(diff)))
+        self.centered = tuple(centered)
+
+    def live(self) -> list:
+        """The centered operators outside the relative commutant."""
+        return [it for it in self.centered if it.den > DEGENERATE_DEN]
 
 
 @dataclass
@@ -109,6 +135,9 @@ class PipelineConfig:
 
 @dataclass
 class SearchConfig:
+    """Annealing budget: r parts, restarts × steps Givens moves, the step
+    scale multiplied by `cooling` after every `sweep` steps."""
+
     r: int
     restarts: int = 4
     steps: int = 300
@@ -116,6 +145,16 @@ class SearchConfig:
     cooling: float = 0.95
     sweep: int = 25
     seed: int = 0
+
+    def __post_init__(self):
+        if self.r < 1 or self.restarts < 1 or self.sweep < 1:
+            raise PavingError("r, restarts and sweep must be >= 1")
+        if self.steps < 0:
+            raise PavingError("steps must be >= 0")
+        if not self.step_scale > 0:
+            raise PavingError("step_scale must be positive")
+        if not 0 < self.cooling <= 1:
+            raise PavingError("cooling must lie in (0, 1]")
 
 
 @dataclass
@@ -181,18 +220,7 @@ def dixmier_count_bound(epsilon: float) -> int:
     return math.ceil(epsilon ** -DIXMIER_EXPONENT)
 
 
-# -- centering helpers ---------------------------------------------------------
-
-def _centered(problem: PavingProblem):
-    """Per operator: (x, E_comm(x), x - E, ‖x - E‖)."""
-    inc = problem.inclusion
-    out = []
-    for x in problem.operators:
-        e = inc.cond_exp_comm(x)
-        diff = x - e
-        out.append({"x": x, "e": e, "diff": diff, "den": op_norm(diff)})
-    return out
-
+# -- candidate helpers ---------------------------------------------------------
 
 def _restrict_candidate_partition(inc: Inclusion, partition: PartitionOfUnity):
     """Accept N-shaped partitions as-is; restrict M-shaped ones that lie in
@@ -251,7 +279,6 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
                       config=candidate.config, diagnostics=candidate.diagnostics)
 
     inc = problem.inclusion
-    centered = _centered(problem)
     config = config or {}
     diagnostics = dict(diagnostics or {})
 
@@ -265,10 +292,10 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
                 f"(residual {worst:.3e})", {"frame_residual": worst})
         embedded = inc.embed_partition(candidate)
         ratios = []
-        for item in centered:
-            pin = alg.pinch(embedded, item["x"])
-            num = op_norm(pin - item["e"]) if mode != "l2" else l2_norm(pin - item["e"])
-            den = item["den"] if mode != "l2" else l2_norm(item["diff"])
+        for item in problem.centered:
+            pin = alg.pinch(embedded, item.x)
+            num = op_norm(pin - item.e) if mode != "l2" else l2_norm(pin - item.e)
+            den = item.den if mode != "l2" else l2_norm(item.diff)
             ratios.append(0.0 if den <= DEGENERATE_DEN else num / den)
         r = candidate.size
         if mode == "l2":
@@ -306,16 +333,16 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
             {"unitary_residual": worst_unitary})
     ratios, alarm = [], False
     lower_bounds = []
-    for item in centered:
-        avg = _averaged(inc, unitaries, item["x"])
-        num = op_norm(avg - item["e"])
-        ratios.append(0.0 if item["den"] <= DEGENERATE_DEN else num / item["den"])
-        x = item["x"]
+    for item in problem.centered:
+        avg = _averaged(inc, unitaries, item.x)
+        num = op_norm(avg - item.e)
+        ratios.append(0.0 if item.den <= DEGENERATE_DEN else num / item.den)
+        x = item.x
         if (_is_positive(x) and abs(op_norm(x) - 1.0) <= TOL_PROJ
-                and op_norm(item["e"] - trace(x) * identity(inc.m_shape)) <= TOL_PROJ):
+                and op_norm(item.e - trace(x) * identity(inc.m_shape)) <= TOL_PROJ):
             lb = averaging_count_lower_bound(float(trace(x).real), max(num, 1e-30))
             lower_bounds.append(lb)
-            if num <= problem.epsilon * max(item["den"], 1e-30) + VERIFY_SLACK:
+            if num <= problem.epsilon * max(item.den, 1e-30) + VERIFY_SLACK:
                 if len(unitaries) < lb - VERIFY_SLACK:
                     alarm = True
         else:
@@ -470,18 +497,6 @@ def _corner_norm(mats) -> float:
     return worst
 
 
-def _diagonal_block_norm(c, sizes) -> float:
-    """Largest operator norm among the consecutive diagonal blocks of c with
-    the given sizes; blocks of one size go through one batched eigensolve."""
-    offsets = np.cumsum((0,) + tuple(sizes))
-    worst = 0.0
-    for s in set(sizes) - {0}:
-        blocks = np.stack([c[a:a + s, a:a + s] for a, t in zip(offsets, sizes) if t == s])
-        w = np.linalg.eigvalsh(blocks.conj().transpose(0, 2, 1) @ blocks)
-        worst = max(worst, float(w[:, -1].max()))
-    return math.sqrt(max(worst, 0.0))
-
-
 def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCertificate:
     """Constructive ε-paving pipeline.
 
@@ -515,13 +530,12 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
     if problem.epsilon >= 1.0:
         return _trivial_certificate(problem, cfg.seed, base_config)
 
-    centered = _centered(problem)
-    live = [it for it in centered if it["den"] > DEGENERATE_DEN]
+    live = problem.live()
     if not live:
         cert = _trivial_certificate(problem, cfg.seed, base_config)
         cert.diagnostics["normalization"] = "all operators lie in the commutant"
         return cert
-    normalized = [(1.0 / it["den"]) * it["diff"] for it in live]
+    normalized = [(1.0 / it.den) * it.diff for it in live]
 
     theta_exc = 4.0 * (n - 1) / n ** 2 + cfg.delta_prime
     certified_bound = math.sqrt(theta_exc) + math.sqrt(problem.index / m)
@@ -651,7 +665,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             "attempts": attempts,
             "theta_exceptional": theta_exc,
             "certified_bound": certified_bound,
-            "normalization_norms": [it["den"] for it in live],
+            "normalization_norms": [it.den for it in live],
         }
         cert = verify(problem, partition, seed=cfg.seed, config=base_config,
                       diagnostics=diagnostics)
@@ -676,67 +690,104 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
 
 def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     """Minimize the worst pinching ratio over partitions u P0 u* by annealed
-    Givens rotations of u; the global incumbent is kept across restarts."""
+    Givens rotations of u; the global incumbent is kept across restarts.
+
+    The objective is max_i s_i over the parts, where
+    s_i = max_x ‖G_i* (x - E(x)) G_i‖ / ‖x - E(x)‖ and G_i is the embedded
+    frame of part i.  A restart scores all r parts once; a move rotates two
+    slots of different parts, so only those two scores are recomputed from
+    the moved u: per x and M-block of dimension d, one d×d by d×rank
+    product for the two parts' rank columns instead of a full g* x g.
+    """
     inc = problem.inclusion
     nsh = inc.n_shape
     base = alg.coordinate_partition(nsh, cfg.r)  # raises on granularity
+    # per N-block: the columns of u in part order, and the part of each
     order = [np.argmax(np.abs(u), axis=0) for u in base.stacks]
+    labels = [base.labels(k) for k in range(nsh.num_blocks)]
     config = {"r": cfg.r, "restarts": cfg.restarts, "steps": cfg.steps,
               "step_scale": cfg.step_scale, "cooling": cfg.cooling}
     if problem.epsilon >= 1.0:
         return _trivial_certificate(problem, cfg.seed, config)
-    centered = _centered(problem)
-    live = [it for it in centered if it["den"] > DEGENERATE_DEN]
+    live = problem.live()
 
     def partition_of(u_blocks):
         # the columns of u reordered by part, as coordinate_partition does
         return PartitionOfUnity(nsh, [u[:, o] for u, o in zip(u_blocks, order)],
                                 base.ranks)
 
-    def objective(u_blocks):
-        # ‖pinched x‖ is the largest norm of a part-diagonal block of g* x g
-        embedded = inc.embed_partition(partition_of(u_blocks))
-        worst = 0.0
-        for it in live:
-            for l, g in enumerate(embedded.stacks):
-                c = alg.part_compression(g, embedded.labels(l), it["diff"].blocks[l])
-                worst = max(worst, _diagonal_block_norm(c, embedded.ranks[l]) / it["den"])
-        return worst
-
     if not live:
         return _trivial_certificate(problem, cfg.seed, config)
+    diffs = [np.stack([it.diff.blocks[l] for it in live])
+             for l in range(inc.m_shape.num_blocks)]
+    dens = np.array([it.den for it in live])[:, None]
 
-    # slot pairs eligible for a cross-part rotation, per block; with a single
-    # part there is no move and the objective is rotation-invariant
-    pair_pool = []
+    def part_scores(u_blocks, parts):
+        # s_i for each part i of the sorted array `parts`: embed only their
+        # columns, form G_S* (D G_S) once per M-block for every x, and read
+        # the part-diagonal blocks, one batched eigensolve per part size
+        chosen = np.zeros(cfg.r, dtype=bool)
+        chosen[parts] = True
+        keep = [chosen[lab] for lab in labels]
+        frames = [u[:, o[m]] for u, o, m in zip(u_blocks, order, keep)]
+        scores = np.zeros(len(parts))
+        for (g, lab), d in zip(inc.embed_parts(frames, [lab[m] for lab, m in zip(labels, keep)]),
+                               diffs):
+            c = g.conj().T @ (d @ g)
+            starts = np.searchsorted(lab, parts)
+            sizes = np.searchsorted(lab, parts, side="right") - starts
+            for s in set(sizes.tolist()) - {0}:
+                sel = np.flatnonzero(sizes == s)
+                idx = starts[sel, None] + np.arange(s)
+                blocks = c[:, idx[:, :, None], idx[:, None, :]]
+                w = np.linalg.eigvalsh(blocks.conj().swapaxes(-1, -2) @ blocks)[..., -1]
+                norms = (np.sqrt(np.maximum(w, 0.0)) / dens).max(axis=0)
+                scores[sel] = np.maximum(scores[sel], norms)
+        return scores
+
+    # slot pairs (k, a, b) eligible for a cross-part rotation, in block then
+    # row-major order; with a single part there is no move and the objective
+    # is rotation-invariant
+    pool, owners = [], []
     for k, o in enumerate(order):
         owner = np.empty(len(o), dtype=int)
-        owner[o] = base.labels(k)
-        pair_pool.extend((k, a, b) for a in range(len(o)) for b in range(a + 1, len(o))
-                         if owner[a] != owner[b])
+        owner[o] = labels[k]
+        a, b = np.triu_indices(len(o), 1)
+        cross = owner[a] != owner[b]
+        pool.append(np.stack([np.full(cross.sum(), k), a[cross], b[cross]], axis=1))
+        owners.append(owner)
+    pool = np.concatenate(pool)
+    all_parts = np.arange(cfg.r)
 
     best_obj, best_u, history = np.inf, None, []
     for restart in range(cfg.restarts):
         rng = child_rng(cfg.seed, restart)
         u_blocks = [alg.haar_block(rng, d) for d in nsh.block_dims]
-        cur = objective(u_blocks)
+        scores = part_scores(u_blocks, all_parts)
+        cur = float(scores.max())
         if cur < best_obj:
-            best_obj, best_u = cur, [b.copy() for b in u_blocks]
+            best_obj, best_u = cur, u_blocks
         scale = cfg.step_scale
-        for step in range(cfg.steps if pair_pool else 0):
-            k, a, b = pair_pool[rng.integers(len(pair_pool))]
+        for step in range(cfg.steps if len(pool) else 0):
+            k, a, b = pool[rng.integers(len(pool))]
             theta = rng.normal(0.0, scale)
             phi = rng.uniform(0.0, 2 * np.pi)
             g = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
                           [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
-            trial = [blk.copy() for blk in u_blocks]
+            # blocks are never written once placed in u_blocks, so the
+            # trial shares every block but k
+            trial = list(u_blocks)
+            trial[k] = u_blocks[k].copy()
             trial[k][:, [a, b]] = trial[k][:, [a, b]] @ g
-            val = objective(trial)
+            touched = np.sort(owners[k][[a, b]])
+            trial_scores = scores.copy()
+            trial_scores[touched] = part_scores(trial, touched)
+            val = float(trial_scores.max())
             temp = max(scale * 0.1, 1e-6)
             if val < cur or rng.random() < math.exp(-(val - cur) / temp):
-                u_blocks, cur = trial, val
+                u_blocks, scores, cur = trial, trial_scores, val
                 if cur < best_obj:
-                    best_obj, best_u = cur, [blk.copy() for blk in u_blocks]
+                    best_obj, best_u = cur, u_blocks
             if (step + 1) % cfg.sweep == 0:
                 scale *= cfg.cooling
             history.append(best_obj)
@@ -760,8 +811,7 @@ def dixmier_average_run(problem: PavingProblem, stall_budget: int = 4,
     """
     inc = problem.inclusion
     config = {"stall_budget": stall_budget, "max_folds": max_folds}
-    centered = _centered(problem)
-    live = [it for it in centered if it["den"] > DEGENERATE_DEN]
+    live = problem.live()
     if not live:
         return verify(problem, [identity(inc.n_shape)], seed=seed, config=config)
     if not inc.spec.is_trivial:
@@ -769,11 +819,11 @@ def dixmier_average_run(problem: PavingProblem, stall_budget: int = 4,
             "averaging folds need N = M; proper inclusions are only supported "
             "for operator sets inside the relative commutant")
     for it in live:
-        if alg.hermitian_part_residual(it["diff"]) > 1e-8:
+        if alg.hermitian_part_residual(it.diff) > 1e-8:
             raise PavingError("operators must be self-adjoint after centering")
 
-    current = [it["diff"].copy() for it in live]
-    dens = [it["den"] for it in live]
+    current = [it.diff.copy() for it in live]
+    dens = [it.den for it in live]
     family = [identity(inc.m_shape)]
     folds, stalls = 0, 0
     history = []

@@ -191,6 +191,22 @@ class TestPaveCommand:
         assert verify["per_x_ratio"] == cert["per_x_ratio"]
         assert verify["verified"] == cert["verified"] and code == (0 if cert["verified"] else 1)
 
+    def test_seed_optional_in_verify_mode_only(self, tmp_path, capsys):
+        out1, out2 = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
+        run(["pave", "--family", "tensor(8,2)", "--epsilon", "0.9", "--mode", "search",
+             "--n-parts", "4", "--f-random", "selfadjoint:2", "--seed", "4", "--out", out1])
+        cert = load(os.path.join(out1, "pave_certificate.json"))
+        code = run(["pave", "--mode", "verify", "--certificate",
+                    os.path.join(out1, "pave_certificate.json"), "--out", out2])
+        assert code == (0 if cert["verified"] else 1)
+        assert load(os.path.join(out2, "verify.json"))["per_x_ratio"] == cert["per_x_ratio"]
+        capsys.readouterr()
+        for mode in ("pipeline", "search", "l2", "unitary"):
+            assert run(["pave", "--family", "self(4)", "--epsilon", "0.5", "--mode", mode,
+                        "--n-parts", "2", "--f-random", "selfadjoint:1",
+                        "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"error: pave --mode {mode} needs --seed\n"
+
     def test_missing_epsilon_usage(self, tmp_path):
         assert run(["pave", "--family", "self(4)", "--f-random",
                     "selfadjoint:1", "--seed", "1", "--out", str(tmp_path)]) == 2

@@ -7,6 +7,7 @@ import pytest
 
 from pavelab import algebra as alg
 from pavelab import families
+from pavelab import inclusion as incl
 from pavelab import paving as pv
 from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace, zero
 from pavelab.seeding import child_rng, child_seed
@@ -296,6 +297,172 @@ class TestSearch:
         cert = pv.pave_search(problem, pv.SearchConfig(r=4, restarts=2, steps=80, seed=17))
         hist = cert.diagnostics["incumbent_history"]
         assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
+
+
+def reference_search(problem, cfg):
+    """`pave_search` with the full objective it had before scoring became
+    incremental: every step embeds the whole partition and forms g* x g for
+    every operator.  The RNG stream and accept/reject rule are the same."""
+    inc = problem.inclusion
+    nsh = inc.n_shape
+    base = alg.coordinate_partition(nsh, cfg.r)
+    order = [np.argmax(np.abs(u), axis=0) for u in base.stacks]
+    live = problem.live()
+    assert problem.epsilon < 1.0 and live
+
+    def partition_of(u_blocks):
+        return alg.PartitionOfUnity(nsh, [u[:, o] for u, o in zip(u_blocks, order)],
+                                    base.ranks)
+
+    def diagonal_block_norm(c, sizes):
+        offsets = np.cumsum((0,) + tuple(sizes))
+        worst = 0.0
+        for s in set(sizes) - {0}:
+            blocks = np.stack([c[a:a + s, a:a + s] for a, t in zip(offsets, sizes) if t == s])
+            w = np.linalg.eigvalsh(blocks.conj().transpose(0, 2, 1) @ blocks)
+            worst = max(worst, float(w[:, -1].max()))
+        return math.sqrt(max(worst, 0.0))
+
+    def objective(u_blocks):
+        embedded = inc.embed_partition(partition_of(u_blocks))
+        worst = 0.0
+        for it in live:
+            for l, g in enumerate(embedded.stacks):
+                c = alg.part_compression(g, embedded.labels(l), it.diff.blocks[l])
+                worst = max(worst, diagonal_block_norm(c, embedded.ranks[l]) / it.den)
+        return worst
+
+    pair_pool = []
+    for k, o in enumerate(order):
+        owner = np.empty(len(o), dtype=int)
+        owner[o] = base.labels(k)
+        pair_pool.extend((k, a, b) for a in range(len(o)) for b in range(a + 1, len(o))
+                         if owner[a] != owner[b])
+    best_obj, best_u, history = np.inf, None, []
+    for restart in range(cfg.restarts):
+        rng = child_rng(cfg.seed, restart)
+        u_blocks = [alg.haar_block(rng, d) for d in nsh.block_dims]
+        cur = objective(u_blocks)
+        if cur < best_obj:
+            best_obj, best_u = cur, [b.copy() for b in u_blocks]
+        scale = cfg.step_scale
+        for step in range(cfg.steps if pair_pool else 0):
+            k, a, b = pair_pool[rng.integers(len(pair_pool))]
+            theta = rng.normal(0.0, scale)
+            phi = rng.uniform(0.0, 2 * np.pi)
+            g = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
+                          [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
+            trial = [blk.copy() for blk in u_blocks]
+            trial[k][:, [a, b]] = trial[k][:, [a, b]] @ g
+            val = objective(trial)
+            temp = max(scale * 0.1, 1e-6)
+            if val < cur or rng.random() < math.exp(-(val - cur) / temp):
+                u_blocks, cur = trial, val
+                if cur < best_obj:
+                    best_obj, best_u = cur, [blk.copy() for blk in u_blocks]
+            if (step + 1) % cfg.sweep == 0:
+                scale *= cfg.cooling
+            history.append(best_obj)
+    config = {"r": cfg.r, "restarts": cfg.restarts, "steps": cfg.steps,
+              "step_scale": cfg.step_scale, "cooling": cfg.cooling}
+    return pv.verify(problem, partition_of(best_u), seed=cfg.seed, config=config,
+                     diagnostics={"incumbent_history": history, "best_objective": best_obj})
+
+
+def two_block_problem():
+    # N = M_3 ⊕ M_4 Haar-embedded in M_11 ⊕ M_10 by Λ = [[1, 2], [2, 1]]; the
+    # second operator is not self-adjoint
+    spec = incl.InclusionSpec(AlgebraShape((3, 4), (3 / 21, 3 / 21)),
+                              AlgebraShape((11, 10), (1 / 21, 1 / 21)),
+                              ((1, 2), (2, 1)))
+    inc = incl.build_inclusion(spec, seed=7, embed="haar")
+    rng = child_rng(43)
+    z = Element(inc.m_shape, [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                              for d in inc.m_shape.block_dims])
+    return pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 44), z],
+                            epsilon=0.5)
+
+
+def family_problem(family, seed):
+    inc = families.parse_family(family)
+    ops = [selfadjoint(inc.m_shape, child_seed(seed, t)) for t in range(2)]
+    return pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.5)
+
+
+class TestIncrementalSearch:
+    """The incremental objective against the full one it replaced."""
+
+    @pytest.mark.parametrize("make, r", [
+        (lambda: family_problem("self(16)", 40), 4),
+        (lambda: family_problem("tensor(8,2)", 41), 8),
+        (lambda: family_problem("self(6)", 42), 6),   # r = the total slot count
+        (two_block_problem, 3),
+        (two_block_problem, 7),                        # r = the total slot count
+    ], ids=["self16-r4", "tensor8-r8", "self6-all-slots", "two-block-r3",
+            "two-block-all-slots"])
+    def test_matches_full_objective(self, make, r):
+        problem = make()
+        for seed in range(3):
+            cfg = pv.SearchConfig(r=r, restarts=2, steps=60, seed=seed)
+            cert, ref = pv.pave_search(problem, cfg), reference_search(problem, cfg)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(cert.partition.stacks, ref.partition.stacks))
+            assert cert.per_x_ratio == ref.per_x_ratio
+            np.testing.assert_allclose(cert.diagnostics["incumbent_history"],
+                                       ref.diagnostics["incumbent_history"], rtol=1e-12)
+            embedded = problem.inclusion.embed_partition(cert.partition)
+            recomputed = max(op_norm(alg.pinch(embedded, it.diff)) / it.den
+                             for it in problem.live())
+            best = cert.diagnostics["best_objective"]
+            assert abs(best - recomputed) <= 1e-12 * recomputed
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((families.self_inclusion(8), [0.8, 1.2],
+          [alg.random_element(AlgebraShape.matrix(8), alg.PROJECTION, 32, theta=0.25)], 1.0),
+         {"seed": 3, "r_cap": 8}),
+        ((families.self_inclusion(16), [0.45],
+          [alg.random_element(AlgebraShape.matrix(16), alg.PROJECTION, 33, theta=1 / 16)],
+          1.0), {"seed": 4, "r_cap": 16}),
+        ((families.self_inclusion(2), [0.1, 0.05],
+          [Element(AlgebraShape.matrix(2), [np.diag([1.0, -1.0]).astype(complex)])], 1.0), {}),
+    ], ids=["rows-and-bounds", "lemma-bound", "no-positive-member"])
+    def test_scan_rows_match_full_objective(self, monkeypatch, args, kwargs):
+        rows = pv.scan(*args, **kwargs)
+        search = pv.pave_search
+        monkeypatch.setattr(pv, "pave_search", lambda problem, cfg: (
+            reference_search(problem, cfg) if problem.epsilon < 1.0 and problem.live()
+            else search(problem, cfg)))
+        assert pv.scan(*args, **kwargs) == rows
+
+
+@pytest.mark.parametrize("field, value, valid", [
+    ("r", 0, False), ("restarts", 0, False), ("steps", -3, False), ("steps", 0, True),
+    ("sweep", 0, False), ("step_scale", 0.0, False), ("step_scale", math.nan, False),
+    ("cooling", 0.0, False), ("cooling", 1.5, False), ("cooling", 1.0, True),
+])
+def test_search_config_validation(field, value, valid):
+    if valid:
+        pv.SearchConfig(**{"r": 2, field: value})
+    else:
+        with pytest.raises(pv.PavingError):
+            pv.SearchConfig(**{"r": 2, field: value})
+
+
+def test_each_operator_centered_once(monkeypatch):
+    # the problem centers F when it is built; producers and verify reuse it
+    calls = []
+    cond_exp_comm = incl.Inclusion.cond_exp_comm
+    monkeypatch.setattr(incl.Inclusion, "cond_exp_comm",
+                        lambda self, x: calls.append(x) or cond_exp_comm(self, x))
+    inc = families.tensor_product(8, 2)
+    ops = [selfadjoint(inc.m_shape, child_seed(45, t)) for t in range(3)]
+    for produce in (lambda p: pv.pave_search(p, pv.SearchConfig(r=4, restarts=1, steps=20)),
+                    lambda p: pv.pave_constructive(p, pv.PipelineConfig(2, 2, seed=3))):
+        calls.clear()
+        problem = pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.9, index=4.0)
+        assert len(calls) == len(ops)
+        produce(problem)
+        assert len(calls) == len(ops)
 
 
 class TestVerify:
