@@ -564,6 +564,34 @@ def pinch_stack(g: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g @ part_compression(g, labels, x) @ g.conj().T
 
 
+def part_norms(g: np.ndarray, labels: np.ndarray, xs: np.ndarray, parts: np.ndarray):
+    """Norms of the part-diagonal blocks g_i* x g_i of a stack of x.
+
+    `g` holds frame columns sorted by part, `labels` their (sorted) part
+    labels, `xs` a (count, d, d) stack and `parts` a sorted array of the
+    labels to read.  x g is formed once per x, and from it only the
+    part-diagonal blocks B = g_i* (x g_i) of g* x g, batched per block size;
+    each size takes one batched eigvalsh of B* B, whose largest eigenvalue
+    gives ‖B‖² and whose sum gives ‖B‖_F².  Returns the
+    (count, len(parts)) operator norms ‖g_i* x g_i‖ and, per x, the squared
+    Frobenius norm summed over those blocks.  For a unitary g these are
+    ‖Σ_i p_i x p_i‖ = max_i ‖g_i* x g_i‖ and ‖Σ_i p_i x p_i‖_F²."""
+    xg = xs @ g
+    norms = np.zeros((len(xs), len(parts)))
+    fro = np.zeros(len(xs))
+    starts = np.searchsorted(labels, parts)
+    sizes = np.searchsorted(labels, parts, side="right") - starts
+    for s in set(sizes.tolist()) - {0}:
+        sel = np.flatnonzero(sizes == s)
+        idx = starts[sel, None] + np.arange(s)
+        # (parts, s, d) @ (count, parts, d, s) -> (count, parts, s, s)
+        blocks = g[:, idx].conj().transpose(1, 2, 0) @ xg[:, :, idx].transpose(0, 2, 1, 3)
+        w = np.linalg.eigvalsh(blocks.conj().swapaxes(-1, -2) @ blocks)
+        norms[:, sel] = np.sqrt(np.maximum(w[..., -1], 0.0))
+        fro += w.sum(axis=(1, 2))  # ‖B‖_F² = tr B* B
+    return norms, fro
+
+
 def pinch(partition: PartitionOfUnity, x: Element) -> Element:
     """sum_i p_i x p_i; idempotent and contractive in both norms."""
     if partition.shape != x.shape:

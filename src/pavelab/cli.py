@@ -2,10 +2,12 @@
 
 Subcommands: index, pave, kesten, dixmier, basis, scan, spec.  Every problem
 takes one path, args -> recipe -> problem: `_recipe` turns the arguments
-into the recipe dict a certificate stores, and `_problem_from_recipe` is the
+into the recipe dict a certificate stores, and `_inputs_from_recipe` is the
 only code that turns a recipe into an inclusion and an operator set, both
 when a certificate is made and when `pave --mode verify` rebuilds it from
-the saved recipe (`index` and `basis` use its inclusion half).
+the saved recipe (`index` and `basis` use its inclusion half).  Every
+--spec file is read by `_spec_from_file`, which normalizes its weights as
+`pavelab spec` echoes them.
 
 Exit codes follow one contract everywhere: 0 = done and verified, 1 = ran
 but unverified, 2 = usage or specification error, a malformed input file
@@ -71,13 +73,39 @@ def _input_file(path):
         raise UsageError(f"{path} lacks key {exc}") from exc
 
 
+def _spec_from_file(path) -> incl.InclusionSpec:
+    """The inclusion spec in a --spec file, with its weights normalized.
+
+    Weights may come in unnormalized or rounded; once the dimension
+    bookkeeping holds (`incl.check_multiplicities`), the M-side weights are
+    rescaled to a unit trace and the N-side weights recomputed through the
+    multiplicity matrix, so the spec is always trace-compatible.  The file
+    still lists one N weight per N-block, but those values are not used.
+    """
+    with _input_file(path) as raw:
+        m_dims = [int(v) for v in raw["m_blocks"]]
+        n_dims = [int(v) for v in raw["n_blocks"]]
+        lam = incl.check_multiplicities(n_dims, m_dims, raw["lambda"])
+        m_weights = [float(v) for v in raw["m_weights"]]
+        if len(raw["n_weights"]) != len(n_dims):
+            raise UsageError("need one N weight per N-block")
+    total = sum(w * d for w, d in zip(m_weights, m_dims))
+    if total <= 0:
+        raise UsageError("M trace weights must have positive total")
+    m_weights = [w / total for w in m_weights]
+    n_weights = [sum(lam[k][l] * m_weights[l] for l in range(len(m_dims)))
+                 for k in range(len(n_dims))]
+    return incl.InclusionSpec(
+        n_shape=alg.AlgebraShape(tuple(n_dims), tuple(n_weights)),
+        m_shape=alg.AlgebraShape(tuple(m_dims), tuple(m_weights)),
+        inclusion_matrix=lam)
+
+
 def _inclusion_recipe(args) -> dict:
     if args.family:
         return {"family": args.family}
     if args.spec:
-        with _input_file(args.spec) as obj:
-            spec = serialize.inclusion_spec_from_obj(obj)
-        return {"spec": serialize.inclusion_spec_to_obj(spec),
+        return {"spec": serialize.inclusion_spec_to_obj(_spec_from_file(args.spec)),
                 "embed_seed": args.seed or 0}
     raise UsageError("need --family or --spec")
 
@@ -111,9 +139,9 @@ def _inclusion_from_recipe(recipe: dict) -> incl.Inclusion:
     return incl.build_inclusion(spec, seed=recipe["embed_seed"], embed="haar")
 
 
-def _problem_from_recipe(recipe: dict) -> paving.PavingProblem:
-    """Build the paving problem a recipe describes; the one path from user
-    input to an inclusion and an operator set."""
+def _inputs_from_recipe(recipe: dict):
+    """The inclusion and operator set a recipe describes; the one path from
+    user input to both."""
     inc = _inclusion_from_recipe(recipe["inclusion"])
     fsrc = recipe["f"]
     if "random" in fsrc:
@@ -123,6 +151,12 @@ def _problem_from_recipe(recipe: dict) -> paving.PavingProblem:
                for i in range(count)]
     else:
         ops = [serialize.element_from_obj(o) for o in fsrc["elements"]]
+    return inc, ops
+
+
+def _problem_from_recipe(recipe: dict) -> paving.PavingProblem:
+    """Build the paving problem a recipe describes."""
+    inc, ops = _inputs_from_recipe(recipe)
     return paving.PavingProblem(inclusion=inc, operators=ops,
                                 epsilon=recipe["epsilon"], index=recipe["index"])
 
@@ -294,29 +328,9 @@ def cmd_basis(args) -> int:
 
 
 def cmd_spec(args) -> int:
-    """Validate an inclusion-spec JSON and echo its normalized weights.
-
-    Weights may come in unnormalized; once the dimension bookkeeping holds
-    (`incl.check_multiplicities`), the M-side weights are rescaled to a unit
-    trace and the N-side weights recomputed through the multiplicity
-    matrix, so the echoed spec is always trace-compatible.
-    """
-    with _input_file(args.spec) as raw:
-        m_dims = [int(v) for v in raw["m_blocks"]]
-        n_dims = [int(v) for v in raw["n_blocks"]]
-        lam = incl.check_multiplicities(n_dims, m_dims, raw["lambda"])
-        m_weights = [float(v) for v in raw["m_weights"]]
-    total = sum(w * d for w, d in zip(m_weights, m_dims))
-    if total <= 0:
-        raise UsageError("M trace weights must have positive total")
-    m_weights = [w / total for w in m_weights]
-    n_weights = [sum(lam[k][l] * m_weights[l] for l in range(len(m_dims)))
-                 for k in range(len(n_dims))]
-    spec = incl.InclusionSpec(
-        n_shape=alg.AlgebraShape(tuple(n_dims), tuple(n_weights)),
-        m_shape=alg.AlgebraShape(tuple(m_dims), tuple(m_weights)),
-        inclusion_matrix=lam)
-    obj = serialize.inclusion_spec_to_obj(spec)
+    """Validate an inclusion-spec JSON and echo it as every --spec reader
+    takes it, with normalized weights (`_spec_from_file`)."""
+    obj = serialize.inclusion_spec_to_obj(_spec_from_file(args.spec))
     print(serialize.canonical_dumps(obj), end="")
     if args.out:
         _write_json(args, "spec_normalized.json",
@@ -325,9 +339,11 @@ def cmd_spec(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    problem, _ = _problem(args)
-    rows = paving.scan(problem.inclusion, _parse_grid(args.grid), problem.operators,
-                       problem.index, seed=args.seed, r_cap=args.budget or 64)
+    recipe = _recipe(args)
+    inc, ops = _inputs_from_recipe(recipe)  # `scan` centers F once for the grid
+    rows = paving.scan(inc, _parse_grid(args.grid), ops,
+                       _exact_index(recipe["index"], inc),
+                       seed=args.seed, r_cap=args.budget or 64)
     csv_rows = [[r["epsilon"], r["r_found"], r["r_verified"], r["theorem_r"],
                  r["lower_bound"], r["seed"]] for r in rows]
     serialize.write_csv(os.path.join(args.out, "scan.csv"),

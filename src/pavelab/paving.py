@@ -18,11 +18,18 @@ commutant, measured relative to ‖x - E_{N'∩M}(x)‖.  This module provides
 
 Certificates are value objects; `verify` recomputes all ratios from scratch
 and is the only place the verified flag is set, so re-verification of a
-certificate is bit-identical to its creation.
+certificate is bit-identical to its creation.  A partition's ratios are read
+off the part-diagonal blocks of G*(x − E)G, G the embedded stacked frame and
+E = E_{N'∩M}(x), by the same kernel (`alg.part_norms`) that scores the
+annealing search; no M-size pinch is formed.  This rests on two facts that
+`verify` has in hand: the frame-unitarity check ‖U*U − 1‖ ≤ TOL_PROJ on the
+N-side stacks U, which the embedding carries over to G, and E ∈ N'∩M, which
+commutes with every part.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -76,7 +83,9 @@ class PavingProblem:
     """A finite operator set F in M, a target ε, and the index to use in bounds.
 
     F is stored as a tuple and centered once, here: `centered` holds one
-    `Centered` per operator, which every producer and `verify` read.
+    `Centered` per operator, which every producer and `verify` read.  The
+    blocks of the centered x − E are views into `diff_stacks`, one
+    (|F|, d_l, d_l) array per M-block, which the batched norms read.
     """
 
     inclusion: Inclusion
@@ -84,6 +93,7 @@ class PavingProblem:
     epsilon: float
     index: float = None
     centered: tuple = field(init=False, repr=False, compare=False)
+    diff_stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.operators = tuple(self.operators)
@@ -96,16 +106,27 @@ class PavingProblem:
         for x in self.operators:
             if x.shape != self.inclusion.m_shape:
                 raise alg.ShapeMismatchError("operators must live over M")
+        es = [self.inclusion.cond_exp_comm(x) for x in self.operators]
+        self.diff_stacks = tuple(
+            np.stack([x.blocks[l] - e.blocks[l] for x, e in zip(self.operators, es)])
+            for l in range(self.inclusion.m_shape.num_blocks))
         centered = []
-        for x in self.operators:
-            e = self.inclusion.cond_exp_comm(x)
-            diff = x - e
+        for i, (x, e) in enumerate(zip(self.operators, es)):
+            diff = Element(x.shape, [stack[i] for stack in self.diff_stacks])
             centered.append(Centered(x, e, diff, op_norm(diff)))
         self.centered = tuple(centered)
 
     def live(self) -> list:
         """The centered operators outside the relative commutant."""
         return [it for it in self.centered if it.den > DEGENERATE_DEN]
+
+    def with_epsilon(self, epsilon: float) -> "PavingProblem":
+        """This problem at another ε, sharing the centered operators."""
+        if epsilon <= 0:
+            raise PavingError("epsilon must be positive")
+        other = copy.copy(self)
+        other.epsilon = epsilon
+        return other
 
 
 @dataclass
@@ -266,7 +287,18 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
 
     `candidate` is a PartitionOfUnity over N, a list of N-unitaries, or an
     existing certificate (whose candidate is re-verified independently of how
-    it was produced).  In l2 mode the threshold is n_parts^(-1/2) + delta_l2,
+    it was produced).
+
+    A partition is checked in a fixed order: an M-shaped candidate is
+    restricted to N, its frame residual ‖U*U − 1‖ must be at most TOL_PROJ,
+    and only then is it embedded in M.  The M-size pinch is never formed.
+    With E = E_{N'∩M}(x) in N'∩M, E commutes with every p_i ∈ N, so
+    Σ p_i x p_i − E = Σ p_i (x − E) p_i; the embedded stacked frame G is
+    unitary to the checked residual, so that norm is read off the
+    part-diagonal blocks of G*(x − E)G by `alg.part_norms`: the largest
+    block norm, or in l2 mode sqrt(Σ_l t_l ‖mask ⊙ G_l*(x − E)G_l‖_F²).
+
+    In l2 mode the threshold is n_parts^(-1/2) + delta_l2,
     both read from `config` (n_parts defaults to the partition size,
     delta_l2 to L2_SLACK).  For unitary candidates containing a positive
     norm-one operator with scalar commutant expectation, the averaging-count
@@ -291,10 +323,16 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
                 f"partition frames are not unitary within {TOL_PROJ} "
                 f"(residual {worst:.3e})", {"frame_residual": worst})
         embedded = inc.embed_partition(candidate)
+        parts = np.arange(candidate.size)
+        largest = np.zeros(len(problem.centered))
+        square = np.zeros(len(problem.centered))
+        for l, (g, t) in enumerate(zip(embedded.stacks, inc.m_shape.trace_weights)):
+            norms, fro = alg.part_norms(g, embedded.labels(l), problem.diff_stacks[l], parts)
+            largest = np.maximum(largest, norms.max(axis=1))
+            square += t * fro
         ratios = []
-        for item in problem.centered:
-            pin = alg.pinch(embedded, item.x)
-            num = op_norm(pin - item.e) if mode != "l2" else l2_norm(pin - item.e)
+        for item, a, b in zip(problem.centered, largest, square):
+            num = float(a) if mode != "l2" else math.sqrt(b)
             den = item.den if mode != "l2" else l2_norm(item.diff)
             ratios.append(0.0 if den <= DEGENERATE_DEN else num / den)
         r = candidate.size
@@ -487,6 +525,17 @@ def _corner_eigh(mats):
     return out
 
 
+def _corner_expectation(b_x, mults, t_weights, s0) -> np.ndarray:
+    """h = w* E_N(v b v*) w for a corner element b = (b_l) of v = embed_frame([w])
+    over a single-block N.  The columns of v_l are w once per copy, so E_N,
+    which averages the diagonal copy blocks, leaves
+    h = Σ_l t_l Σ_c b_l[c, c] / s_0: a trace over the copy index of each
+    b_l viewed as (mult_l, r, mult_l, r)."""
+    r = len(b_x[0]) // mults[0]
+    return sum(t * np.einsum("aiaj->ij", b.reshape(m, r, m, r))
+               for b, m, t in zip(b_x, mults, t_weights)) / s0
+
+
 def _corner_norm(mats) -> float:
     worst = 0.0
     for c in mats:
@@ -504,14 +553,16 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
     are n consecutive, near-equal slices of the columns of one Haar unitary
     (no cyclic unitary is formed); (ii) per (i, x) the exceptional spectral
     projection of (p_i x p_i)*(p_i x p_i) above 4(n-1)/n² + δ', joined over x
-    into q_i; (iii) b_{i,x} = q_i x* p_i x q_i, its expectation onto N and the
-    support-trace bound; (iv) a Fourier refinement of each p_i into m pieces
-    whose first cycle block carries the joint support, which caps the
-    refined pinch of E_N(b) at 1/m; (v) the assembled r = n m partition is
-    re-verified from scratch.  A fresh rotation is drawn when an exceptional
-    trace exceeds δ' or a support does not fit the refinement, up to
-    `retry_budget`; exhaustion returns the best unverified certificate with
-    per-stage diagnostics.
+    into q_i; (iii) b_{i,x} = q_i x* p_i x q_i in the corner coordinates of
+    p_i, its expectation onto N read off the corner blocks as
+    w_i* E_N(b) w_i = Σ_l (t_l/s_0) Σ_c b_l[c, c] (no M-size element is
+    built), and the support-trace bound; (iv) a Fourier refinement of each
+    p_i into m pieces whose first cycle block carries the joint support,
+    which caps the refined pinch of E_N(b) at 1/m; (v) the assembled r = n m
+    partition is re-verified from scratch.  A fresh rotation is drawn when an
+    exceptional trace exceeds δ' or a support does not fit the refinement, up
+    to `retry_budget`; exhaustion returns the best unverified certificate
+    with per-stage diagnostics.
     """
     inc = problem.inclusion
     if inc.n_shape.num_blocks != 1:
@@ -594,17 +645,13 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             # stage (iii): b = q x* p x q, its N-expectation and supports
             h_corners, b_corners = [], []
             joint_supports = []
-            for a_x, c_x in zip(gram, corners):
+            for a_x in gram:
                 b_x = []
                 for l, a_l in enumerate(a_x):
                     z = q_frames[l]
                     b_x.append(z @ (z.conj().T @ a_l @ z) @ z.conj().T)
                 b_corners.append(b_x)
-                b_elem = Element(inc.m_shape,
-                                 [v_i[l] @ b_x[l] @ v_i[l].conj().T
-                                  for l in range(len(v_i))])
-                h = inc.restrict_to_n(b_elem)
-                h_c = w_i.conj().T @ h.blocks[0] @ w_i
+                h_c = _corner_expectation(b_x, mults, t_weights, s0)
                 h_corners.append(h_c)
                 w_h, v_h = np.linalg.eigh((h_c + h_c.conj().T) / 2)
                 cut = 1e-9 * max(float(w_h[-1]), 0.0) if w_h.size else 0.0
@@ -724,8 +771,7 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
 
     def part_scores(u_blocks, parts):
         # s_i for each part i of the sorted array `parts`: embed only their
-        # columns, form G_S* (D G_S) once per M-block for every x, and read
-        # the part-diagonal blocks, one batched eigensolve per part size
+        # columns and read the part-diagonal blocks with `alg.part_norms`
         chosen = np.zeros(cfg.r, dtype=bool)
         chosen[parts] = True
         keep = [chosen[lab] for lab in labels]
@@ -733,16 +779,8 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
         scores = np.zeros(len(parts))
         for (g, lab), d in zip(inc.embed_parts(frames, [lab[m] for lab, m in zip(labels, keep)]),
                                diffs):
-            c = g.conj().T @ (d @ g)
-            starts = np.searchsorted(lab, parts)
-            sizes = np.searchsorted(lab, parts, side="right") - starts
-            for s in set(sizes.tolist()) - {0}:
-                sel = np.flatnonzero(sizes == s)
-                idx = starts[sel, None] + np.arange(s)
-                blocks = c[:, idx[:, :, None], idx[:, None, :]]
-                w = np.linalg.eigvalsh(blocks.conj().swapaxes(-1, -2) @ blocks)[..., -1]
-                norms = (np.sqrt(np.maximum(w, 0.0)) / dens).max(axis=0)
-                scores[sel] = np.maximum(scores[sel], norms)
+            norms, _ = alg.part_norms(g, lab, d, parts)
+            scores = np.maximum(scores, (norms / dens).max(axis=0))
         return scores
 
     # slot pairs (k, a, b) eligible for a cross-part rotation, in block then
@@ -877,9 +915,11 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
     """For each ε: the smallest r that pave_search verifies under a step
     budget, next to the closed-form bracket columns."""
     epsilons = list(epsilons)
-    problem_index = index
     if not epsilons:
         raise PavingError("empty epsilon grid")
+    # F is centered once, for the whole grid
+    base = PavingProblem(inclusion=inclusion, operators=operators,
+                         epsilon=epsilons[0], index=index)
     total_slots = inclusion.n_shape.total_dim
     rows = []
     lower_candidates = []
@@ -887,12 +927,11 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
         if _is_positive(x):
             lower_candidates.append(float(trace(x).real) / op_norm(x))
     for gi, eps in enumerate(epsilons):
-        theorem_r = paving_partition_bound(problem_index, eps)[2] if eps > 0 else None
+        problem = base.with_epsilon(eps)
+        theorem_r = paving_partition_bound(problem.index, eps)[2]
         # the averaging-count bound speaks only of positive elements
         lower = max((math.ceil(averaging_count_lower_bound(t, eps) - 1e-12)
                      for t in lower_candidates), default=None)
-        problem = PavingProblem(inclusion=inclusion, operators=operators,
-                                epsilon=eps, index=problem_index)
         found, verified = None, False
         for r in range(1, min(r_cap, total_slots) + 1):
             cert = pave_search(problem, SearchConfig(

@@ -7,6 +7,7 @@ import pytest
 
 from pavelab import algebra as alg
 from pavelab import families
+from pavelab import inclusion as incl
 from pavelab import paving as pv
 from pavelab import serialize as ser
 from pavelab.cli import main
@@ -321,6 +322,16 @@ class TestScanCommand:
         assert lines[0] == "epsilon,r_found,r_verified,theorem_r,lower_bound,seed"
         assert len(lines) == 3
 
+    def test_centers_each_operator_once(self, tmp_path, monkeypatch):
+        calls = []
+        cond_exp_comm = incl.Inclusion.cond_exp_comm
+        monkeypatch.setattr(incl.Inclusion, "cond_exp_comm",
+                            lambda self, x: calls.append(x) or cond_exp_comm(self, x))
+        assert run(["scan", "--family", "self(8)", "--grid", "0.5,0.7,1.0",
+                    "--f-random", "selfadjoint:2", "--seed", "2", "--budget", "4",
+                    "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2
+
     def test_empty_grid_usage(self, tmp_path):
         assert run(["scan", "--family", "self(8)", "--grid", ",",
                     "--f-random", "selfadjoint:1", "--seed", "1",
@@ -346,6 +357,27 @@ class TestSpecCommand:
         assert echoed["m_weights"] == pytest.approx([0.2, 0.1], abs=1e-15)
         assert echoed["n_weights"] == pytest.approx([0.2, 0.4], abs=1e-15)
         assert echoed["lambda"] == [[1, 0], [1, 2]]
+
+    def test_rounded_weights_pave_and_reverify(self, tmp_path, capsys):
+        # weights written to 12 digits (1/21 and 3/21): `spec` and `pave --spec`
+        # read them as the same normalized spec, stored in the certificate
+        path = self.write_spec(tmp_path, {
+            "n_blocks": [3, 4], "n_weights": [0.142857142857, 0.142857142857],
+            "m_blocks": [11, 10], "m_weights": [0.047619047619, 0.047619047619],
+            "lambda": [[1, 2], [2, 1]]})
+        assert run(["spec", "--spec", path]) == 0
+        echoed = json.loads(capsys.readouterr().out)
+        out1, out2 = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
+        assert run(["pave", "--spec", path, "--epsilon", "0.9", "--mode", "search",
+                    "--n-parts", "7", "--f-random", "selfadjoint:2", "--seed", "6",
+                    "--index", "8", "--out", out1]) == 0
+        cert_path = os.path.join(out1, "pave_certificate.json")
+        cert = load(cert_path)
+        assert cert["problem"]["inclusion"]["spec"] == echoed
+        assert run(["pave", "--mode", "verify", "--certificate", cert_path,
+                    "--out", out2]) == 0
+        verify = load(os.path.join(out2, "verify.json"))
+        assert verify["per_x_ratio"] == cert["per_x_ratio"] and verify["verified"]
 
     @pytest.mark.parametrize("lam,m_blocks,message", [
         # two copies of M_2 fill 4 of the 5 dimensions of M_5

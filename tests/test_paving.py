@@ -540,6 +540,91 @@ class TestVerify:
             alg.PartitionOfUnity.from_frames(inc.n_shape, [[e0]])
 
 
+def with_generic_operator(problem, seed):
+    """`problem` with one more, non-self-adjoint, operator in F."""
+    rng = child_rng(seed)
+    z = Element(problem.inclusion.m_shape,
+                [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                 for d in problem.inclusion.m_shape.block_dims])
+    return pv.PavingProblem(inclusion=problem.inclusion,
+                            operators=problem.operators + (z,), epsilon=problem.epsilon)
+
+
+class TestVerifyDifferential:
+    """`verify` reads ratios off part-diagonal blocks; here they are checked
+    against the literal M-size pinch ‖Σ p_i x p_i − E‖ / ‖x − E‖."""
+
+    PROBLEMS = [
+        (lambda: with_generic_operator(family_problem("tensor(6,2)", 50), 51), 4),
+        (lambda: with_generic_operator(family_problem("self(8)", 52), 53), 3),
+        (two_block_problem, 3),   # Haar-embedded, Λ = [[1, 2], [2, 1]]
+    ]
+    IDS = ["tensor", "self", "two-block"]
+
+    @staticmethod
+    def literal(problem, partition, mode):
+        # `partition` lives over M: pinch with it directly
+        norm = alg.l2_norm if mode == "l2" else op_norm
+        return [norm(alg.pinch(partition, it.x) - it.e) / norm(it.diff)
+                for it in problem.centered]
+
+    @staticmethod
+    def rotated(problem, r, seed):
+        nsh = problem.inclusion.n_shape
+        return alg.coordinate_partition(nsh, r, unitary=alg.random_haar_unitary(nsh, seed))
+
+    @pytest.mark.parametrize("mode", ["partition", "l2"])
+    @pytest.mark.parametrize("make, r", PROBLEMS, ids=IDS)
+    def test_ratios_match_literal_pinch(self, make, r, mode):
+        problem = make()
+        inc = problem.inclusion
+        assert any(alg.hermitian_part_residual(x) > 1e-3 for x in problem.operators)
+        for seed in range(3):
+            part = self.rotated(problem, r, child_seed(54, seed))
+            cert = pv.verify(problem, part, mode=mode)
+            ref = self.literal(problem, inc.embed_partition(part), mode)
+            assert len(cert.per_x_ratio) == len(ref)
+            for got, want in zip(cert.per_x_ratio, ref):
+                assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("make, r", [PROBLEMS[0], PROBLEMS[2]], ids=["tensor", "two-block"])
+    def test_m_shaped_candidate_matches_literal_pinch(self, make, r):
+        problem = make()
+        inc = problem.inclusion
+        part = self.rotated(problem, r, 55)
+        m_part = alg.PartitionOfUnity.from_projections(
+            [inc.embed(alg.frame_projection(inc.n_shape, f)) for f in part.frames()])
+        for mode in ("partition", "l2"):
+            cert = pv.verify(problem, m_part, mode=mode)
+            assert cert.partition.shape == inc.n_shape
+            for got, want in zip(cert.per_x_ratio, self.literal(problem, m_part, mode)):
+                assert abs(got - want) <= 1e-12 * want
+
+
+def test_stage_iii_corner_expectation():
+    # N = M_3 in M = M_3 ⊕ M_6 by Λ = [[1, 2]], Haar-embedded: h = w* E_N(v b v*) w
+    # read off the corner blocks of b
+    spec = incl.InclusionSpec(AlgebraShape((3,), (1 / 3,)), AlgebraShape((3, 6), (1 / 9, 1 / 9)),
+                              ((1, 2),))
+    inc = incl.build_inclusion(spec, seed=56, embed="haar")
+    mults = spec.inclusion_matrix[0]
+    w = alg.haar_block(child_rng(57), 3)[:, :2]
+    v = inc.embed_frame([w])
+    rng = child_rng(58)
+    for _ in range(3):
+        b = []
+        for g in v:
+            k = g.shape[1]
+            a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            b.append(a @ a.conj().T)
+        h = pv._corner_expectation(b, mults, inc.m_shape.trace_weights,
+                                   inc.n_shape.trace_weights[0])
+        dense = inc.restrict_to_n(Element(inc.m_shape, [g @ c @ g.conj().T
+                                                        for g, c in zip(v, b)]))
+        ref = w.conj().T @ dense.blocks[0] @ w
+        assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestDixmier:
     def test_two_point_spectrum_one_fold(self):
         inc = families.self_inclusion(2)
@@ -704,3 +789,14 @@ class TestScan:
         inc = families.self_inclusion(8)
         with pytest.raises(pv.PavingError):
             pv.scan(inc, [], [identity(inc.m_shape)], 1.0)
+
+    def test_centers_each_operator_once_per_grid(self, monkeypatch):
+        calls = []
+        cond_exp_comm = incl.Inclusion.cond_exp_comm
+        monkeypatch.setattr(incl.Inclusion, "cond_exp_comm",
+                            lambda self, x: calls.append(x) or cond_exp_comm(self, x))
+        inc = families.self_inclusion(8)
+        ops = [selfadjoint(inc.m_shape, child_seed(59, t)) for t in range(2)]
+        rows = pv.scan(inc, [0.5, 0.7, 1.0], ops, 1.0, seed=5, r_cap=4)
+        assert [row["epsilon"] for row in rows] == [0.5, 0.7, 1.0]
+        assert len(calls) == len(ops)
