@@ -47,6 +47,21 @@ VERIFY_SLACK = 1e-9
 # commutant, its ratio is 0 and there is nothing to pave
 DEGENERATE_DEN = 1e-12
 L2_SLACK = 0.05  # default delta_l2 of an l2 paving
+# τ(q) is a float sum of trace weights times ranks: a rank that meets δ'
+# exactly must not fail it by rounding
+TAU_SLACK = 1e-15
+# stage (iii) keeps the eigenvectors of h above this fraction of its top
+# eigenvalue as the support of E_N(b)
+SUPPORT_CUT = 1e-9
+# QR rank cuts of `_join_frames` and `_support_frames`: a column whose |R_kk|
+# is at or below the cut depends on the earlier ones; both factor groups of
+# orthonormal columns, so the scale is 1
+JOIN_RANK_TOL = 1e-9
+SUPPORT_RANK_TOL = 1e-10
+# gram norms are at most 1, so `eigh` and `eigvalsh` eigenvalues agree far
+# inside this: a corner whose `eigvalsh` top lies below θ − TIE_TOL − margin
+# has no `eigh` eigenvalue at or above θ − TIE_TOL
+SCREEN_MARGIN = 1e-12
 
 
 class PavingError(RuntimeError):
@@ -414,7 +429,7 @@ def _support_frames(x: Element, rank_tol: float = 1e-9):
         keep = ss > cut
         cols = np.concatenate([uu[:, keep], vh[keep].conj().T], axis=1)
         q, rr = np.linalg.qr(cols)
-        rank = int(np.sum(np.abs(np.diag(rr)) > 1e-10))
+        rank = int(np.sum(np.abs(np.diag(rr)) > SUPPORT_RANK_TOL))
         frames.append(q[:, :rank])
     return frames
 
@@ -429,7 +444,7 @@ def _join_frames(frame_lists, dim_per_block):
             continue
         stacked = np.concatenate(cols, axis=1)
         q, rr = np.linalg.qr(stacked)
-        rank = int(np.sum(np.abs(np.diag(rr)) > 1e-9))
+        rank = int(np.sum(np.abs(np.diag(rr)) > JOIN_RANK_TOL))
         joined.append(q[:, :rank])
     return joined
 
@@ -515,14 +530,21 @@ def pave_small_support(operators: list, epsilon: float,
 
 # -- the constructive pipeline -------------------------------------------------
 
-def _corner_eigh(mats):
-    """Eigen data for a per-M-block Hermitian corner element."""
-    out = []
-    for c in mats:
-        w, v = (np.linalg.eigh((c + c.conj().T) / 2) if c.size
-                else (np.zeros(0), np.zeros((0, 0), dtype=np.complex128)))
-        out.append((w, v))
-    return out
+def _exceptional_frame(a: np.ndarray, theta: float):
+    """(top, frame) of the Hermitian part h = (a + a*)/2 of a corner gram:
+    top is the largest eigenvalue of h by `eigvalsh` (0.0 for an empty
+    corner), frame the eigenvectors of h whose `eigh` eigenvalue is at least
+    θ − TIE_TOL.  `eigh` runs only when top reaches θ − TIE_TOL −
+    SCREEN_MARGIN; below that the frame is empty."""
+    cutoff = theta - TIE_TOL
+    h = (a + a.conj().T) / 2
+    if not h.size:
+        return 0.0, np.zeros((0, 0), dtype=np.complex128)
+    top = float(np.linalg.eigvalsh(h)[-1])
+    if top < cutoff - SCREEN_MARGIN:
+        return top, np.zeros((len(h), 0), dtype=np.complex128)
+    w, v = np.linalg.eigh(h)
+    return top, v[:, w >= cutoff]
 
 
 def _corner_expectation(b_x, mults, t_weights, s0) -> np.ndarray:
@@ -563,6 +585,19 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
     exceptional trace exceeds δ' or a support does not fit the refinement, up
     to `retry_budget`; exhaustion returns the best unverified certificate
     with per-stage diagnostics.
+
+    Stage (ii) screens each corner gram with `eigvalsh` and takes an `eigh`
+    only where the top eigenvalue comes within SCREEN_MARGIN of the
+    threshold.  A part whose joined q_i is empty, as under a generic
+    rotation, skips stage (iii) and eq (1)–(4), since b = q x* p x q and
+    y = p x q are then exactly 0: τ(q) = 0, the support trace bound is
+    (0, 0) with support rank 0, the refined expectation, both transfer
+    sides and the Schwarz minimum are 0, and the eq (1) tail is the square
+    root of the screened top eigenvalue of the untrimmed gram, the
+    `eigvalsh` of the same matrix.  Its refinement is the empty-support one,
+    which depends on the part's rank alone (and always fits, as n m ≤ dim N),
+    so each call builds it once per distinct rank.  Partitions, ratios and
+    diagnostics are bit-identical to running every stage on every part.
     """
     inc = problem.inclusion
     if inc.n_shape.num_blocks != 1:
@@ -596,6 +631,9 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
 
     attempts = []
     best_cert = None
+    # the refinement of a part with q_i = 0 depends on its rank alone:
+    # rank -> (stacked frame, part ranks)
+    empty_refinements = {}
     for attempt in range(cfg.retry_budget + 1):
         rng = child_rng(cfg.seed, attempt)
         u = alg.haar_block(rng, dim_n)
@@ -613,23 +651,37 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             corners = [[g.conj().T @ x.blocks[l] @ g for l, g in enumerate(v_i)]
                        for x in normalized]
             gram = [[c.conj().T @ c for c in cs] for cs in corners]
-            exc_frames = []
-            for a_x in gram:
-                per_block = []
-                for w, v in _corner_eigh(a_x):
-                    sel = w >= theta_exc - TIE_TOL
-                    per_block.append(v[:, sel])
-                exc_frames.append(per_block)
+            screened = [[_exceptional_frame(a_l, theta_exc) for a_l in a_x] for a_x in gram]
             corner_dims = [g.shape[1] for g in v_i]
-            q_frames = _join_frames(exc_frames, corner_dims)
+            q_frames = _join_frames([[fr for _, fr in s_x] for s_x in screened], corner_dims)
             tau_q = sum(t_weights[l] * q_frames[l].shape[1]
                         for l in range(len(q_frames)))
             record["tau_q"].append(tau_q)
-            if tau_q > cfg.delta_prime + 1e-15:
+            if tau_q > cfg.delta_prime + TAU_SLACK:
                 record.update(stage_ok=False,
                               reason=f"exceptional trace {tau_q:.3g} exceeds "
                                      f"delta' = {cfg.delta_prime:.3g} at part {i}")
                 break
+
+            if not any(z.shape[1] for z in q_frames):
+                # q_i = 0: the closed forms of the docstring
+                for s_x in screened:
+                    record["compression_tail"].append(
+                        math.sqrt(max([0.0] + [top for top, _ in s_x])))
+                    record["support_trace_bound"].append((0.0, 0.0))
+                record["support_ranks"].append(0)
+                for key in ("refined_expectation", "transfer_lhs", "transfer_rhs",
+                            "schwarz_min"):
+                    record[key].extend([0.0] * len(screened))
+                if r_i not in empty_refinements:
+                    refinement = _fourier_refinement(
+                        r_i, np.zeros((r_i, 0), dtype=np.complex128), m)
+                    empty_refinements[r_i] = (np.concatenate(refinement, axis=1),
+                                              [z.shape[1] for z in refinement])
+                z_stack, part_ranks = empty_refinements[r_i]
+                stacks.append(w_i @ z_stack)
+                ranks.extend(part_ranks)
+                continue
 
             # eq (1): the trimmed compression stays under the threshold
             for a_x in gram:
@@ -654,7 +706,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                 h_c = _corner_expectation(b_x, mults, t_weights, s0)
                 h_corners.append(h_c)
                 w_h, v_h = np.linalg.eigh((h_c + h_c.conj().T) / 2)
-                cut = 1e-9 * max(float(w_h[-1]), 0.0) if w_h.size else 0.0
+                cut = SUPPORT_CUT * max(float(w_h[-1]), 0.0) if w_h.size else 0.0
                 supp = v_h[:, w_h > cut]
                 joint_supports.append([supp])
                 record["support_trace_bound"].append(

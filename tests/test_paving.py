@@ -238,6 +238,263 @@ class TestConstructivePipeline:
             assert lam >= -1e-9
 
 
+def reference_pipeline(problem, cfg):
+    """`pave_constructive` with the per-part loop it had before it became
+    rank-aware: every corner gets an `eigh`, and stage (iii) and eq (1)-(4)
+    run on every part, also where q_i = 0 makes their matrices zero."""
+    inc = problem.inclusion
+    dim_n = inc.n_shape.block_dims[0]
+    n, m = cfg.n_parts, cfg.m_refine
+    live = problem.live()
+    assert problem.epsilon < 1.0 and live
+    base_config = {
+        "n_parts": n, "m_refine": m, "delta_prime": cfg.delta_prime,
+        "retry_budget": cfg.retry_budget, "index": problem.index,
+    }
+    normalized = [(1.0 / it.den) * it.diff for it in live]
+    theta_exc = 4.0 * (n - 1) / n ** 2 + cfg.delta_prime
+    certified_bound = math.sqrt(theta_exc) + math.sqrt(problem.index / m)
+    mults = [inc.spec.inclusion_matrix[0][l] for l in range(inc.m_shape.num_blocks)]
+    t_weights = inc.m_shape.trace_weights
+    s0 = inc.n_shape.trace_weights[0]
+
+    attempts = []
+    best_cert = None
+    for attempt in range(cfg.retry_budget + 1):
+        u = alg.haar_block(child_rng(cfg.seed, attempt), dim_n)
+        bounds_idx = np.cumsum([0] + alg.balanced_sizes(dim_n, n))
+        record = {"attempt": attempt, "stage_ok": True, "reason": None,
+                  "tau_q": [], "support_ranks": [], "compression_tail": [], "refined_expectation": [],
+                  "transfer_lhs": [], "transfer_rhs": [], "schwarz_min": [],
+                  "support_trace_bound": []}
+        stacks, ranks = [], []
+        for i in range(n):
+            w_i = u[:, bounds_idx[i]:bounds_idx[i + 1]]
+            r_i = w_i.shape[1]
+            v_i = inc.embed_frame([w_i])
+            corners = [[g.conj().T @ x.blocks[l] @ g for l, g in enumerate(v_i)]
+                       for x in normalized]
+            gram = [[c.conj().T @ c for c in cs] for cs in corners]
+            exc_frames = []
+            for a_x in gram:
+                per_block = []
+                for c in a_x:
+                    w, v = (np.linalg.eigh((c + c.conj().T) / 2) if c.size
+                            else (np.zeros(0), np.zeros((0, 0), dtype=np.complex128)))
+                    per_block.append(v[:, w >= theta_exc - alg.TIE_TOL])
+                exc_frames.append(per_block)
+            q_frames = pv._join_frames(exc_frames, [g.shape[1] for g in v_i])
+            tau_q = sum(t_weights[l] * q_frames[l].shape[1] for l in range(len(q_frames)))
+            record["tau_q"].append(tau_q)
+            if tau_q > cfg.delta_prime + 1e-15:
+                record.update(stage_ok=False,
+                              reason=f"exceptional trace {tau_q:.3g} exceeds "
+                                     f"delta' = {cfg.delta_prime:.3g} at part {i}")
+                break
+
+            for a_x in gram:
+                val = 0.0
+                for l, a_l in enumerate(a_x):
+                    z = q_frames[l]
+                    res = a_l - z @ (z.conj().T @ a_l) - (a_l @ z) @ z.conj().T \
+                        + z @ (z.conj().T @ a_l @ z) @ z.conj().T
+                    w = np.linalg.eigvalsh((res + res.conj().T) / 2)
+                    val = max(val, float(w[-1]) if w.size else 0.0)
+                record["compression_tail"].append(math.sqrt(max(val, 0.0)))
+
+            h_corners, b_corners, joint_supports = [], [], []
+            for a_x in gram:
+                b_x = []
+                for l, a_l in enumerate(a_x):
+                    z = q_frames[l]
+                    b_x.append(z @ (z.conj().T @ a_l @ z) @ z.conj().T)
+                b_corners.append(b_x)
+                h_c = pv._corner_expectation(b_x, mults, t_weights, s0)
+                h_corners.append(h_c)
+                w_h, v_h = np.linalg.eigh((h_c + h_c.conj().T) / 2)
+                cut = 1e-9 * max(float(w_h[-1]), 0.0) if w_h.size else 0.0
+                supp = v_h[:, w_h > cut]
+                joint_supports.append([supp])
+                record["support_trace_bound"].append(
+                    (supp.shape[1] * s0, problem.index * tau_q))
+            e_join = pv._join_frames(joint_supports, [r_i])[0]
+            s_i = e_join.shape[1]
+            record["support_ranks"].append(s_i)
+            refinement = pv._fourier_refinement(r_i, e_join, m)
+            if refinement is None:
+                record.update(stage_ok=False,
+                              reason=f"support rank {s_i} does not fit {m} "
+                                     f"pieces of a rank-{r_i} part")
+                break
+
+            z_stack = np.concatenate(refinement, axis=1)
+            z_labels = np.repeat(np.arange(m), [z.shape[1] for z in refinement])
+            kron_stacks = [(np.kron(np.eye(mults[l]), z_stack), np.tile(z_labels, mults[l]))
+                           for l in range(len(v_i))]
+
+            def corner_pinch(mats):
+                return [alg.pinch_stack(g, lab, c) for (g, lab), c in zip(kron_stacks, mats)]
+
+            for h_c, b_x in zip(h_corners, b_corners):
+                refined = pv._corner_norm([alg.pinch_stack(z_stack, z_labels, h_c)])
+                record["refined_expectation"].append(refined)
+                record["transfer_lhs"].append(pv._corner_norm(corner_pinch(b_x)))
+                record["transfer_rhs"].append(problem.index * refined)
+            for c_x in corners:
+                y = [c_x[l] @ (q_frames[l] @ q_frames[l].conj().T) for l in range(len(v_i))]
+                phi_y = corner_pinch(y)
+                phi_yy = corner_pinch([yl.conj().T @ yl for yl in y])
+                resid = np.inf
+                for l in range(len(v_i)):
+                    gap = phi_yy[l] - phi_y[l].conj().T @ phi_y[l]
+                    if gap.size:
+                        w = np.linalg.eigvalsh((gap + gap.conj().T) / 2)
+                        resid = min(resid, float(w[0]))
+                record["schwarz_min"].append(resid if resid != np.inf else 0.0)
+
+            stacks.append(w_i @ z_stack)
+            ranks.extend(z.shape[1] for z in refinement)
+
+        attempts.append(record)
+        if not record["stage_ok"]:
+            continue
+        partition = alg.PartitionOfUnity(inc.n_shape, [np.concatenate(stacks, axis=1)], [ranks])
+        cert = pv.verify(problem, partition, seed=cfg.seed, config=base_config,
+                         diagnostics={"attempts": attempts,
+                                      "theta_exceptional": theta_exc,
+                                      "certified_bound": certified_bound,
+                                      "normalization_norms": [it.den for it in live]})
+        if cert.verified:
+            return cert
+        if best_cert is None or max(cert.per_x_ratio) < max(best_cert.per_x_ratio):
+            best_cert = cert
+    if best_cert is not None:
+        best_cert.diagnostics["attempts"] = attempts
+        return best_cert
+    u = alg.haar_block(child_rng(cfg.seed, cfg.retry_budget), dim_n)
+    partition = alg.PartitionOfUnity(inc.n_shape, [u], [alg.balanced_sizes(dim_n, n)])
+    return pv.verify(problem, partition, seed=cfg.seed, config=base_config,
+                     diagnostics={"attempts": attempts,
+                                  "theta_exceptional": theta_exc,
+                                  "certified_bound": certified_bound,
+                                  "stage_exhausted": True})
+
+
+def corner_spec_problem(seed):
+    # N = M_3 in M = M_3 ⊕ M_6 by Λ = [[1, 2]], Haar-embedded (as in
+    # test_stage_iii_corner_expectation): two M-blocks per corner
+    spec = incl.InclusionSpec(AlgebraShape((3,), (1 / 3,)), AlgebraShape((3, 6), (1 / 9, 1 / 9)),
+                              ((1, 2),))
+    inc = incl.build_inclusion(spec, seed=56, embed="haar")
+    ops = [selfadjoint(inc.m_shape, child_seed(seed, t)) for t in range(2)]
+    return pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.95, index=5.0)
+
+
+class TestRankAwarePipeline:
+    """`pave_constructive` against `reference_pipeline`: the same partitions,
+    ratios and diagnostics, bit for bit."""
+
+    @staticmethod
+    def assert_same(problem, cfg):
+        cert, ref = pv.pave_constructive(problem, cfg), reference_pipeline(problem, cfg)
+        assert len(cert.partition.stacks) == len(ref.partition.stacks)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(cert.partition.stacks, ref.partition.stacks))
+        assert cert.partition.ranks == ref.partition.ranks
+        assert cert.per_x_ratio == ref.per_x_ratio
+        assert cert.verified == ref.verified
+        assert repr(cert.diagnostics) == repr(ref.diagnostics)
+        return cert
+
+    @pytest.mark.parametrize("family, n, m, seeds", [
+        ("tensor(40,2)", 4, 4, [1, 2, 3, 4]),
+        ("tensor(40,2)", 3, 4, [1, 2]),     # parts of ranks 14, 13, 13
+        ("tensor(16,2)", 2, 2, [8, 9]),
+        ("self(64)", 4, 4, [3, 4]),
+    ])
+    def test_generic_rotations(self, family, n, m, seeds):
+        inc = families.parse_family(family)
+        ops = [selfadjoint(inc.m_shape, child_seed(60, t)) for t in range(2)]
+        problem = pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.9)
+        for seed in seeds:
+            cert = self.assert_same(problem, pv.PipelineConfig(n, m, seed=seed))
+            assert not any(any(rec["tau_q"]) for rec in cert.diagnostics["attempts"])
+
+    def test_exceptional_part(self, aligned_pipeline_case):
+        # part 0 is exceptional, the other parts have q_i = 0
+        inc, problem, seed = aligned_pipeline_case
+        cert = self.assert_same(problem, pv.PipelineConfig(4, 2, delta_prime=0.1,
+                                                           retry_budget=0, seed=seed))
+        tau_q = cert.diagnostics["attempts"][0]["tau_q"]
+        assert tau_q[0] > 0.0 and tau_q[1:] == [0.0, 0.0, 0.0]
+
+    def test_retry_after_exceptional_part(self, aligned_pipeline_case):
+        inc, problem, seed = aligned_pipeline_case
+        cert = self.assert_same(problem, pv.PipelineConfig(4, 2, delta_prime=0.012, seed=seed))
+        attempts = cert.diagnostics["attempts"]
+        assert not attempts[0]["stage_ok"] and attempts[-1]["stage_ok"]
+
+    @pytest.mark.parametrize("n, m, delta_prime", [
+        (3, 1, None),   # q_i = 0 on every part
+        (1, 1, 2.0),    # q = 0, the single part is all of N
+        (1, 1, 0.9),    # q ≠ 0 in both M-blocks
+        (1, 1, 0.5),    # q ≠ 0; one seed exceeds δ'
+        (1, 2, 0.9),    # the support does not fit: stage exhaustion
+    ])
+    def test_two_m_blocks(self, n, m, delta_prime):
+        for seed in range(3):
+            self.assert_same(corner_spec_problem(61 + seed), pv.PipelineConfig(
+                n, m, delta_prime=delta_prime, retry_budget=2, seed=seed))
+
+
+class TestExceptionalFrame:
+    """The eigvalsh screen in front of the exceptional-frame `eigh`."""
+
+    THETA = 0.75
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        return calls
+
+    @staticmethod
+    def direct(a, theta):
+        w, v = np.linalg.eigh((a + a.conj().T) / 2)
+        return v[:, w >= theta - alg.TIE_TOL]
+
+    def test_below_cutoff_skips_eigh(self, monkeypatch):
+        calls = self.count_eigh(monkeypatch)
+        a = np.diag([0.5, 0.1, 0.0]).astype(complex)
+        top, frame = pv._exceptional_frame(a, self.THETA)
+        assert top == 0.5 and frame.shape == (3, 0) and not calls
+
+    def test_top_at_cutoff_selects_like_eigh(self, monkeypatch):
+        cutoff = self.THETA - alg.TIE_TOL
+        a = np.diag([0.2, cutoff, 0.9, 0.1]).astype(complex)
+        calls = self.count_eigh(monkeypatch)
+        top, frame = pv._exceptional_frame(a, self.THETA)
+        assert top == 0.9 and len(calls) == 1
+        want = self.direct(a, self.THETA)
+        assert want.shape == (4, 2) and np.array_equal(frame, want)
+        b = np.diag([0.2, cutoff, 0.1]).astype(complex)
+        top, frame = pv._exceptional_frame(b, self.THETA)
+        assert top == cutoff and np.array_equal(frame, self.direct(b, self.THETA))
+        assert frame.shape == (3, 1)
+
+    def test_top_inside_margin_takes_eigh(self, monkeypatch):
+        inside = self.THETA - alg.TIE_TOL - 0.5 * pv.SCREEN_MARGIN
+        a = np.diag([inside, 0.3]).astype(complex)
+        calls = self.count_eigh(monkeypatch)
+        top, frame = pv._exceptional_frame(a, self.THETA)
+        assert top == inside and len(calls) == 1 and frame.shape == (2, 0)
+
+    def test_empty_corner(self):
+        top, frame = pv._exceptional_frame(np.zeros((0, 0), dtype=complex), self.THETA)
+        assert top == 0.0 and frame.shape == (0, 0)
+
+
 class TestSearch:
     def test_r1_ratio_is_one(self):
         inc = families.self_inclusion(8)
