@@ -42,6 +42,19 @@ def _parse_grid(text: str):
     return vals
 
 
+def _budget(minimum: int):
+    """argparse type for --budget: an integer of at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _parse_f_random(text: str):
     try:
         kind, count = text.rsplit(":", 1)
@@ -249,7 +262,7 @@ def cmd_pave(args) -> int:
     elif args.mode == "search":
         r = args.n_parts or paving.paving_partition_bound(problem.index, args.epsilon)[2]
         cert = paving.pave_search(problem, paving.SearchConfig(
-            r=r, steps=args.budget * 50 if args.budget else 300, seed=args.seed))
+            r=r, steps=50 * args.budget, seed=args.seed))
     elif args.mode == "l2":
         if not args.n_parts:
             raise UsageError("l2 mode needs --n-parts")
@@ -343,7 +356,7 @@ def cmd_scan(args) -> int:
     inc, ops = _inputs_from_recipe(recipe)  # `scan` centers F once for the grid
     rows = paving.scan(inc, _parse_grid(args.grid), ops,
                        _exact_index(recipe["index"], inc),
-                       seed=args.seed, r_cap=args.budget or 64)
+                       seed=args.seed, r_cap=args.budget)
     csv_rows = [[r["epsilon"], r["r_found"], r["r_verified"], r["theorem_r"],
                  r["lower_bound"], r["seed"]] for r in rows]
     serialize.write_csv(os.path.join(args.out, "scan.csv"),
@@ -386,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-file", dest="f_file", help="JSON file with an elements list")
     p.add_argument("--n-parts", dest="n_parts", type=int, default=None)
     p.add_argument("--m-refine", dest="m_refine", type=int, default=None)
-    p.add_argument("--budget", type=int, default=8,
-                   help="retry budget (pipeline) / step budget factor (search)")
+    p.add_argument("--budget", type=_budget(0), default=8,
+                   help="pipeline: retries after the first attempt; "
+                        "search: annealing steps per restart, in units of 50")
     p.add_argument("--certificate", help="saved certificate for verify mode")
     p.set_defaults(func=cmd_pave)
 
@@ -418,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="comma-separated epsilons")
     p.add_argument("--f-random", dest="f_random")
     p.add_argument("--f-file", dest="f_file")
-    p.add_argument("--budget", type=int, default=None, help="largest r to try")
+    p.add_argument("--budget", type=_budget(1), default=64, help="largest r to try")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("spec", help="validate a spec JSON and echo normalized weights")

@@ -1,10 +1,11 @@
 """Unital trace-compatible inclusions N ⊆ M of multi-matrix algebras.
 
 An inclusion is presented by an inclusion matrix Λ with Λ[k][l] copies of
-N-block k sitting inside M-block l, plus one unitary per M-block fixing the
-concrete embedding.  Internally every M-block is handled in a "grouped"
-layout whose basis is ordered (N-block k, copy c, internal index i); the
-embedding unitary maps grouped coordinates to the presented ones.
+N-block k sitting inside M-block l, plus one embedding per M-block: the
+identity, an index permutation, or a dense unitary u (a block x is then read
+as u* x u).  `Inclusion` keeps one slab table: for each M-block l and each
+N-block k with Λ[k][l] > 0, the (Λ[k][l], n_k) array of rows holding every
+copy.  Each map is one gather or one scatter per slab.
 
 The trace-preserving conditional expectation onto N is the orthogonal
 projection in the trace inner product <a, b> = tau(a* b).  Because the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +97,18 @@ class InclusionSpec:
                    for k in range(nk) for l in range(nk))
 
 
+class _Slab(NamedTuple):
+    """The Λ[k][l] copies of N-block k in M-block l: index i of copy c sits
+    in row ``rows[c, i]``, ``key`` selects the slab rows × rows of a block
+    (by basic slices when the rows are contiguous), and ``copies`` is
+    arange(Λ[k][l]) as a column."""
+
+    k: int
+    rows: np.ndarray
+    key: tuple
+    copies: np.ndarray
+
+
 @dataclass
 class Inclusion:
     """A realized inclusion: spec + per-M-block embedding unitaries.
@@ -107,19 +121,26 @@ class Inclusion:
     embed_unitaries: list
     known_index: float = None
     label: str = ""
-    _offsets: list = field(default_factory=list, repr=False, compare=False)
+    _slabs: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
-        offsets = []
-        for l in range(self.m_shape.num_blocks):
-            table = {}
-            off = 0
-            for k, nk in enumerate(self.spec.n_shape.block_dims):
-                for c in range(self.spec.inclusion_matrix[k][l]):
-                    table[(k, c)] = off
-                    off += nk
-            offsets.append(table)
-        self._offsets = offsets
+        self._slabs = []
+        for l, (kind, u) in enumerate(self.embed_unitaries):
+            slabs, start = [], 0
+            for k, nk in enumerate(self.n_shape.block_dims):
+                mult = self.spec.inclusion_matrix[k][l]
+                span = slice(start, start + mult * nk)
+                start = span.stop
+                if mult == 0:
+                    continue
+                rows = np.arange(span.start, span.stop).reshape(mult, nk)
+                if kind == "perm":
+                    rows = u[rows]
+                    key = np.ix_(rows.ravel(), rows.ravel())
+                else:
+                    key = (span, span)
+                slabs.append(_Slab(k, rows, key, np.arange(mult)[:, None]))
+            self._slabs.append(slabs)
 
     @property
     def n_shape(self) -> AlgebraShape:
@@ -129,35 +150,11 @@ class Inclusion:
     def m_shape(self) -> AlgebraShape:
         return self.spec.m_shape
 
-    # -- grouped layout <-> presented layout ---------------------------------
-
-    def _to_grouped(self, l: int, x_l: np.ndarray) -> np.ndarray:
+    def _dense(self, l: int):
+        """The unitary u of a dense embedding of M-block l, else None.  The
+        slab rows index u* x u for a dense block and x itself otherwise."""
         kind, u = self.embed_unitaries[l]
-        if kind == "id":
-            return x_l
-        if kind == "perm":
-            return x_l[np.ix_(u, u)]
-        return u.conj().T @ x_l @ u
-
-    def _from_grouped(self, l: int, y_l: np.ndarray) -> np.ndarray:
-        kind, u = self.embed_unitaries[l]
-        if kind == "id":
-            return y_l
-        if kind == "perm":
-            out = np.zeros_like(y_l)
-            out[np.ix_(u, u)] = y_l
-            return out
-        return u @ y_l @ u.conj().T
-
-    def _from_grouped_cols(self, l: int, cols: np.ndarray) -> np.ndarray:
-        kind, u = self.embed_unitaries[l]
-        if kind == "id":
-            return cols
-        if kind == "perm":
-            out = np.zeros_like(cols)
-            out[u, :] = cols
-            return out
-        return u @ cols
+        return u if kind == "dense" else None
 
     # -- embedding and expectations -------------------------------------------
 
@@ -168,25 +165,27 @@ class Inclusion:
         blocks = []
         for l, ml in enumerate(self.m_shape.block_dims):
             y = np.zeros((ml, ml), dtype=np.complex128)
-            for (k, c), off in self._offsets[l].items():
-                nk = self.n_shape.block_dims[k]
-                y[off:off + nk, off:off + nk] = x.blocks[k]
-            blocks.append(self._from_grouped(l, y))
+            for s in self._slabs[l]:
+                y[s.rows[:, :, None], s.rows[:, None, :]] = x.blocks[s.k]
+            u = self._dense(l)
+            blocks.append(y if u is None else u @ y @ u.conj().T)
         return Element(self.m_shape, blocks)
 
     def restrict_to_n(self, x: Element) -> Element:
         """N-coordinates of the expectation E_N(x) (an element of N)."""
         if x.shape != self.m_shape:
             raise alg.ShapeMismatchError("element does not live over M")
-        acc = [np.zeros((d, d), dtype=np.complex128) for d in self.n_shape.block_dims]
+        terms = [[] for _ in self.n_shape.block_dims]
         for l, tl in enumerate(self.m_shape.trace_weights):
-            y = self._to_grouped(l, x.blocks[l])
-            for (k, c), off in self._offsets[l].items():
-                nk = self.n_shape.block_dims[k]
-                acc[k] += tl * y[off:off + nk, off:off + nk]
-        for k, sk in enumerate(self.n_shape.trace_weights):
-            acc[k] /= sk
-        return Element(self.n_shape, acc)
+            u = self._dense(l)
+            y = x.blocks[l] if u is None else u.conj().T @ x.blocks[l] @ u
+            for s in self._slabs[l]:
+                terms[s.k].append(tl * y[s.rows[:, :, None], s.rows[:, None, :]])
+        # numpy sums from 0 and, over real pairs, adds the (M-block, copy) terms
+        # one by one in table order; over 1 x 1 complex blocks it would pair them
+        return Element(self.n_shape, [
+            np.concatenate(t).view(np.float64).sum(axis=0).view(np.complex128) / sk
+            for t, sk in zip(terms, self.n_shape.trace_weights)])
 
     def cond_exp_n(self, x: Element) -> Element:
         """E_N(x) as an element of M (image inside the embedded copy of N)."""
@@ -197,63 +196,58 @@ class Inclusion:
         if x.shape != self.m_shape:
             raise alg.ShapeMismatchError("element does not live over M")
         blocks = []
-        for l, ml in enumerate(self.m_shape.block_dims):
-            y = self._to_grouped(l, x.blocks[l])
+        for l in range(self.m_shape.num_blocks):
+            u = self._dense(l)
+            y = x.blocks[l] if u is None else u.conj().T @ x.blocks[l] @ u
             z = np.zeros_like(y)
-            for k, nk in enumerate(self.n_shape.block_dims):
-                mult = self.spec.inclusion_matrix[k][l]
-                for c in range(mult):
-                    oc = self._offsets[l][(k, c)]
-                    for cp in range(mult):
-                        op = self._offsets[l][(k, cp)]
-                        sub = y[oc:oc + nk, op:op + nk]
-                        val = np.trace(sub) / nk
-                        z[oc:oc + nk, op:op + nk] = val * np.eye(nk)
-            blocks.append(self._from_grouped(l, z))
+            for s in self._slabs[l]:
+                mult, nk = s.rows.shape
+                y4 = y[s.key].reshape(mult, nk, mult, nk)
+                # a contiguous copy of the diagonals sums as np.trace of each block
+                tr = y4.diagonal(axis1=1, axis2=3).copy().sum(-1) / nk
+                z4 = tr[:, None, :, None] * np.eye(nk)[:, None, :]
+                z[s.key] = z4.reshape(mult * nk, mult * nk)
+            blocks.append(z if u is None else u @ z @ u.conj().T)
         return Element(self.m_shape, blocks)
 
     def commutant_dim(self) -> int:
         return sum(v * v for row in self.spec.inclusion_matrix for v in row)
 
     def commutant_basis(self) -> list:
-        """Orthonormal (in tau(a* b)) basis of N' ∩ M."""
+        """Orthonormal (in tau(a* b)) basis of N' ∩ M: the matrix units
+        between copies c and c' of each N-block."""
         basis = []
-        for l, ml in enumerate(self.m_shape.block_dims):
-            tl = self.m_shape.trace_weights[l]
-            for k, nk in enumerate(self.n_shape.block_dims):
-                mult = self.spec.inclusion_matrix[k][l]
-                for c in range(mult):
-                    for cp in range(mult):
+        for l, (ml, tl) in enumerate(zip(self.m_shape.block_dims, self.m_shape.trace_weights)):
+            u = self._dense(l)
+            for s in self._slabs[l]:
+                nk = s.rows.shape[1]
+                for rc in s.rows:
+                    for rp in s.rows:
                         y = np.zeros((ml, ml), dtype=np.complex128)
-                        oc = self._offsets[l][(k, c)]
-                        op = self._offsets[l][(k, cp)]
-                        y[oc:oc + nk, op:op + nk] = np.eye(nk)
-                        blocks = [np.zeros((d, d), dtype=np.complex128)
-                                  for d in self.m_shape.block_dims]
-                        blocks[l] = self._from_grouped(l, y) / math.sqrt(tl * nk)
-                        basis.append(Element(self.m_shape, blocks))
+                        y[np.ix_(rc, rp)] = np.eye(nk)
+                        unit = zero(self.m_shape)
+                        unit.blocks[l] = (y if u is None else u @ y @ u.conj().T) / math.sqrt(tl * nk)
+                        basis.append(unit)
         return basis
 
     def embed_frame(self, frames_n: list) -> list:
         """Push per-N-block orthonormal columns to per-M-block ones.
 
         A rank-r projection of N embeds with rank sum_k Λ[k][l] r_k in
-        M-block l; the embedded columns stay orthonormal.
+        M-block l; the embedded columns stay orthonormal.  They come copy by
+        copy, in N-block order.
         """
         out = []
         for l, ml in enumerate(self.m_shape.block_dims):
-            cols = []
-            for (k, c), off in self._offsets[l].items():
-                f = frames_n[k]
-                if f.shape[1] == 0:
-                    continue
-                nk = self.n_shape.block_dims[k]
-                g = np.zeros((ml, f.shape[1]), dtype=np.complex128)
-                g[off:off + nk, :] = f
-                cols.append(g)
-            stacked = (np.concatenate(cols, axis=1) if cols
-                       else np.zeros((ml, 0), dtype=np.complex128))
-            out.append(self._from_grouped_cols(l, stacked))
+            width = sum(len(s.rows) * frames_n[s.k].shape[1] for s in self._slabs[l])
+            g, col = np.zeros((ml, width), dtype=np.complex128), 0
+            for s in self._slabs[l]:
+                f = frames_n[s.k]
+                mult, r = len(s.rows), f.shape[1]
+                g[:, col:col + mult * r].reshape(ml, mult, r)[s.rows, s.copies] = f
+                col += mult * r
+            u = self._dense(l)
+            out.append(g if u is None else u @ g)
         return out
 
     def embed_parts(self, frames_n: list, labels_n: list) -> list:
@@ -265,7 +259,10 @@ class Inclusion:
         """
         out = []
         for l, g in enumerate(self.embed_frame(frames_n)):
-            labels = np.concatenate([labels_n[k] for k, _ in self._offsets[l]])
+            per_copy = []
+            for s in self._slabs[l]:
+                per_copy += [labels_n[s.k]] * len(s.rows)
+            labels = np.concatenate(per_copy)
             order = np.argsort(labels, kind="stable")
             out.append((g[:, order], labels[order]))
         return out
@@ -572,13 +569,13 @@ def jones_type_projection(inc: Inclusion):
     d = lam[0][0]
     if d < 2 or k % d != 0 or k * d != inc.m_shape.block_dims[0]:
         return None
-    ml = k * d
-    y = np.zeros((ml, ml), dtype=np.complex128)
-    for g in range(k // d):
-        vec = np.zeros(ml, dtype=np.complex128)
-        for a in range(d):
-            # grouped layout: copy a, internal index g*d + a
-            vec[a * k + (g * d + a)] = 1.0 / math.sqrt(d)
-        y += np.outer(vec, vec.conj())
-    block = inc._from_grouped(0, y)
+    # group g holds index g*d + a of copy a, for a < d
+    rows = inc._slabs[0][0].rows
+    a = np.arange(d)
+    groups = rows[a, np.arange(0, k, d)[:, None] + a]
+    s = 1.0 / math.sqrt(d)
+    y = np.zeros((k * d, k * d), dtype=np.complex128)
+    y[groups[:, :, None], groups[:, None, :]] = s * s
+    u = inc._dense(0)
+    block = y if u is None else u @ y @ u.conj().T
     return Element(inc.m_shape, [(block + block.conj().T) / 2])

@@ -162,6 +162,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.n_parts < 1 or self.m_refine < 1:
             raise PavingError("partition sizes must be >= 1")
+        if self.retry_budget < 0:
+            raise PavingError("retry_budget must be >= 0")
         cap = 4.0 / self.n_parts ** 2
         if self.delta_prime is None:
             self.delta_prime = 0.5 * cap

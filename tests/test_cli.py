@@ -75,7 +75,8 @@ class TestPaveCommand:
         verify = load(os.path.join(out2, "verify.json"))
         assert verify["per_x_ratio"] == cert["per_x_ratio"]
 
-    def test_verify_rejects_tampered_inline_frame(self, tmp_path):
+    def test_verify_rejects_tampered_inline_frame(self, tmp_path, capsys):
+        # a candidate that fails its own structural checks is malformed input
         out1 = os.path.join(tmp_path, "a")
         assert run(["pave", "--family", "tensor(8,2)", "--epsilon", "0.9",
                     "--f-random", "selfadjoint:1", "--seed", "3",
@@ -88,8 +89,11 @@ class TestPaveCommand:
             tampered = os.path.join(tmp_path, f"tampered_{scale}.json")
             with open(tampered, "w") as handle:
                 json.dump(cert, handle)
+            capsys.readouterr()
             assert run(["pave", "--mode", "verify", "--certificate", tampered,
-                        "--seed", "0", "--out", os.path.join(tmp_path, "b")]) != 0
+                        "--seed", "0", "--out", os.path.join(tmp_path, "b")]) == 2
+            assert ("error: partition frames are not unitary within 1e-08"
+                    in capsys.readouterr().err)
 
     def test_emitted_certificate_passes_standalone_verify(self, tmp_path):
         code = run(["pave", "--family", "tensor(8,2)", "--epsilon", "0.9",
@@ -207,6 +211,14 @@ class TestPaveCommand:
                         "--n-parts", "2", "--f-random", "selfadjoint:1",
                         "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err == f"error: pave --mode {mode} needs --seed\n"
+
+    @pytest.mark.parametrize("budget, steps", [("0", 0), ("1", 50)])
+    def test_search_budget_counts_steps_in_fifties(self, tmp_path, budget, steps):
+        run(["pave", "--family", "tensor(8,2)", "--epsilon", "0.5",
+             "--f-random", "selfadjoint:1", "--seed", "1", "--mode", "search",
+             "--n-parts", "4", "--budget", budget, "--out", str(tmp_path)])
+        cert = load(os.path.join(tmp_path, "pave_certificate.json"))
+        assert cert["config"]["steps"] == steps
 
     def test_missing_epsilon_usage(self, tmp_path):
         assert run(["pave", "--family", "self(4)", "--f-random",
@@ -332,6 +344,14 @@ class TestScanCommand:
                     "--out", str(tmp_path)]) == 0
         assert len(calls) == 2
 
+    def test_default_budget(self, tmp_path, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(pv, "scan", lambda *args, **kwargs: seen.update(kwargs) or [])
+        assert run(["scan", "--family", "self(8)", "--grid", "0.5",
+                    "--f-random", "selfadjoint:1", "--seed", "1",
+                    "--out", str(tmp_path)]) == 0
+        assert seen["r_cap"] == 64
+
     def test_empty_grid_usage(self, tmp_path):
         assert run(["scan", "--family", "self(8)", "--grid", ",",
                     "--f-random", "selfadjoint:1", "--seed", "1",
@@ -339,6 +359,26 @@ class TestScanCommand:
 
     def test_unknown_command_usage(self):
         assert run(["unknown-command"]) == 2
+
+
+PAVE = ["pave", "--family", "tensor(8,2)", "--epsilon", "0.9",
+        "--f-random", "selfadjoint:1", "--seed", "1"]
+SCAN = ["scan", "--family", "self(8)", "--grid", "0.5", "--f-random", "selfadjoint:1",
+        "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (PAVE + ["--mode", "pipeline", "--n-parts", "2", "--m-refine", "2", "--budget", "-1"],
+     "argument --budget: must be >= 0, got -1"),
+    (PAVE + ["--mode", "search", "--n-parts", "4", "--budget", "-2"],
+     "argument --budget: must be >= 0, got -2"),
+    (SCAN + ["--budget", "0"], "argument --budget: must be >= 1, got 0"),
+    (SCAN + ["--budget", "-1"], "argument --budget: must be >= 1, got -1"),
+    (SCAN + ["--budget", "many"], "argument --budget: expected an integer, got 'many'"),
+], ids=["pipeline-negative", "search-negative", "scan-zero", "scan-negative", "scan-text"])
+def test_bad_budget_usage_error(tmp_path, capsys, argv, message):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestSpecCommand:

@@ -155,6 +155,287 @@ class TestExpectations:
             assert np.linalg.norm(system @ vec) < 1e-9
 
 
+# -- the per-copy loops over an `_offsets` table that the slab table
+# replaced, kept as the reference its maps must match bit for bit ------------
+
+def ref_offsets(inc):
+    offsets = []
+    for l in range(inc.m_shape.num_blocks):
+        table, off = {}, 0
+        for k, nk in enumerate(inc.n_shape.block_dims):
+            for c in range(inc.spec.inclusion_matrix[k][l]):
+                table[(k, c)] = off
+                off += nk
+        offsets.append(table)
+    return offsets
+
+
+def ref_to_grouped(inc, l, x_l):
+    kind, u = inc.embed_unitaries[l]
+    if kind == "id":
+        return x_l
+    if kind == "perm":
+        return x_l[np.ix_(u, u)]
+    return u.conj().T @ x_l @ u
+
+
+def ref_from_grouped(inc, l, y_l):
+    kind, u = inc.embed_unitaries[l]
+    if kind == "id":
+        return y_l
+    if kind == "perm":
+        out = np.zeros_like(y_l)
+        out[np.ix_(u, u)] = y_l
+        return out
+    return u @ y_l @ u.conj().T
+
+
+def ref_from_grouped_cols(inc, l, cols):
+    kind, u = inc.embed_unitaries[l]
+    if kind == "id":
+        return cols
+    if kind == "perm":
+        out = np.zeros_like(cols)
+        out[u, :] = cols
+        return out
+    return u @ cols
+
+
+def ref_embed(inc, x):
+    blocks = []
+    for l, ml in enumerate(inc.m_shape.block_dims):
+        y = np.zeros((ml, ml), dtype=np.complex128)
+        for (k, c), off in ref_offsets(inc)[l].items():
+            nk = inc.n_shape.block_dims[k]
+            y[off:off + nk, off:off + nk] = x.blocks[k]
+        blocks.append(ref_from_grouped(inc, l, y))
+    return Element(inc.m_shape, blocks)
+
+
+def ref_restrict_to_n(inc, x):
+    acc = [np.zeros((d, d), dtype=np.complex128) for d in inc.n_shape.block_dims]
+    for l, tl in enumerate(inc.m_shape.trace_weights):
+        y = ref_to_grouped(inc, l, x.blocks[l])
+        for (k, c), off in ref_offsets(inc)[l].items():
+            nk = inc.n_shape.block_dims[k]
+            acc[k] += tl * y[off:off + nk, off:off + nk]
+    for k, sk in enumerate(inc.n_shape.trace_weights):
+        acc[k] /= sk
+    return Element(inc.n_shape, acc)
+
+
+def ref_cond_exp_comm(inc, x):
+    blocks = []
+    offsets = ref_offsets(inc)
+    for l in range(inc.m_shape.num_blocks):
+        y = ref_to_grouped(inc, l, x.blocks[l])
+        z = np.zeros_like(y)
+        for k, nk in enumerate(inc.n_shape.block_dims):
+            mult = inc.spec.inclusion_matrix[k][l]
+            for c in range(mult):
+                oc = offsets[l][(k, c)]
+                for cp in range(mult):
+                    op = offsets[l][(k, cp)]
+                    val = np.trace(y[oc:oc + nk, op:op + nk]) / nk
+                    z[oc:oc + nk, op:op + nk] = val * np.eye(nk)
+        blocks.append(ref_from_grouped(inc, l, z))
+    return Element(inc.m_shape, blocks)
+
+
+def ref_commutant_basis(inc):
+    basis = []
+    offsets = ref_offsets(inc)
+    for l, ml in enumerate(inc.m_shape.block_dims):
+        tl = inc.m_shape.trace_weights[l]
+        for k, nk in enumerate(inc.n_shape.block_dims):
+            mult = inc.spec.inclusion_matrix[k][l]
+            for c in range(mult):
+                for cp in range(mult):
+                    y = np.zeros((ml, ml), dtype=np.complex128)
+                    oc, op = offsets[l][(k, c)], offsets[l][(k, cp)]
+                    y[oc:oc + nk, op:op + nk] = np.eye(nk)
+                    blocks = [np.zeros((d, d), dtype=np.complex128)
+                              for d in inc.m_shape.block_dims]
+                    blocks[l] = ref_from_grouped(inc, l, y) / np.sqrt(tl * nk)
+                    basis.append(Element(inc.m_shape, blocks))
+    return basis
+
+
+def ref_embed_frame(inc, frames_n):
+    out = []
+    for l, ml in enumerate(inc.m_shape.block_dims):
+        cols = []
+        for (k, c), off in ref_offsets(inc)[l].items():
+            f = frames_n[k]
+            if f.shape[1] == 0:
+                continue
+            nk = inc.n_shape.block_dims[k]
+            g = np.zeros((ml, f.shape[1]), dtype=np.complex128)
+            g[off:off + nk, :] = f
+            cols.append(g)
+        stacked = (np.concatenate(cols, axis=1) if cols
+                   else np.zeros((ml, 0), dtype=np.complex128))
+        out.append(ref_from_grouped_cols(inc, l, stacked))
+    return out
+
+
+def ref_embed_parts(inc, frames_n, labels_n):
+    out = []
+    for l, g in enumerate(ref_embed_frame(inc, frames_n)):
+        labels = np.concatenate([labels_n[k] for k, _ in ref_offsets(inc)[l]])
+        order = np.argsort(labels, kind="stable")
+        out.append((g[:, order], labels[order]))
+    return out
+
+
+def ref_jones_type_projection(inc):
+    k, = inc.n_shape.block_dims
+    d = inc.spec.inclusion_matrix[0][0]
+    ml = k * d
+    y = np.zeros((ml, ml), dtype=np.complex128)
+    for g in range(k // d):
+        vec = np.zeros(ml, dtype=np.complex128)
+        for a in range(d):
+            vec[a * k + (g * d + a)] = 1.0 / np.sqrt(d)
+        y += np.outer(vec, vec.conj())
+    block = ref_from_grouped(inc, 0, y)
+    return Element(inc.m_shape, [(block + block.conj().T) / 2])
+
+
+def random_spec(seed):
+    """A seeded spec with two or three blocks on each side, multiplicities
+    up to 2 and random trace weights."""
+    rng = child_rng(seed)
+    nb, mb = (int(v) for v in rng.integers(2, 4, size=2))
+    n_dims = rng.integers(1, 4, size=nb)
+    lam = rng.integers(0, 3, size=(nb, mb))
+    while not (lam.any(axis=0).all() and lam.any(axis=1).all()):
+        lam = rng.integers(0, 3, size=(nb, mb))
+    m_dims = lam.T @ n_dims
+    t = rng.uniform(0.5, 2.0, size=mb)
+    t = t / (t @ m_dims)
+    return incl.InclusionSpec(AlgebraShape(tuple(n_dims), tuple(lam @ t)),
+                              AlgebraShape(tuple(m_dims), tuple(t)),
+                              tuple(map(tuple, lam)))
+
+
+def random_perm_inclusion(seed):
+    spec = random_spec(seed)
+    rng = child_rng(seed, 1)
+    return incl.Inclusion(spec, [("perm", rng.permutation(ml))
+                                 for ml in spec.m_shape.block_dims])
+
+
+SLAB_CASES = {
+    "tensor(5,3)": lambda: families.tensor_product(5, 3),
+    "tensor(4,2)": lambda: families.tensor_product(4, 2),
+    "tensor(6,3)": lambda: families.tensor_product(6, 3),
+    "scalars-in(6)": lambda: families.scalars_in(6),
+    "scalars-in(64)": lambda: families.scalars_in(64),
+    "self(4)": lambda: families.self_inclusion(4),
+    "haar-0": lambda: incl.build_inclusion(random_spec(0), seed=10, embed="haar"),
+    "haar-1": lambda: incl.build_inclusion(random_spec(1), seed=11, embed="haar"),
+    "haar-2": lambda: incl.build_inclusion(random_spec(2), seed=12, embed="haar"),
+    "haar-tensor": lambda: incl.build_inclusion(incl.InclusionSpec(
+        AlgebraShape.matrix(4), AlgebraShape.matrix(8), ((2,),)), seed=13, embed="haar"),
+    "identity-3": lambda: incl.build_inclusion(random_spec(3), embed="identity"),
+    "perm-4": lambda: random_perm_inclusion(4),
+}
+
+
+def assert_same_bits(new, ref):
+    if isinstance(new, Element):
+        assert new.shape == ref.shape
+        for a, b in zip(new.blocks, ref.blocks):
+            assert_same_bits(a, b)
+        return
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert np.array_equal(new, ref)
+    assert new.tobytes() == ref.tobytes()  # signed zeros included
+
+
+def general_element(shape, seed):
+    """Complex blocks with no symmetry, and some signed zeros."""
+    rng = child_rng(seed)
+    blocks = []
+    for d in shape.block_dims:
+        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        b[rng.random((d, d)) < 0.2] = complex(-0.0, 0.0)
+        b.imag[rng.random((d, d)) < 0.2] = -0.0
+        blocks.append(b)
+    return Element(shape, blocks)
+
+
+def random_frames(inc, seed, empty_block=None):
+    """Per N-block columns of random width (none in `empty_block`) and
+    their part labels in 0..2."""
+    rng = child_rng(seed)
+    frames, labels = [], []
+    for k, nk in enumerate(inc.n_shape.block_dims):
+        r = 0 if k == empty_block else int(rng.integers(1, nk + 1))
+        frames.append(rng.standard_normal((nk, r)) + 1j * rng.standard_normal((nk, r)))
+        labels.append(rng.integers(0, 3, size=r))
+    return frames, labels
+
+
+@pytest.mark.parametrize("name", list(SLAB_CASES))
+class TestSlabTable:
+    def test_maps_match_reference(self, name):
+        inc = SLAB_CASES[name]()
+        for t in range(2):
+            a = general_element(inc.n_shape, child_seed(20, t))
+            x = general_element(inc.m_shape, child_seed(21, t))
+            h = alg.random_element(inc.m_shape, alg.SELFADJOINT, child_seed(22, t))
+            assert_same_bits(inc.embed(a), ref_embed(inc, a))
+            for y in (x, h):
+                assert_same_bits(inc.restrict_to_n(y), ref_restrict_to_n(inc, y))
+                assert_same_bits(inc.cond_exp_n(y), ref_embed(inc, ref_restrict_to_n(inc, y)))
+                assert_same_bits(inc.cond_exp_comm(y), ref_cond_exp_comm(inc, y))
+
+    def test_frames_match_reference(self, name):
+        # the second and third frames have no columns in the first or last N-block
+        inc = SLAB_CASES[name]()
+        for t, empty in enumerate((None, 0, inc.n_shape.num_blocks - 1)):
+            frames, labels = random_frames(inc, child_seed(23, t), empty_block=empty)
+            for g, ref in zip(inc.embed_frame(frames), ref_embed_frame(inc, frames)):
+                assert_same_bits(g, ref)
+            for (g, lab), (rg, rlab) in zip(inc.embed_parts(frames, labels),
+                                            ref_embed_parts(inc, frames, labels)):
+                assert_same_bits(g, rg)
+                assert np.array_equal(lab, rlab)
+
+
+# scalars-in(64) has 4096 commutant basis elements of size 64 x 64
+BASIS_CASES = [name for name in SLAB_CASES if name != "scalars-in(64)"]
+
+
+@pytest.mark.parametrize("name", BASIS_CASES)
+def test_commutant_basis_matches_reference(name):
+    inc = SLAB_CASES[name]()
+    basis = inc.commutant_basis()
+    reference = ref_commutant_basis(inc)
+    assert len(basis) == len(reference) == inc.commutant_dim()
+    for b, rb in zip(basis, reference):
+        assert_same_bits(b, rb)
+
+
+@pytest.mark.parametrize("name", BASIS_CASES)
+def test_cond_exp_comm_dense_formula(name):
+    # E_{N' ∩ M}(x) = sum_b tau(b* x) b over the orthonormal commutant basis
+    inc = SLAB_CASES[name]()
+    x = general_element(inc.m_shape, 24)
+    acc = zero(inc.m_shape)
+    for b in inc.commutant_basis():
+        acc = acc + trace(b.adjoint() @ x) * b
+    assert op_norm(inc.cond_exp_comm(x) - acc) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["tensor(4,2)", "tensor(6,3)", "haar-tensor"])
+def test_jones_projection_matches_reference(name):
+    inc = SLAB_CASES[name]()
+    assert_same_bits(incl.jones_type_projection(inc), ref_jones_type_projection(inc))
+
+
 class TestIndexEstimate:
     def test_self_inclusion_is_one(self):
         est = incl.expectation_index_estimate(families.self_inclusion(4), trials=20, seed=1)

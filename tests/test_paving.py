@@ -705,6 +705,19 @@ def test_search_config_validation(field, value, valid):
             pv.SearchConfig(**{"r": 2, field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_parts", 0, "partition sizes"), ("m_refine", 0, "partition sizes"),
+    ("retry_budget", -1, "retry_budget must be >= 0"), ("retry_budget", 0, None),
+])
+def test_pipeline_config_validation(field, value, message):
+    kwargs = {"n_parts": 2, "m_refine": 2, field: value}
+    if message is None:
+        pv.PipelineConfig(**kwargs)
+    else:
+        with pytest.raises(pv.PavingError, match=message):
+            pv.PipelineConfig(**kwargs)
+
+
 def test_each_operator_centered_once(monkeypatch):
     # the problem centers F when it is built; producers and verify reuse it
     calls = []
