@@ -18,7 +18,6 @@ O(dim M^2) without ever materializing a dim(M)^2-squared operator matrix.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -29,8 +28,6 @@ from . import algebra as alg
 from .algebra import (AlgebraShape, AlgebraError, Element,
                       identity, zero, trace, op_norm)
 from .seeding import child_rng, child_seed
-
-log = logging.getLogger(__name__)
 
 
 class InclusionSpecError(AlgebraError):
@@ -467,23 +464,16 @@ def basic_construction(inc: Inclusion, index: float = None,
 
 @dataclass
 class OrthonormalBasis:
-    """Elements m_1..m_J of M with m_1 = 1 and E_N(m_i* m_j) = δ_ij projection."""
+    """Elements m_1..m_J of M with E_N(m_i* m_j) = δ_ij f_j, f_j a projection
+    of N, and sum_j m_j E_N(m_j* x) = x for every x in M (a Pimsner–Popa
+    basis of M over N).  m_1 = 1 is not promised; self(d) gives [1]."""
 
     elements: list
-    dropped: int
 
 
-def _pinv_sqrt(h: Element, rank_tol: float = 1e-9) -> Element:
-    blocks = []
-    for b in h.blocks:
-        w, v = np.linalg.eigh((b + b.conj().T) / 2)
-        cut = rank_tol * max(float(w.max()), 0.0) if w.size else 0.0
-        inv = np.where(w > cut, np.where(w > 0, w, 1.0) ** -0.5, 0.0)
-        blocks.append((v * inv) @ v.conj().T)
-    return Element(h.shape, blocks)
-
-
-def _expansion_residual(inc: Inclusion, basis: list, probes: list) -> float:
+def expansion_residual(inc: Inclusion, basis: list, probes: list) -> float:
+    """Largest relative error of the expansion x = sum_j m_j E_N(m_j* x)
+    over the probe elements x."""
     worst = 0.0
     for x in probes:
         acc = zero(inc.m_shape)
@@ -493,47 +483,33 @@ def _expansion_residual(inc: Inclusion, basis: list, probes: list) -> float:
     return worst
 
 
-def orthonormal_basis(inc: Inclusion, budget: int = 4096,
-                      drop_tol: float = 1e-8, seed: int = 0) -> OrthonormalBasis:
-    """Gram-Schmidt over the N-valued inner product E_N(x* y), from m_1 = 1.
+def orthonormal_basis(inc: Inclusion) -> OrthonormalBasis:
+    """A Pimsner–Popa basis read off the slab table.
 
-    Candidates are the identity, the relative commutant basis, and (when M is
-    small enough and the commutant alone does not span M over N) all matrix
-    units of M.  Numerically dependent candidates are dropped.
+    In M-block l, let ι_a be the isometry onto copy a = (k, c) of N-block k.
+    For each source copy a = (k, c), target copy a' = (k', c') and chunk
+    j < ⌈n_k' / n_k⌉, the element is sqrt(s_k / t_l) ι_a' Y_j ι_a*, where
+    Y_j maps e_i to e_(j n_k + i) for i < min(n_k, n_k' − j n_k).  Then
+    E_N(m* m) is the projection onto those i in N-block k, distinct
+    elements have E_N(m_i* m_j) = 0, and sum_j Y_j Y_j* = 1 gives the
+    expansion identity.  A dense block is conjugated by its u.
     """
-    def gram_schmidt(candidates):
-        basis, dropped = [], 0
-        for z in candidates:
-            w = z
-            for m in basis:
-                w = w - m @ inc.cond_exp_n(m.adjoint() @ z)
-            h = inc.restrict_to_n(w.adjoint() @ w)
-            if op_norm(h) < drop_tol:
-                dropped += 1
-                log.debug("dropped numerically dependent spanning vector")
-                continue
-            basis.append(w @ inc.embed(_pinv_sqrt(h)))
-        return basis, dropped
-
-    probes = [alg.random_element(inc.m_shape, alg.SELFADJOINT, child_seed(seed, 7, t))
-              for t in range(3)]
-    candidates = [identity(inc.m_shape)] + inc.commutant_basis()
-    basis, dropped = gram_schmidt(candidates)
-    if _expansion_residual(inc, basis, probes) <= 1e-8:
-        return OrthonormalBasis(elements=basis, dropped=dropped)
-    if inc.m_shape.l2_dim > budget:
-        raise ResourceBudgetError(
-            "commutant candidates do not span M over N and the matrix-unit "
-            f"fallback exceeds the budget ({inc.m_shape.l2_dim} > {budget})")
-    units = []
-    for l, ml in enumerate(inc.m_shape.block_dims):
-        for i in range(ml):
-            for j in range(ml):
-                u = zero(inc.m_shape)
-                u.blocks[l][i, j] = 1.0
-                units.append(u)
-    basis, dropped = gram_schmidt(candidates + units)
-    return OrthonormalBasis(elements=basis, dropped=dropped)
+    elements = []
+    for l, (ml, tl) in enumerate(zip(inc.m_shape.block_dims, inc.m_shape.trace_weights)):
+        u = inc._dense(l)
+        copies = [(s.k, rows) for s in inc._slabs[l] for rows in s.rows]
+        for k, src in copies:
+            nk = len(src)
+            scale = math.sqrt(inc.n_shape.trace_weights[k] / tl)
+            for _, dst in copies:
+                for j in range(0, len(dst), nk):
+                    chunk = dst[j:j + nk]
+                    y = np.zeros((ml, ml), dtype=np.complex128)
+                    y[chunk, src[:len(chunk)]] = scale
+                    m = zero(inc.m_shape)
+                    m.blocks[l] = y if u is None else u @ y @ u.conj().T
+                    elements.append(m)
+    return OrthonormalBasis(elements)
 
 
 def basis_frame_sum(basis: OrthonormalBasis) -> Element:
@@ -545,7 +521,12 @@ def basis_frame_sum(basis: OrthonormalBasis) -> Element:
 
 
 def d_ob(inc: Inclusion, basis: OrthonormalBasis = None) -> float:
-    """‖sum_j m_j* m_j‖ for the constructed orthonormal basis."""
+    """‖sum_j m_j* m_j‖ for the constructed orthonormal basis.
+
+    For `orthonormal_basis` the sum is diagonal in each copy, so the norm
+    has the closed value max over (l, k) with Λ[k][l] > 0 of
+    (s_k / t_l) sum_k' Λ[k'][l] ⌈n_k' / n_k⌉; this recomputes it.
+    """
     if basis is None:
         basis = orthonormal_basis(inc)
     return op_norm(basis_frame_sum(basis))

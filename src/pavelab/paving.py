@@ -290,11 +290,6 @@ def _is_positive(x: Element) -> bool:
                     for b in x.blocks) >= -TOL_PROJ)
 
 
-def _averaged(inc: Inclusion, unitaries_n: list, x: Element) -> Element:
-    us = [inc.embed(u) for u in unitaries_n]
-    return alg.unitary_average(us, x)
-
-
 # -- verification --------------------------------------------------------------
 
 def verify(problem: PavingProblem, candidate, mode: str = None,
@@ -388,8 +383,9 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
             {"unitary_residual": worst_unitary})
     ratios, alarm = [], False
     lower_bounds = []
+    embedded = [inc.embed(u) for u in unitaries]
     for item in problem.centered:
-        avg = _averaged(inc, unitaries, item.x)
+        avg = alg.unitary_average(embedded, item.x)
         num = op_norm(avg - item.e)
         ratios.append(0.0 if item.den <= DEGENERATE_DEN else num / item.den)
         x = item.x

@@ -322,6 +322,20 @@ class TestBasisCommand:
         assert report["interval"] == [9.0, 1.0 + 9.0 * 8.0]
         assert report["expansion_residual"] <= 1e-8
 
+    def test_multi_block_spec(self, tmp_path):
+        spec = {"n_blocks": [2, 3], "n_weights": [1, 1], "m_blocks": [7, 5],
+                "m_weights": [1, 2], "lambda": [[2, 1], [1, 1]]}
+        spec_path = os.path.join(tmp_path, "spec.json")
+        with open(spec_path, "w") as handle:
+            json.dump(spec, handle)
+        code = run(["basis", "--spec", spec_path, "--index", "9.72",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        report = load(os.path.join(tmp_path, "basis.json"))
+        assert report["expansion_residual"] <= 1e-8
+        lo, hi = report["interval"]
+        assert lo <= report["d_ob"] <= hi
+
 
 class TestScanCommand:
     def test_csv(self, tmp_path):

@@ -24,6 +24,42 @@ def haar_spec_inclusion():
     return incl.build_inclusion(spec, seed=3, embed="haar")
 
 
+MULTI_BLOCK_SPECS = {
+    # M3 inside M3 + M6 with multiplicities (1, 2)
+    "M3<M3+M6": incl.InclusionSpec(AlgebraShape((3,), (1 / 3,)),
+                                   AlgebraShape((3, 6), (1 / 15, 2 / 15)), ((1, 2),)),
+    # M1 + M2 inside M3
+    "M1+M2<M3": incl.InclusionSpec(AlgebraShape((1, 2), (1 / 3, 1 / 3)),
+                                   AlgebraShape.matrix(3), ((1,), (1,))),
+    # M2 + M3 inside M7 + M5, the weights of m_weights [1, 2] normalized
+    "M2+M3<M7+M5": incl.InclusionSpec(AlgebraShape((2, 3), (4 / 17, 3 / 17)),
+                                      AlgebraShape((7, 5), (1 / 17, 2 / 17)),
+                                      ((2, 1), (1, 1))),
+}
+
+
+@pytest.fixture(scope="module")
+def multi_block():
+    """Each multi-block spec under identity, Haar and permutation embeddings."""
+    out = []
+    for i, (name, spec) in enumerate(MULTI_BLOCK_SPECS.items()):
+        rng = child_rng(31, i)
+        out += [incl.build_inclusion(spec, embed="identity", label=name + "/id"),
+                incl.build_inclusion(spec, seed=i, embed="haar", label=name + "/haar"),
+                incl.Inclusion(spec, [("perm", rng.permutation(ml))
+                                      for ml in spec.m_shape.block_dims],
+                               label=name + "/perm")]
+    return out
+
+
+def closed_d_ob(inc):
+    """max over (l, k) with Λ[k][l] > 0 of (s_k / t_l) sum_k' Λ[k'][l] ⌈n_k' / n_k⌉."""
+    lam, n = inc.spec.inclusion_matrix, inc.n_shape.block_dims
+    s, t = inc.n_shape.trace_weights, inc.m_shape.trace_weights
+    return max(s[k] / t[l] * sum(lam[q][l] * -(-n[q] // n[k]) for q in range(len(n)))
+               for k in range(len(n)) for l in range(len(t)) if lam[k][l] > 0)
+
+
 class TestSpecValidation:
     def test_dimension_bookkeeping(self):
         with pytest.raises(incl.InclusionSpecError):
@@ -592,26 +628,27 @@ class TestOrthonormalBasis:
             assert abs(op_norm(acc) - value) < 1e-8
             assert abs(value - n * n) < 1e-8
 
-    def test_basis_gram_structure(self):
-        inc = families.tensor_product(2, 2)
-        ob = incl.orthonormal_basis(inc)
-        for i, mi in enumerate(ob.elements):
-            for j, mj in enumerate(ob.elements):
-                g = inc.restrict_to_n(mi.adjoint() @ mj)
-                if i == j:
-                    assert alg.projection_defect(g) < 1e-8
-                else:
-                    assert op_norm(g) < 1e-8
-
-    def test_expansion_identity(self, corpus):
-        for inc in corpus:
+    def test_basis_gram_structure(self, multi_block):
+        for inc in [families.tensor_product(2, 2)] + multi_block:
             ob = incl.orthonormal_basis(inc)
+            for i, mi in enumerate(ob.elements):
+                for j, mj in enumerate(ob.elements):
+                    g = inc.restrict_to_n(mi.adjoint() @ mj)
+                    if i == j:
+                        assert alg.projection_defect(g) < 1e-8, inc.label
+                    else:
+                        assert op_norm(g) < 1e-8, inc.label
+
+    def test_expansion_identity(self, corpus, multi_block):
+        for inc in corpus + multi_block:
+            ob = incl.orthonormal_basis(inc)
+            assert abs(incl.d_ob(inc, ob) - closed_d_ob(inc)) <= 1e-12, inc.label
             for t in range(5):
                 x = rand_m(inc, child_seed(12, t))
                 acc = zero(inc.m_shape)
                 for m in ob.elements:
                     acc = acc + m @ inc.cond_exp_n(m.adjoint() @ x)
-                assert op_norm(acc - x) <= 1e-8
+                assert op_norm(acc - x) <= 1e-8, inc.label
 
     def test_renormalized_frame_identity(self):
         # lambda sum_j m_j m_j* = 1 on product inclusions
