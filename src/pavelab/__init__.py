@@ -3,21 +3,19 @@ finite-dimensional operator-algebra inclusions."""
 
 from .algebra import (AlgebraShape, Element, PartitionOfUnity, CyclicUnitary,
                       identity, zero, trace, op_norm, l2_norm, herm_eig,
-                      spectral_projection, support_projection,
-                      random_haar_unitary, random_element, pinch,
-                      unitary_average, cyclic_unitary_from_partition)
+                      support_projection, random_haar_unitary, random_element,
+                      pinch, unitary_average, cyclic_unitary_from_partition)
 from .inclusion import (InclusionSpec, Inclusion, build_inclusion,
                         expectation_index_estimate, expectation_inequality_margin,
-                        basic_construction, expectation_support_bound,
-                        orthonormal_basis, d_ob, d_ob_interval,
-                        jones_type_projection)
+                        expectation_support_bound, orthonormal_basis, d_ob,
+                        d_ob_interval)
 from .families import scalars_in, tensor_product, self_inclusion, parse_family
 from .paving import (PavingProblem, PipelineConfig, SearchConfig,
                      PavingCertificate, paving_partition_bound,
                      averaging_count_lower_bound, dixmier_count_bound,
-                     pave_small_support, pave_constructive, pave_search,
-                     verify, dixmier_average_run, l2_pave, scan)
+                     pave_constructive, pave_search, verify,
+                     dixmier_average_run, l2_pave, scan)
 from .freeness import (KestenExperiment, KestenResult, kesten_bound,
-                       sample_pair, freeness_defect, run_kesten)
+                       freeness_defect, run_kesten)
 
 __version__ = "0.1.0"

@@ -15,23 +15,21 @@ pipeline stages.  Tolerances:
 * ``TOL_PROJ`` (1e-8): algebraic identity checks (projections, unitarity,
   the frame residual ‖U* U - 1‖ of a partition of unity).
 * spectral reconstruction: 1e-10 * norm.
-* ``TIE_TOL`` (1e-12): eigenvalue/endpoint tie detection; ties are resolved
-  by exact comparison of the computed eigenvalue and recorded as boundary
-  warnings in the result metadata.
+* ``TIE_TOL`` (1e-12): eigenvalue tie margin; the constructive pipeline
+  keeps an eigenvector whose eigenvalue is at least θ − TIE_TOL.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .seeding import child_rng
 
 TOL_PROJ = 1e-8
-SPECTRAL_RTOL = 1e-10
 TIE_TOL = 1e-12
 
 SELFADJOINT = "selfadjoint-trace-zero-contraction"
@@ -94,22 +92,13 @@ class AlgebraShape:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
-    @property
-    def l2_dim(self) -> int:
-        return sum(d * d for d in self.block_dims)
-
 
 @dataclass
 class Element:
-    """One algebra element: a list of complex matrix blocks over a shape.
-
-    ``meta`` carries non-semantic side information (boundary warnings,
-    producer notes); it is ignored by arithmetic and comparisons.
-    """
+    """One algebra element: a list of complex matrix blocks over a shape."""
 
     shape: AlgebraShape
     blocks: list
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         blocks = [np.ascontiguousarray(b, dtype=np.complex128) for b in self.blocks]
@@ -151,10 +140,6 @@ class Element:
 
     def adjoint(self) -> "Element":
         return Element(self.shape, [b.conj().T for b in self.blocks])
-
-    @property
-    def H(self) -> "Element":
-        return self.adjoint()
 
     def allclose(self, other: "Element", tol: float = TOL_PROJ) -> bool:
         self._check(other)
@@ -233,40 +218,6 @@ def frame_projection(shape: AlgebraShape, frames: list) -> Element:
         p = f @ f.conj().T
         blocks.append((p + p.conj().T) / 2.0)
     return Element(shape, blocks)
-
-
-def projection_defect(p: Element) -> float:
-    """max(‖p - p*‖, ‖p^2 - p‖) in Frobenius norm, per block max."""
-    worst = 0.0
-    for b in p.blocks:
-        worst = max(worst, float(np.linalg.norm(b - b.conj().T)))
-        worst = max(worst, float(np.linalg.norm(b @ b - b)))
-    return worst
-
-
-def spectral_projection(x: Element, interval, tol: float = TOL_PROJ) -> Element:
-    """Projection onto eigenspaces of Hermitian x with eigenvalue in [a, b).
-
-    Endpoint ties: an eigenvalue is included iff >= a and < b under exact
-    comparison of the computed value; eigenvalues within TIE_TOL of either
-    endpoint are recorded in ``meta['boundary_warnings']`` as
-    (block, eigenvalue, endpoint) triples.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    vals, vecs = herm_eig(x, tol=tol)
-    frames, warnings = [], []
-    for k, (w, v) in enumerate(zip(vals, vecs)):
-        sel = (w >= a) & (w < b)
-        frames.append(v[:, sel])
-        for lam in w[np.abs(w - a) < TIE_TOL]:
-            warnings.append((k, float(lam), a))
-        if np.isfinite(b):
-            for lam in w[np.abs(w - b) < TIE_TOL]:
-                warnings.append((k, float(lam), b))
-    p = frame_projection(x.shape, frames)
-    if warnings:
-        p.meta["boundary_warnings"] = warnings
-    return p
 
 
 def support_projection(b: Element, rank_tol: float = 1e-9) -> Element:
@@ -517,7 +468,7 @@ def cyclic_unitary_from_partition(partition: PartitionOfUnity):
 
 @dataclass
 class CyclicUnitary:
-    """Unitary of finite order n; its spectral projections recover a partition."""
+    """Unitary v of finite order n: v^n = 1."""
 
     v: Element
     order: int
@@ -533,22 +484,6 @@ class CyclicUnitary:
         if worst > tol:
             raise AlgebraError(f"cyclic unitary residual {worst:.3e}")
         return worst
-
-    def spectral_partition(self) -> PartitionOfUnity:
-        """Partition from the n-th-root eigenspaces of v:
-        p_k = (1/n) sum_j (conj(alpha)^k v)^j, with frames from `eigh`."""
-        n = self.order
-        powers = [identity(self.v.shape)]
-        for _ in range(n - 1):
-            powers.append(powers[-1] @ self.v)
-        alpha = np.exp(-2j * np.pi / n)
-        projections = []
-        for k in range(n):
-            acc = zero(self.v.shape)
-            for j, vj in enumerate(powers):
-                acc = acc + (alpha ** (k * j)) * vj
-            projections.append((1.0 / n) * acc)
-        return PartitionOfUnity.from_projections(projections)
 
 
 def part_compression(g: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:

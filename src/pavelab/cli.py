@@ -457,8 +457,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, paving.PavingError, incl.InclusionSpecError,
-            alg.AlgebraError, incl.ResourceBudgetError,
-            FileNotFoundError, ValueError) as exc:
+            alg.AlgebraError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

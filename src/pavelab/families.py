@@ -1,7 +1,7 @@
 """Builtin inclusion families with exactly known index values.
 
-These form the acceptance corpus: the index used by the paving bounds, the
-orthonormal-basis bracket, and the basic-construction trace identity is the
+These form the acceptance corpus: the index used by the paving bounds and
+the orthonormal-basis bracket is the
 squared-multiplicity value (n^2 for scalars inside M_n, d^2 for a tensor
 factor M_k ⊗ 1_d ⊆ M_k ⊗ M_d).  Note that for reducible inclusions this is
 in general larger than the best constant of the expectation inequality

@@ -91,31 +91,6 @@ def _group_slices(dim: int, n: int):
     return [slice(k * step, (k + 1) * step) for k in range(n)]
 
 
-def sample_pair(n: int, dim: int, seed):
-    """(v, x): a period-n Haar-rotated unitary and an independent trace-zero
-    self-adjoint contraction.
-
-    v is u diag(roots) u* with each n-th root of unity in multiplicity dim/n,
-    so tau(v^k) = 0 exactly for 1 <= k < n.  x is an independently rotated
-    balanced sign element.  The rotations are kept in metadata so downstream
-    code can work in the diagonalizing frames.
-    """
-    if dim % n != 0:
-        raise ValueError(f"dim {dim} is not a multiple of n = {n}")
-    shape = AlgebraShape.matrix(dim)
-    u = alg.haar_block(child_rng(seed, 0), dim)
-    w = alg.haar_block(child_rng(seed, 1), dim)
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    diag = np.repeat(roots, dim // n)
-    v_mat = (u * diag) @ u.conj().T
-    v = Element(shape, [v_mat], meta={"rotation": u, "roots": roots})
-    s = _sign_spectrum(dim)
-    x_mat = (w * s) @ w.conj().T
-    x = Element(shape, [(x_mat + x_mat.conj().T) / 2],
-                meta={"rotation": w, "spectrum": s})
-    return alg.CyclicUnitary(v=v, order=n), x
-
-
 def freeness_defect(v: alg.CyclicUnitary, x: Element, max_word_len: int = 4) -> float:
     """Largest |tau| over alternating words in powers of v and copies of x.
 

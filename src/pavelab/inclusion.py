@@ -27,15 +27,11 @@ import numpy as np
 from . import algebra as alg
 from .algebra import (AlgebraShape, AlgebraError, Element,
                       identity, zero, trace, op_norm)
-from .seeding import child_rng, child_seed
+from .seeding import child_rng
 
 
 class InclusionSpecError(AlgebraError):
     """Inconsistent inclusion data (dimension or trace bookkeeping)."""
-
-
-class ResourceBudgetError(RuntimeError):
-    """Construction would exceed the configured dimension budget."""
 
 
 def check_multiplicities(n_dims, m_dims, inclusion_matrix) -> tuple:
@@ -210,23 +206,6 @@ class Inclusion:
     def commutant_dim(self) -> int:
         return sum(v * v for row in self.spec.inclusion_matrix for v in row)
 
-    def commutant_basis(self) -> list:
-        """Orthonormal (in tau(a* b)) basis of N' ∩ M: the matrix units
-        between copies c and c' of each N-block."""
-        basis = []
-        for l, (ml, tl) in enumerate(zip(self.m_shape.block_dims, self.m_shape.trace_weights)):
-            u = self._dense(l)
-            for s in self._slabs[l]:
-                nk = s.rows.shape[1]
-                for rc in s.rows:
-                    for rp in s.rows:
-                        y = np.zeros((ml, ml), dtype=np.complex128)
-                        y[np.ix_(rc, rp)] = np.eye(nk)
-                        unit = zero(self.m_shape)
-                        unit.blocks[l] = (y if u is None else u @ y @ u.conj().T) / math.sqrt(tl * nk)
-                        basis.append(unit)
-        return basis
-
     def embed_frame(self, frames_n: list) -> list:
         """Push per-N-block orthonormal columns to per-M-block ones.
 
@@ -288,34 +267,6 @@ def build_inclusion(spec: InclusionSpec, seed=0, embed: str = "haar",
         else:
             raise ValueError(f"unknown embedding style {embed!r}")
     return Inclusion(spec, unitaries, known_index=known_index, label=label)
-
-
-def validate_inclusion(inc: Inclusion, seed=0, samples: int = 6) -> dict:
-    """Sampled residuals of the expectation axioms; used by tests and the CLI."""
-    rng_seed = seed
-    residuals = {"bimodular": 0.0, "idempotent": 0.0, "trace": 0.0,
-                 "positive": 0.0, "comm_idempotent": 0.0, "comm_commutes": 0.0}
-    for t in range(samples):
-        x = alg.random_element(inc.m_shape, alg.SELFADJOINT, child_seed(rng_seed, 0, t))
-        a = alg.random_element(inc.n_shape, alg.SELFADJOINT, child_seed(rng_seed, 1, t))
-        b = alg.random_element(inc.n_shape, alg.SELFADJOINT, child_seed(rng_seed, 2, t))
-        ex = inc.cond_exp_n(x)
-        residuals["idempotent"] = max(residuals["idempotent"],
-                                      op_norm(inc.cond_exp_n(ex) - ex))
-        residuals["trace"] = max(residuals["trace"], abs(trace(ex) - trace(x)))
-        lhs = inc.cond_exp_n(inc.embed(a) @ x @ inc.embed(b))
-        rhs = inc.embed(a) @ ex @ inc.embed(b)
-        residuals["bimodular"] = max(residuals["bimodular"], op_norm(lhs - rhs))
-        pos = alg.random_element(inc.m_shape, alg.POSITIVE, child_seed(rng_seed, 3, t))
-        w = np.concatenate([np.linalg.eigvalsh(bk) for bk in inc.cond_exp_n(pos).blocks])
-        residuals["positive"] = max(residuals["positive"], max(0.0, -float(w.min())))
-        ec = inc.cond_exp_comm(x)
-        residuals["comm_idempotent"] = max(residuals["comm_idempotent"],
-                                           op_norm(inc.cond_exp_comm(ec) - ec))
-        residuals["comm_commutes"] = max(
-            residuals["comm_commutes"],
-            op_norm(ec @ inc.embed(a) - inc.embed(a) @ ec))
-    return residuals
 
 
 # -- index estimation ---------------------------------------------------------
@@ -389,75 +340,6 @@ def expectation_support_bound(inc: Inclusion, q: Element, index: float,
     h = inc.restrict_to_n(q)
     s = alg.support_projection(h, rank_tol=rank_tol)
     return float(trace(s).real), float(index * trace(q).real)
-
-
-# -- basic construction -------------------------------------------------------
-
-@dataclass
-class BasicConstruction:
-    """⟨M, e_N⟩ acting on L²(M, tau), with the projection e_N onto L²(N)."""
-
-    inc: Inclusion
-    dim: int
-    block_offsets: list
-    e_n: np.ndarray
-    lam: float
-
-    def m_rep(self, x: Element) -> np.ndarray:
-        """Left-multiplication representation of x on L²(M)."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for l, (off, ml) in enumerate(self.block_offsets):
-            out[off:off + ml * ml, off:off + ml * ml] = np.kron(
-                x.blocks[l], np.eye(ml))
-        return out
-
-    def trace(self, t: np.ndarray) -> complex:
-        """The normalized trace extending tau from M to operators on L²(M)."""
-        acc = 0.0 + 0.0j
-        for l, (off, ml) in enumerate(self.block_offsets):
-            w = self.inc.m_shape.trace_weights[l] / ml
-            acc += w * np.trace(t[off:off + ml * ml, off:off + ml * ml])
-        return acc
-
-
-def _l2_coords(inc: Inclusion, x: Element, offsets, dim) -> np.ndarray:
-    """Coordinates of x in the weighted matrix-unit basis of L²(M)."""
-    vec = np.zeros(dim, dtype=np.complex128)
-    for l, (off, ml) in enumerate(offsets):
-        tl = inc.m_shape.trace_weights[l]
-        vec[off:off + ml * ml] = math.sqrt(tl) * x.blocks[l].reshape(-1)
-    return vec
-
-
-def basic_construction(inc: Inclusion, index: float = None,
-                       budget: int = 4096) -> BasicConstruction:
-    """Build ⟨M, e_N⟩ on L²(M); requires sum_l m_l^2 within the budget."""
-    dim = inc.m_shape.l2_dim
-    if dim > budget:
-        raise ResourceBudgetError(
-            f"L2 dimension {dim} exceeds the budget {budget}")
-    if index is None:
-        index = inc.known_index
-    if index is None:
-        raise ValueError("need an exact or estimated index for the trace identity")
-    offsets, off = [], 0
-    for ml in inc.m_shape.block_dims:
-        offsets.append((off, ml))
-        off += ml * ml
-    cols = []
-    for k, nk in enumerate(inc.n_shape.block_dims):
-        sk = inc.n_shape.trace_weights[k]
-        for i in range(nk):
-            for j in range(nk):
-                unit = zero(inc.n_shape)
-                unit.blocks[k][i, j] = 1.0
-                emb = inc.embed(unit)
-                cols.append(_l2_coords(inc, emb, offsets, dim) / math.sqrt(sk))
-    w = np.stack(cols, axis=1)
-    e_n = w @ w.conj().T
-    e_n = (e_n + e_n.conj().T) / 2.0
-    return BasicConstruction(inc=inc, dim=dim, block_offsets=offsets,
-                             e_n=e_n, lam=1.0 / float(index))
 
 
 # -- orthonormal bases over N --------------------------------------------------
@@ -535,28 +417,3 @@ def d_ob(inc: Inclusion, basis: OrthonormalBasis = None) -> float:
 def d_ob_interval(index: float):
     """[index, 1 + index (ceil(index) - 1)]: the bracket for the infimum."""
     return float(index), 1.0 + index * (math.ceil(index) - 1.0)
-
-
-def jones_type_projection(inc: Inclusion):
-    """A projection e with E_N(e) = (1/index) 1, when representable.
-
-    Exists for the tensor families M_k ⊗ 1_d ⊆ M_k ⊗ M_d with d | k (groups
-    of maximally entangled rank-one projections); returns None otherwise.
-    """
-    lam = inc.spec.inclusion_matrix
-    if (inc.n_shape.num_blocks != 1 or inc.m_shape.num_blocks != 1):
-        return None
-    k, = inc.n_shape.block_dims
-    d = lam[0][0]
-    if d < 2 or k % d != 0 or k * d != inc.m_shape.block_dims[0]:
-        return None
-    # group g holds index g*d + a of copy a, for a < d
-    rows = inc._slabs[0][0].rows
-    a = np.arange(d)
-    groups = rows[a, np.arange(0, k, d)[:, None] + a]
-    s = 1.0 / math.sqrt(d)
-    y = np.zeros((k * d, k * d), dtype=np.complex128)
-    y[groups[:, :, None], groups[:, None, :]] = s * s
-    u = inc._dense(0)
-    block = y if u is None else u @ y @ u.conj().T
-    return Element(inc.m_shape, [(block + block.conj().T) / 2])

@@ -53,11 +53,10 @@ TAU_SLACK = 1e-15
 # stage (iii) keeps the eigenvectors of h above this fraction of its top
 # eigenvalue as the support of E_N(b)
 SUPPORT_CUT = 1e-9
-# QR rank cuts of `_join_frames` and `_support_frames`: a column whose |R_kk|
-# is at or below the cut depends on the earlier ones; both factor groups of
-# orthonormal columns, so the scale is 1
+# QR rank cut of `_join_frames`: a column whose |R_kk| is at or below the
+# cut depends on the earlier ones; it factors groups of orthonormal columns,
+# so the scale is 1
 JOIN_RANK_TOL = 1e-9
-SUPPORT_RANK_TOL = 1e-10
 # gram norms are at most 1, so `eigh` and `eigvalsh` eigenvalues agree far
 # inside this: a corner whose `eigvalsh` top lies below θ − TIE_TOL − margin
 # has no `eigh` eigenvalue at or above θ − TIE_TOL
@@ -66,10 +65,6 @@ SCREEN_MARGIN = 1e-12
 
 class PavingError(RuntimeError):
     pass
-
-
-class GranularityError(PavingError):
-    """Requested partition size is not realizable by integer ranks."""
 
 
 class ResourceError(PavingError):
@@ -413,24 +408,7 @@ def _trivial_certificate(problem: PavingProblem, seed, config) -> PavingCertific
     return verify(problem, part, seed=seed, config=config)
 
 
-# -- small-support paving ------------------------------------------------------
-
-def _support_frames(x: Element, rank_tol: float = 1e-9):
-    """Per-block orthonormal columns spanning left+right supports of x."""
-    frames = []
-    for b in x.blocks:
-        if b.size == 0 or np.abs(b).max() == 0.0:
-            frames.append(np.zeros((b.shape[0], 0), dtype=np.complex128))
-            continue
-        uu, ss, vh = np.linalg.svd(b)
-        cut = rank_tol * ss.max()
-        keep = ss > cut
-        cols = np.concatenate([uu[:, keep], vh[keep].conj().T], axis=1)
-        q, rr = np.linalg.qr(cols)
-        rank = int(np.sum(np.abs(np.diag(rr)) > SUPPORT_RANK_TOL))
-        frames.append(q[:, :rank])
-    return frames
-
+# -- the constructive pipeline -------------------------------------------------
 
 def _join_frames(frame_lists, dim_per_block):
     """Orthonormal basis of the span of several per-block frames."""
@@ -483,50 +461,6 @@ def _fourier_refinement(dim: int, e_cols: np.ndarray, m: int):
             out.append(parts[j])
     return out
 
-
-def pave_small_support(operators: list, epsilon: float,
-                       rank_tol: float = 1e-9) -> PartitionOfUnity:
-    """Partition of 1 with m = ceil(max‖x‖/ε) parts pinching every x of a
-    small-support family down to ‖x‖/m <= ε.
-
-    Requires 2 sum_x tau(s(|x|)) < ε / max‖x‖ and enough room per block for
-    an m-cycle of equal-rank pieces containing the joint support; otherwise
-    raises with the violated inequality or the nearest feasible m.
-    """
-    if not operators:
-        raise PavingError("empty operator family")
-    shape = operators[0].shape
-    live = [x for x in operators if op_norm(x) > 0.0]
-    if not live:
-        return PartitionOfUnity.from_frames(shape, [[np.eye(d) for d in shape.block_dims]])
-    norm_max = max(op_norm(x) for x in live)
-    supp_trace = 0.0
-    for x in live:
-        s = alg.support_projection(x.adjoint() @ x, rank_tol=rank_tol)
-        supp_trace += float(trace(s).real)
-    if 2.0 * supp_trace >= epsilon / norm_max:
-        raise PavingError(
-            "support too large: 2 sum tau(s(|x|)) = "
-            f"{2 * supp_trace:.6g} >= epsilon / max-norm = {epsilon / norm_max:.6g}")
-    m = max(1, math.ceil(norm_max / epsilon))
-    e_frames = _join_frames([_support_frames(x, rank_tol) for x in live],
-                            shape.block_dims)
-    frames_per_part = [[] for _ in range(m)]
-    for k, d in enumerate(shape.block_dims):
-        e_cols = e_frames[k]
-        parts = _fourier_refinement(d, e_cols, m)
-        if parts is None:
-            feas = [d // max(e_cols.shape[1], 1)] if e_cols.shape[1] else [d]
-            raise GranularityError(
-                f"block {k} of dimension {d} cannot host {m} equal pieces "
-                f"containing a rank-{e_cols.shape[1]} support; nearest feasible "
-                f"m is {min(feas)}")
-        for j in range(m):
-            frames_per_part[j].append(parts[j])
-    return PartitionOfUnity.from_frames(shape, frames_per_part)
-
-
-# -- the constructive pipeline -------------------------------------------------
 
 def _exceptional_frame(a: np.ndarray, theta: float):
     """(top, frame) of the Hermitian part h = (a + a*)/2 of a corner gram:
@@ -963,7 +897,13 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
          seed: int = 0, r_cap: int = 64, restarts: int = 2,
          steps: int = 120) -> list:
     """For each ε: the smallest r that pave_search verifies under a step
-    budget, next to the closed-form bracket columns."""
+    budget, next to the closed-form bracket columns.
+
+    The lower bound is the pinching inequality x <= r Σ p_i x p_i of an
+    r-part partition, for each nonzero x >= 0 of F: a verified paving has
+    ‖Σ p_i x p_i‖ <= ‖E(x)‖ + (ε + VERIFY_SLACK) ‖x − E(x)‖, E = E_{N'∩M},
+    so r >= ‖x‖ / (‖E(x)‖ + (ε + VERIFY_SLACK) ‖x − E(x)‖).  It is None
+    when F has no nonzero positive member."""
     epsilons = list(epsilons)
     if not epsilons:
         raise PavingError("empty epsilon grid")
@@ -972,16 +912,13 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
                          epsilon=epsilons[0], index=index)
     total_slots = inclusion.n_shape.total_dim
     rows = []
-    lower_candidates = []
-    for x in operators:
-        if _is_positive(x):
-            lower_candidates.append(float(trace(x).real) / op_norm(x))
+    positives = [(op_norm(item.x), op_norm(item.e), item.den)
+                 for item in base.centered if _is_positive(item.x)]
     for gi, eps in enumerate(epsilons):
         problem = base.with_epsilon(eps)
         theorem_r = paving_partition_bound(problem.index, eps)[2]
-        # the averaging-count bound speaks only of positive elements
-        lower = max((math.ceil(averaging_count_lower_bound(t, eps) - 1e-12)
-                     for t in lower_candidates), default=None)
+        lower = max((math.ceil(nx / (ne + (eps + VERIFY_SLACK) * den) - 1e-12)
+                     for nx, ne, den in positives if nx > 0.0), default=None)
         found, verified = None, False
         for r in range(1, min(r_cap, total_slots) + 1):
             cert = pave_search(problem, SearchConfig(

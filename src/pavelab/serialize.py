@@ -208,12 +208,6 @@ def certificate_from_obj(obj, base_dir: str = ".") -> PavingCertificate:
     return PavingCertificate(**summary, partition=partition, unitaries=unitaries)
 
 
-def strip_meta(obj: dict) -> dict:
-    out = dict(obj)
-    out.pop("meta", None)
-    return out
-
-
 def write_csv(path: str, header, rows):
     import csv
 

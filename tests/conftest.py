@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pavelab import algebra as alg
-from pavelab import families
+from pavelab import families, freeness
+from pavelab.seeding import child_rng, child_seed
 
 
 def power_iteration_norm(mat: np.ndarray, iters: int = 800, seed: int = 0) -> float:
@@ -45,3 +46,71 @@ def corpus():
     return [families.scalars_in(2), families.scalars_in(3),
             families.scalars_in(4), families.tensor_product(2, 2),
             families.tensor_product(2, 3)]
+
+
+def projection_defect(p: alg.Element) -> float:
+    """max(‖p - p*‖, ‖p^2 - p‖) in Frobenius norm, per block max."""
+    return max(max(float(np.linalg.norm(b - b.conj().T)), float(np.linalg.norm(b @ b - b)))
+               for b in p.blocks)
+
+
+def spectral_partition(v: alg.CyclicUnitary) -> alg.PartitionOfUnity:
+    """Partition from the n-th-root eigenspaces of v:
+    p_k = (1/n) sum_j (conj(alpha)^k v)^j, with frames from `eigh`."""
+    n = v.order
+    powers = [alg.identity(v.v.shape)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ v.v)
+    alpha = np.exp(-2j * np.pi / n)
+    projections = []
+    for k in range(n):
+        acc = alg.zero(v.v.shape)
+        for j, vj in enumerate(powers):
+            acc = acc + (alpha ** (k * j)) * vj
+        projections.append((1.0 / n) * acc)
+    return alg.PartitionOfUnity.from_projections(projections)
+
+
+def sample_pair(n: int, dim: int, seed):
+    """(v, x, u, w, s): v = u diag(roots) u* of period n, each n-th root of
+    unity dim/n times, and an independent x = w diag(s) w* of balanced sign
+    spectrum s, for Haar u and w drawn from child_rng(seed, 0) and (seed, 1)."""
+    if dim % n != 0:
+        raise ValueError(f"dim {dim} is not a multiple of n = {n}")
+    shape = alg.AlgebraShape.matrix(dim)
+    u = alg.haar_block(child_rng(seed, 0), dim)
+    w = alg.haar_block(child_rng(seed, 1), dim)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    v_mat = (u * np.repeat(roots, dim // n)) @ u.conj().T
+    s = freeness._sign_spectrum(dim)
+    x_mat = (w * s) @ w.conj().T
+    x = alg.Element(shape, [(x_mat + x_mat.conj().T) / 2])
+    return alg.CyclicUnitary(v=alg.Element(shape, [v_mat]), order=n), x, u, w, s
+
+
+def expectation_residuals(inc, seed=0, samples: int = 6) -> dict:
+    """Sampled residuals of the axioms of E_N and E_{N' ∩ M}."""
+    res = dict.fromkeys(("bimodular", "idempotent", "trace", "positive",
+                         "comm_idempotent", "comm_commutes"), 0.0)
+    for t in range(samples):
+        x = alg.random_element(inc.m_shape, alg.SELFADJOINT, child_seed(seed, 0, t))
+        a = inc.embed(alg.random_element(inc.n_shape, alg.SELFADJOINT, child_seed(seed, 1, t)))
+        b = inc.embed(alg.random_element(inc.n_shape, alg.SELFADJOINT, child_seed(seed, 2, t)))
+        ex = inc.cond_exp_n(x)
+        res["idempotent"] = max(res["idempotent"], alg.op_norm(inc.cond_exp_n(ex) - ex))
+        res["trace"] = max(res["trace"], abs(alg.trace(ex) - alg.trace(x)))
+        res["bimodular"] = max(res["bimodular"],
+                               alg.op_norm(inc.cond_exp_n(a @ x @ b) - a @ ex @ b))
+        pos = alg.random_element(inc.m_shape, alg.POSITIVE, child_seed(seed, 3, t))
+        w = np.concatenate([np.linalg.eigvalsh(bk) for bk in inc.cond_exp_n(pos).blocks])
+        res["positive"] = max(res["positive"], max(0.0, -float(w.min())))
+        ec = inc.cond_exp_comm(x)
+        res["comm_idempotent"] = max(res["comm_idempotent"],
+                                     alg.op_norm(inc.cond_exp_comm(ec) - ec))
+        res["comm_commutes"] = max(res["comm_commutes"], alg.op_norm(ec @ a - a @ ec))
+    return res
+
+
+def strip_meta(obj: dict) -> dict:
+    """A payload without its `meta` entry, which holds timestamps."""
+    return {key: value for key, value in obj.items() if key != "meta"}

@@ -9,7 +9,7 @@ from pavelab.algebra import (AlgebraShape, Element, identity, zero, trace,
                              op_norm, l2_norm)
 from pavelab.seeding import child_rng, child_seed
 
-from conftest import op_norm_power
+from conftest import op_norm_power, projection_defect, spectral_partition
 
 M2 = AlgebraShape.matrix(2)
 M3 = AlgebraShape.matrix(3)
@@ -149,40 +149,6 @@ class TestHermEig:
             alg.herm_eig(Element(M2, [np.array([[0, 1], [0, 0]], dtype=complex)]))
 
 
-class TestSpectralProjection:
-    def test_two_level(self):
-        x = Element(M2, [np.diag([0.1, 0.9]).astype(complex)])
-        p = alg.spectral_projection(x, (0.5, np.inf))
-        assert np.allclose(p.blocks[0], np.diag([0.0, 1.0]))
-
-    def test_full_cover_is_identity(self):
-        x = rand(MIXED, 10)
-        p = alg.spectral_projection(x, (-np.inf, np.inf))
-        assert p.allclose(identity(MIXED), tol=1e-12)
-
-    def test_rank_counts_eigenvalues(self):
-        x = rand(AlgebraShape.matrix(8), 11)
-        vals, _ = alg.herm_eig(x)
-        for t in (-0.3, 0.0, 0.2):
-            p = alg.spectral_projection(x, (t, np.inf))
-            expected = int(np.sum(vals[0] >= t))
-            assert round(trace(p).real * 8) == expected
-
-    def test_cover_sums_to_identity(self):
-        x = rand(MIXED, 12)
-        parts = [alg.spectral_projection(x, iv)
-                 for iv in ((-np.inf, -0.2), (-0.2, 0.3), (0.3, np.inf))]
-        total = parts[0] + parts[1] + parts[2]
-        assert total.allclose(identity(MIXED), tol=alg.TOL_PROJ)
-
-    def test_boundary_warning_recorded(self):
-        x = Element(M2, [np.diag([0.5, 1.0]).astype(complex)])
-        p = alg.spectral_projection(x, (0.5, np.inf))
-        assert p.meta.get("boundary_warnings")
-        # exact comparison includes the eigenvalue sitting on the left endpoint
-        assert round(trace(p).real * 2) == 2
-
-
 class TestSupportProjection:
     def test_simple(self):
         b = Element(M2, [np.diag([0.0, 0.5]).astype(complex)])
@@ -247,7 +213,7 @@ class TestRandomSampling:
         sh = AlgebraShape.matrix(64)
         p = alg.random_element(sh, alg.PROJECTION, 19, theta=0.25)
         assert round(trace(p).real * 64) == 16
-        assert alg.projection_defect(p) < 1e-12
+        assert projection_defect(p) < 1e-12
 
     def test_unrealizable_trace(self):
         with pytest.raises(alg.InfeasibleTraceError) as err:
@@ -289,7 +255,7 @@ class TestPartitionsAndPinching:
         part = alg.coordinate_partition(sh, 4, unitary=alg.random_haar_unitary(sh, 24))
         v = alg.cyclic_unitary_from_partition(part)
         plain = alg.CyclicUnitary(v=Element(sh, [v.v.blocks[0].copy()]), order=4)
-        rec = plain.spectral_partition()
+        rec = spectral_partition(plain)
         for f, g in zip(part.frames(), rec.frames()):
             p, q = alg.frame_projection(sh, f), alg.frame_projection(sh, g)
             assert p.allclose(q, tol=1e-9)

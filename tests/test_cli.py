@@ -12,6 +12,8 @@ from pavelab import paving as pv
 from pavelab import serialize as ser
 from pavelab.cli import main
 
+from conftest import spectral_partition, strip_meta
+
 
 def run(args):
     return main(args)
@@ -23,7 +25,7 @@ def load(path):
 
 
 def canonical_without_meta(path):
-    return ser.canonical_dumps(ser.strip_meta(load(path)))
+    return ser.canonical_dumps(strip_meta(load(path)))
 
 
 class TestIndexCommand:
@@ -267,7 +269,7 @@ class TestKestenCommand:
             rows = [line.split(",") for line in handle.read().splitlines()[1:]]
         for t, row in enumerate(rows):
             v, x = fr.trial_pair(4, 64, child_rng(3, t))
-            literal = alg.op_norm(alg.pinch(v.spectral_partition(), x))
+            literal = alg.op_norm(alg.pinch(spectral_partition(v), x))
             assert abs(float(row[3]) - literal) <= 1e-12
             assert float(row[5]) == fr.freeness_defect(v, x, 2)
 

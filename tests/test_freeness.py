@@ -8,6 +8,8 @@ from pavelab import freeness as fr
 from pavelab.algebra import identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
 
+from conftest import sample_pair, spectral_partition
+
 
 class TestBound:
     def test_values(self):
@@ -19,26 +21,26 @@ class TestBound:
 
 class TestSamplePair:
     def test_minimal_case_spectrum(self):
-        v, x = fr.sample_pair(2, 2, 0)
+        v, *_ = sample_pair(2, 2, 0)
         eigs = np.linalg.eigvals(v.v.blocks[0])
         assert sorted(np.round(eigs.real, 9)) == [-1.0, 1.0]
 
     def test_power_traces_vanish(self):
-        v, _ = fr.sample_pair(4, 12, 1)
+        v, *_ = sample_pair(4, 12, 1)
         acc = identity(v.v.shape)
         for k in range(1, 4):
             acc = acc @ v.v
             assert abs(trace(acc)) < 1e-12
 
     def test_contraction_properties(self):
-        _, x = fr.sample_pair(3, 9, 2)
+        _, x, *_ = sample_pair(3, 9, 2)
         assert op_norm(x) <= 1.0 + 1e-10
         assert abs(trace(x)) < 1e-12
         assert alg.hermitian_part_residual(x) < 1e-12
 
     def test_divisibility(self):
         with pytest.raises(ValueError):
-            fr.sample_pair(3, 10, 0)
+            sample_pair(3, 10, 0)
 
     def test_mixed_moments_shrink_with_dimension(self):
         # tau(v^k x v^-k x) decays as the rotations become freer
@@ -46,7 +48,7 @@ class TestSamplePair:
         for dim in (8, 64, 512):
             worst = 0.0
             for s in range(3):
-                v, x = fr.sample_pair(2, dim, child_seed(3, dim, s))
+                v, x, *_ = sample_pair(2, dim, child_seed(3, dim, s))
                 w = v.v @ x @ v.v.adjoint() @ x
                 worst = max(worst, abs(trace(w)))
             vals[dim] = worst
@@ -56,7 +58,7 @@ class TestSamplePair:
 
 class TestFreenessDefect:
     def test_zero_element(self):
-        v, x = fr.sample_pair(3, 9, 4)
+        v, x, *_ = sample_pair(3, 9, 4)
         assert fr.freeness_defect(v, alg.zero(x.shape), 3) == 0.0
 
     def test_scalar_unitary_vacuous(self):
@@ -70,7 +72,7 @@ class TestFreenessDefect:
         for dim in (9, 90, 900):
             vals = []
             for s in range(6):
-                v, x = fr.sample_pair(3, dim, child_seed(6, dim, s))
+                v, x, *_ = sample_pair(3, dim, child_seed(6, dim, s))
                 vals.append(fr.freeness_defect(v, x, 3))
             means[dim] = np.mean(vals)
         assert means[90] < means[9]
@@ -86,11 +88,9 @@ class TestRunKesten:
         # the one-rotation trial formula agrees exactly with pinching the
         # sampled pair once the same relative rotation is used
         n, dim = 3, 12
-        v, x = fr.sample_pair(n, dim, 7)
-        part = v.spectral_partition()
-        literal = op_norm(alg.pinch(part, x))
-        z = x.meta["rotation"].conj().T @ v.v.meta["rotation"]
-        s = x.meta["spectrum"]
+        v, x, u, w, s = sample_pair(n, dim, 7)
+        literal = op_norm(alg.pinch(spectral_partition(v), x))
+        z = w.conj().T @ u
         worst = 0.0
         for sl in fr._group_slices(dim, n):
             zg = z[:, sl]
@@ -103,10 +103,9 @@ class TestRunKesten:
         # with Q = z[:dim/2, :]* the row-group blocks 2 Q_g Q_g* - 1 are the
         # pinched blocks of the sampled pair
         n, dim = 3, 12
-        v, x = fr.sample_pair(n, dim, 7)
-        part = v.spectral_partition()
-        literal = op_norm(alg.pinch(part, x))
-        z = x.meta["rotation"].conj().T @ v.v.meta["rotation"]
+        v, x, u, w, _ = sample_pair(n, dim, 7)
+        literal = op_norm(alg.pinch(spectral_partition(v), x))
+        z = w.conj().T @ u
         q = z[:dim // 2, :].conj().T
         worst = 0.0
         for sl in fr._group_slices(dim, n):
@@ -122,15 +121,15 @@ class TestRunKesten:
             v, x = fr.trial_pair(n, dim, child_rng(12, t))
             spectrum = np.linalg.eigvalsh(x.blocks[0])
             assert np.allclose(spectrum, np.sort(fr._sign_spectrum(dim)), atol=1e-12)
-            literal = op_norm(alg.pinch(v.spectral_partition(), x))
+            literal = op_norm(alg.pinch(spectral_partition(v), x))
             fast = fr._pinched_norms_fast(n, dim, child_rng(12, t))
             assert abs(literal - fast) < 1e-12
 
     def test_pinch_average_identity_per_trial(self):
         n, dim = 4, 16
         for t in range(3):
-            v, x = fr.sample_pair(n, dim, child_seed(8, t))
-            part = v.spectral_partition()
+            v, x, *_ = sample_pair(n, dim, child_seed(8, t))
+            part = spectral_partition(v)
             powers, acc = [identity(x.shape)], identity(x.shape)
             for _ in range(n - 1):
                 acc = acc @ v.v

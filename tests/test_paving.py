@@ -9,7 +9,7 @@ from pavelab import algebra as alg
 from pavelab import families
 from pavelab import inclusion as incl
 from pavelab import paving as pv
-from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace, zero
+from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
 
 
@@ -47,57 +47,6 @@ class TestBounds:
             pv.dixmier_count_bound(1.5)
         with pytest.raises(pv.PavingError):
             pv.averaging_count_lower_bound(-0.1, 0.5)
-
-
-class TestSmallSupportPaving:
-    def test_rank_one_in_m16(self):
-        sh = AlgebraShape.matrix(16)
-        x = zero(sh)
-        x.blocks[0][0, 0] = 1.0
-        part = pv.pave_small_support([x], 0.25)
-        part.validate()
-        assert part.size == 4
-        assert op_norm(alg.pinch(part, x)) <= 0.25 + 1e-9
-
-    def test_zero_family(self):
-        sh = AlgebraShape.matrix(16)
-        part = pv.pave_small_support([zero(sh)], 0.5)
-        assert part.size == 1
-        assert alg.frame_projection(sh, part.frames()[0]).allclose(identity(sh))
-
-    def test_random_small_support_families(self):
-        # guarantee ‖sum q x q‖ <= ‖x‖ / m for every member, across seeds
-        sh = AlgebraShape.matrix(64)
-        eps = 0.5
-        for seed in range(20):
-            rng = child_rng(40, seed)
-            ops = []
-            for j in range(3):
-                g = rng.standard_normal((64, 1)) + 1j * rng.standard_normal((64, 1))
-                h = rng.standard_normal((64, 1)) + 1j * rng.standard_normal((64, 1))
-                mat = g @ h.conj().T
-                mat /= np.linalg.norm(mat, 2)
-                ops.append(Element(sh, [mat]))
-            part = pv.pave_small_support(ops, eps)
-            m = part.size
-            for x in ops:
-                assert op_norm(alg.pinch(part, x)) <= op_norm(x) / m + 1e-9
-                assert op_norm(alg.pinch(part, x)) <= eps + 1e-9
-
-    def test_precondition_violation(self):
-        sh = AlgebraShape.matrix(8)
-        x = selfadjoint(sh, 1)  # full support
-        with pytest.raises(pv.PavingError, match="support too large"):
-            pv.pave_small_support([x], 0.25)
-
-    def test_granularity_suggestion(self):
-        # a low-weight small block satisfies the trace precondition but cannot
-        # host the required cycle: the finite-dimension guard must fire
-        sh = AlgebraShape((8, 2), (0.98 / 8, 0.01))
-        x = zero(sh)
-        x.blocks[1][0, 0] = 1.0
-        with pytest.raises(pv.GranularityError, match="nearest feasible"):
-            pv.pave_small_support([x], 0.25)
 
 
 @pytest.fixture(scope="module")
@@ -1024,9 +973,11 @@ class TestScan:
             assert row["r_found"] <= row["theorem_r"]
         # epsilon >= 1 is paved by the trivial partition
         assert rows[1]["r_found"] == 1
-        # lower-bound column uses the normalized trace of the positive member
-        tau = 0.25 / op_norm(q)
-        assert rows[0]["lower_bound"] == math.ceil(1.0 / (tau + 0.8) - 1e-12)
+        # lower-bound column: the pinching bound of the positive member, with
+        # E(q) = τ(q) = 0.25 since N = M has scalar relative commutant
+        den = op_norm(q - 0.25 * identity(inc.m_shape))
+        bound = op_norm(q) / (0.25 + (0.8 + pv.VERIFY_SLACK) * den)
+        assert rows[0]["lower_bound"] == math.ceil(bound - 1e-12) == 2
 
     def test_found_respects_lemma_bound(self):
         # verified averaging size can never undercut the (tau+eps)^-1 floor
@@ -1036,6 +987,20 @@ class TestScan:
         row = rows[0]
         assert row["r_verified"]
         assert row["r_found"] >= row["lower_bound"]
+
+    def test_lower_bound_holds_off_scalar_expectation(self):
+        # E_{N'∩M}(x) is not scalar: x = 1 ⊗ e00 lies in N'∩M, and the
+        # second x has a part inside N'∩M and a part outside it
+        e00, z = np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        inc = families.tensor_product(2, 2)
+        x = Element(inc.m_shape, [np.kron(np.eye(2), e00).astype(complex)])
+        rows = pv.scan(inc, [0.1], [x], inc.known_index)
+        inc = families.tensor_product(2, 8)
+        x = Element(inc.m_shape, [np.kron(np.eye(2), np.diag([1.0] + [0.0] * 7))
+                                  + 0.1 * np.kron(z, np.eye(8)) + 0.1 * np.eye(16)])
+        rows += pv.scan(inc, [0.3, 0.2], [x], inc.known_index)
+        assert [row["lower_bound"] for row in rows] == [1, 2, 2]
+        assert all(row["r_verified"] and row["r_found"] >= row["lower_bound"] for row in rows)
 
     def test_no_positive_member_has_no_lower_bound(self):
         # the averaging-count floor speaks only of positive elements; a

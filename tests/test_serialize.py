@@ -12,6 +12,8 @@ from pavelab import paving as pv
 from pavelab import serialize as ser
 from pavelab.algebra import AlgebraShape
 
+from conftest import strip_meta
+
 
 def test_element_roundtrip():
     sh = AlgebraShape((2, 3), (0.125, 0.25))
@@ -141,6 +143,7 @@ def test_atomic_write_and_csv(tmp_path):
 
 
 def test_strip_meta():
+    # the helper the CLI tests compare payloads with
     obj = {"x": 1, "meta": {"timestamp": "now"}}
-    assert ser.strip_meta(obj) == {"x": 1}
+    assert strip_meta(obj) == {"x": 1}
     assert "meta" in obj
