@@ -141,11 +141,6 @@ class Element:
     def adjoint(self) -> "Element":
         return Element(self.shape, [b.conj().T for b in self.blocks])
 
-    def allclose(self, other: "Element", tol: float = TOL_PROJ) -> bool:
-        self._check(other)
-        return all(np.abs(a - b).max() <= tol if a.size else True
-                   for a, b in zip(self.blocks, other.blocks))
-
 
 def identity(shape: AlgebraShape) -> Element:
     return Element(shape, [np.eye(d, dtype=np.complex128) for d in shape.block_dims])
@@ -372,25 +367,6 @@ class PartitionOfUnity:
                 for k, d in enumerate(shape.block_dims)]
         return cls(shape, [np.concatenate(c, axis=1) for c in cols],
                    [[f.shape[1] for f in c] for c in cols])
-
-    @classmethod
-    def from_projections(cls, projections) -> "PartitionOfUnity":
-        """From dense projections: frames are the eigenvectors of eigenvalue
-        above 1/2, and any p with ‖p - F F*‖ > TOL_PROJ is rejected."""
-        if not projections:
-            raise AlgebraError("empty partition")
-        frames = []
-        for p in projections:
-            per_block = []
-            for b in p.blocks:
-                w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
-                f = v[:, w > 0.5]
-                resid = float(np.linalg.norm(b - f @ f.conj().T))
-                if not resid <= TOL_PROJ:
-                    raise AlgebraError(f"not a projection (residual {resid:.3e})")
-                per_block.append(f)
-            frames.append(per_block)
-        return cls.from_frames(projections[0].shape, frames)
 
     @property
     def size(self) -> int:

@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 
@@ -224,8 +223,7 @@ def _print_pave_table(problem, cert):
         if problem.epsilon > 0 else (None, None, None)
     print(f"mode={cert.mode} r={cert.r} epsilon={problem.epsilon} "
           f"threshold={cert.threshold:.6g} verified={cert.verified}")
-    print(f"size bound: n={n} m={m} r<={r_bound}; "
-          f"count lower bound (trace->0): {math.ceil(1.0 / problem.epsilon - 1e-12)}")
+    print(f"size bound: n={n} m={m} r<={r_bound}")
     for i, ratio in enumerate(cert.per_x_ratio):
         print(f"  x[{i}]: ratio = {ratio:.12g}")
 

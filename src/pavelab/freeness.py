@@ -176,10 +176,16 @@ def _pinched_norms_fast(n: int, dim: int, rng: np.random.Generator) -> float:
     odd dim the last weight 1 adds the 0 eigenvector of x.  Against a full
     Haar unitary per trial this halves the QR and skips every dim x dim
     product, with the same law of x relative to v.
+
+    At n = 2 dim is even, so Q has k = dim/2 columns and its two row groups
+    are square with Q_1* Q_1 + Q_2* Q_2 = 1: if Q_1 Q_1* has spectrum μ,
+    Q_2 Q_2* has spectrum 1 − μ, and both blocks have norm max |2μ − 1|.
+    Only the first group is solved.
     """
     q, w = _half_rank_draw(dim, rng)
     worst = 0.0
-    for sl in _group_slices(dim, n):
+    groups = _group_slices(dim, n)
+    for sl in groups[:1] if n == 2 else groups:
         qg = q[sl]
         lam = np.linalg.eigvalsh((qg * w) @ qg.conj().T)
         worst = max(worst, abs(float(lam[0]) - 1.0), abs(float(lam[-1]) - 1.0))
@@ -194,7 +200,8 @@ def run_kesten(experiment: KestenExperiment) -> KestenResult:
     Trial t reads only `child_rng(seed, t)`, one dim x ceil(dim/2) Haar
     isometry Q (see `_pinched_norms_fast`): x = Q diag(w) Q* - 1 with
     w = 2 and, for odd dim, a last weight 1 for the 0 eigenvector.  The
-    norm is read off the n row-group blocks of Q, without forming x.
+    norm is read off the row-group blocks of Q (one at n = 2), without
+    forming x.
     """
     norms = np.empty(experiment.trials)
     for t in range(experiment.trials):

@@ -243,17 +243,6 @@ class Inclusion:
             out.append((g[:, order], labels[order]))
         return out
 
-    def embed_partition(self, partition: alg.PartitionOfUnity) -> alg.PartitionOfUnity:
-        """The embedded parts as a partition of unity of M."""
-        if partition.shape != self.n_shape:
-            raise alg.ShapeMismatchError("partition does not live over N")
-        labels_n = [partition.labels(k) for k in range(self.n_shape.num_blocks)]
-        stacks, ranks = [], []
-        for g, labels in self.embed_parts(partition.stacks, labels_n):
-            stacks.append(g)
-            ranks.append(np.bincount(labels, minlength=partition.size))
-        return alg.PartitionOfUnity(self.m_shape, stacks, ranks)
-
 
 def build_inclusion(spec: InclusionSpec, seed=0, embed: str = "haar",
                     known_index: float = None, label: str = "") -> Inclusion:

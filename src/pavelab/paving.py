@@ -14,7 +14,8 @@ commutant, measured relative to ‖x - E_{N'∩M}(x)‖.  This module provides
   partitions,
 * Dixmier averaging by eigenvalue-order-reversal folds,
 * the trace-norm variant `l2_pave`, and
-* `verify`, the single recomputation path every certificate goes through.
+* `verify`, the single recomputation path every certificate goes through;
+  it accepts candidates over N only (N-frames or N-unitaries).
 
 Certificates are value objects; `verify` recomputes all ratios from scratch
 and is the only place the verified flag is set, so re-verification of a
@@ -255,29 +256,6 @@ def dixmier_count_bound(epsilon: float) -> int:
 
 # -- candidate helpers ---------------------------------------------------------
 
-def _restrict_candidate_partition(inc: Inclusion, partition: PartitionOfUnity):
-    """Accept N-shaped partitions as-is; restrict M-shaped ones that lie in
-    the embedded copy of N, rejecting with the membership residual otherwise."""
-    if partition.shape == inc.n_shape:
-        return partition
-    if partition.shape != inc.m_shape:
-        raise CandidateRejected("partition lives over neither N nor M",
-                                {"shape": str(partition.shape)})
-    restricted, worst = [], 0.0
-    for frames in partition.frames():
-        p = alg.frame_projection(inc.m_shape, frames)
-        worst = max(worst, op_norm(p - inc.cond_exp_n(p)))
-        restricted.append(inc.restrict_to_n(p))
-    if worst > TOL_PROJ:
-        raise CandidateRejected(
-            f"candidate is not inside the subalgebra (residual {worst:.3e})",
-            {"expectation_residual": worst})
-    try:
-        return PartitionOfUnity.from_projections(restricted)
-    except alg.AlgebraError as exc:
-        raise CandidateRejected(str(exc)) from exc
-
-
 def _is_positive(x: Element) -> bool:
     """x = x* and x >= 0, both within TOL_PROJ."""
     return (alg.hermitian_part_residual(x) <= TOL_PROJ
@@ -294,11 +272,13 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
 
     `candidate` is a PartitionOfUnity over N, a list of N-unitaries, or an
     existing certificate (whose candidate is re-verified independently of how
-    it was produced).
+    it was produced).  A candidate over any other algebra, M included, is
+    rejected with a "shape" residual, so every ratio comes from the stored
+    N-frames or N-unitaries themselves.
 
-    A partition is checked in a fixed order: an M-shaped candidate is
-    restricted to N, its frame residual ‖U*U − 1‖ must be at most TOL_PROJ,
-    and only then is it embedded in M.  The M-size pinch is never formed.
+    A partition is checked in a fixed order: its shape must be N's, its
+    frame residual ‖U*U − 1‖ must be at most TOL_PROJ, and only then are
+    its frames embedded in M.  The M-size pinch is never formed.
     With E = E_{N'∩M}(x) in N'∩M, E commutes with every p_i ∈ N, so
     Σ p_i x p_i − E = Σ p_i (x − E) p_i; the embedded stacked frame G is
     unitary to the checked residual, so that norm is read off the
@@ -323,18 +303,21 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
 
     if isinstance(candidate, PartitionOfUnity):
         mode = mode or "partition"
-        candidate = _restrict_candidate_partition(inc, candidate)
+        if candidate.shape != inc.n_shape:
+            raise CandidateRejected("partition must live over N",
+                                    {"shape": str(candidate.shape)})
         worst = candidate.residual()
         if not worst <= TOL_PROJ:
             raise CandidateRejected(
                 f"partition frames are not unitary within {TOL_PROJ} "
                 f"(residual {worst:.3e})", {"frame_residual": worst})
-        embedded = inc.embed_partition(candidate)
+        labels_n = [candidate.labels(k) for k in range(inc.n_shape.num_blocks)]
+        embedded = inc.embed_parts(candidate.stacks, labels_n)
         parts = np.arange(candidate.size)
         largest = np.zeros(len(problem.centered))
         square = np.zeros(len(problem.centered))
-        for l, (g, t) in enumerate(zip(embedded.stacks, inc.m_shape.trace_weights)):
-            norms, fro = alg.part_norms(g, embedded.labels(l), problem.diff_stacks[l], parts)
+        for l, ((g, labels), t) in enumerate(zip(embedded, inc.m_shape.trace_weights)):
+            norms, fro = alg.part_norms(g, labels, problem.diff_stacks[l], parts)
             largest = np.maximum(largest, norms.max(axis=1))
             square += t * fro
         ratios = []
@@ -359,13 +342,6 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     unitaries = list(candidate)
     if not unitaries:
         raise CandidateRejected("empty unitary family")
-    if all(u.shape == inc.m_shape for u in unitaries) and inc.m_shape != inc.n_shape:
-        worst = max(op_norm(u - inc.cond_exp_n(u)) for u in unitaries)
-        if worst > TOL_PROJ:
-            raise CandidateRejected(
-                f"candidate is not inside the subalgebra (residual {worst:.3e})",
-                {"expectation_residual": worst})
-        unitaries = [inc.restrict_to_n(u) for u in unitaries]
     worst_unitary = 0.0
     for u in unitaries:
         if u.shape != inc.n_shape:

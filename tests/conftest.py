@@ -54,6 +54,41 @@ def projection_defect(p: alg.Element) -> float:
                for b in p.blocks)
 
 
+def elements_close(a: alg.Element, b: alg.Element, tol: float) -> bool:
+    """Same shape and blockwise max |a - b| <= tol."""
+    assert a.shape == b.shape
+    return all(np.abs(x - y).max() <= tol if x.size else True
+               for x, y in zip(a.blocks, b.blocks))
+
+
+def partition_from_projections(projections) -> alg.PartitionOfUnity:
+    """Partition from dense projections: per block, the eigenvectors of
+    eigenvalue above 1/2 are the frame, and any p with ‖p - F F*‖ > TOL_PROJ
+    is rejected."""
+    frames = []
+    for p in projections:
+        per_block = []
+        for b in p.blocks:
+            w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
+            f = v[:, w > 0.5]
+            resid = float(np.linalg.norm(b - f @ f.conj().T))
+            if not resid <= alg.TOL_PROJ:
+                raise alg.AlgebraError(f"not a projection (residual {resid:.3e})")
+            per_block.append(f)
+        frames.append(per_block)
+    return alg.PartitionOfUnity.from_frames(projections[0].shape, frames)
+
+
+def embed_partition(inc, partition: alg.PartitionOfUnity) -> alg.PartitionOfUnity:
+    """The parts of a partition of N, embedded, as a partition of unity of M."""
+    labels_n = [partition.labels(k) for k in range(inc.n_shape.num_blocks)]
+    stacks, ranks = [], []
+    for g, labels in inc.embed_parts(partition.stacks, labels_n):
+        stacks.append(g)
+        ranks.append(np.bincount(labels, minlength=partition.size))
+    return alg.PartitionOfUnity(inc.m_shape, stacks, ranks)
+
+
 def spectral_partition(v: alg.CyclicUnitary) -> alg.PartitionOfUnity:
     """Partition from the n-th-root eigenspaces of v:
     p_k = (1/n) sum_j (conj(alpha)^k v)^j, with frames from `eigh`."""
@@ -68,7 +103,7 @@ def spectral_partition(v: alg.CyclicUnitary) -> alg.PartitionOfUnity:
         for j, vj in enumerate(powers):
             acc = acc + (alpha ** (k * j)) * vj
         projections.append((1.0 / n) * acc)
-    return alg.PartitionOfUnity.from_projections(projections)
+    return partition_from_projections(projections)
 
 
 def sample_pair(n: int, dim: int, seed):

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from pavelab import algebra as alg
@@ -12,7 +13,7 @@ from pavelab import paving as pv
 from pavelab import serialize as ser
 from pavelab.cli import main
 
-from conftest import spectral_partition, strip_meta
+from conftest import embed_partition, spectral_partition, strip_meta
 
 
 def run(args):
@@ -96,6 +97,37 @@ class TestPaveCommand:
                         "--seed", "0", "--out", os.path.join(tmp_path, "b")]) == 2
             assert ("error: partition frames are not unitary within 1e-08"
                     in capsys.readouterr().err)
+
+    def test_verify_rejects_m_shaped_partition(self, tmp_path, capsys):
+        # the same parts, stored by their embedded frames over M
+        out1 = os.path.join(tmp_path, "a")
+        assert run(["pave", "--family", "tensor(2,2)", "--epsilon", "0.9",
+                    "--f-random", "selfadjoint:1", "--seed", "3",
+                    "--mode", "search", "--n-parts", "2", "--out", out1]) in (0, 1)
+        cert = load(os.path.join(out1, "pave_certificate.json"))
+        part = ser.partition_from_obj(cert["partition"])
+        cert["partition"] = ser.partition_to_obj(
+            embed_partition(families.tensor_product(2, 2), part))
+        m_shaped = os.path.join(tmp_path, "m_shaped.json")
+        ser.atomic_write_text(m_shaped, ser.canonical_dumps(cert))
+        capsys.readouterr()
+        assert run(["pave", "--mode", "verify", "--certificate", m_shaped,
+                    "--seed", "0", "--out", os.path.join(tmp_path, "b")]) == 2
+        assert "error: partition must live over N\n" in capsys.readouterr().err
+
+    def test_table_prints_no_count_lower_bound(self, tmp_path, capsys):
+        # two parts pave diag(1, -1) within ε: ⌈1/ε⌉ = 20 bounds nothing here
+        x = alg.Element(alg.AlgebraShape.matrix(2), [np.diag([1.0, -1.0]).astype(complex)])
+        fpath = os.path.join(tmp_path, "ops.json")
+        ser.atomic_write_text(fpath, ser.canonical_dumps({"elements": [ser.element_to_obj(x)]}))
+        capsys.readouterr()
+        assert run(["pave", "--family", "self(2)", "--f-file", fpath, "--epsilon", "0.05",
+                    "--mode", "search", "--n-parts", "2", "--seed", "0",
+                    "--out", os.path.join(tmp_path, "out")]) == 0
+        out = capsys.readouterr().out
+        assert "r=2 " in out and "verified=True" in out
+        assert "size bound: n=6400 m=1600 r<=10240000\n" in out
+        assert "lower bound" not in out
 
     def test_emitted_certificate_passes_standalone_verify(self, tmp_path):
         code = run(["pave", "--family", "tensor(8,2)", "--epsilon", "0.9",

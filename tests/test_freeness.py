@@ -125,6 +125,19 @@ class TestRunKesten:
             fast = fr._pinched_norms_fast(n, dim, child_rng(12, t))
             assert abs(literal - fast) < 1e-12
 
+    def test_two_groups_one_eigensolve(self):
+        # at n = 2 the row groups of Q have spectra μ and 1 − μ: the first
+        # group's norm is the maximum over both and the literal pinch
+        for dim in (2, 4, 10, 64):
+            for t in range(3):
+                q, w = fr._half_rank_draw(dim, child_rng(14, dim, t))
+                both = max(float(np.abs(np.linalg.eigvalsh((q[sl] * w) @ q[sl].conj().T)
+                                        - 1.0).max()) for sl in fr._group_slices(dim, 2))
+                fast = fr._pinched_norms_fast(2, dim, child_rng(14, dim, t))
+                assert abs(fast - both) <= 1e-12
+                v, x = fr.trial_pair(2, dim, child_rng(14, dim, t))
+                assert abs(fast - op_norm(alg.pinch(spectral_partition(v), x))) <= 1e-12
+
     def test_pinch_average_identity_per_trial(self):
         n, dim = 4, 16
         for t in range(3):

@@ -9,8 +9,8 @@ from pavelab import inclusion as incl
 from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace, zero
 from pavelab.seeding import child_rng, child_seed
 
-from conftest import (expectation_residuals, partial_trace_left, partial_trace_right,
-                      projection_defect)
+from conftest import (elements_close, expectation_residuals, partial_trace_left,
+                      partial_trace_right, projection_defect)
 
 
 def rand_m(inc, seed, kind=alg.SELFADJOINT, theta=None):
@@ -128,7 +128,8 @@ class TestExpectations:
         inc = haar_spec_inclusion
         a = alg.random_element(inc.n_shape, alg.SELFADJOINT, 6)
         b = alg.random_element(inc.n_shape, alg.SELFADJOINT, 7)
-        assert inc.embed(identity(inc.n_shape)).allclose(identity(inc.m_shape))
+        assert elements_close(inc.embed(identity(inc.n_shape)), identity(inc.m_shape),
+                              alg.TOL_PROJ)
         assert abs(trace(inc.embed(a)) - trace(a)) < 1e-12
         assert op_norm(inc.embed(a) @ inc.embed(b) - inc.embed(a @ b)) < 1e-12
 
@@ -534,7 +535,7 @@ class TestOrthonormalBasis:
         inc = families.self_inclusion(3)
         ob = incl.orthonormal_basis(inc)
         assert len(ob.elements) == 1
-        assert ob.elements[0].allclose(identity(inc.m_shape), tol=1e-10)
+        assert elements_close(ob.elements[0], identity(inc.m_shape), 1e-10)
         assert abs(incl.d_ob(inc, ob) - 1.0) < 1e-10
 
     def test_scalars_matrix_unit_oracle(self):

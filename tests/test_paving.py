@@ -12,6 +12,8 @@ from pavelab import paving as pv
 from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
 
+from conftest import embed_partition, partition_from_projections
+
 
 def selfadjoint(shape, seed):
     return alg.random_element(shape, alg.SELFADJOINT, seed)
@@ -174,7 +176,7 @@ class TestConstructivePipeline:
         problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.95,
                                    index=4.0)
         cert = pv.pave_constructive(problem, pv.PipelineConfig(2, 2, seed=10))
-        embedded = inc.embed_partition(cert.partition)
+        embedded = embed_partition(inc, cert.partition)
         for t in range(100):
             rng = child_rng(11, t)
             y = Element(inc.m_shape, [rng.standard_normal((16, 16))
@@ -530,7 +532,7 @@ def reference_search(problem, cfg):
         return math.sqrt(max(worst, 0.0))
 
     def objective(u_blocks):
-        embedded = inc.embed_partition(partition_of(u_blocks))
+        embedded = embed_partition(inc, partition_of(u_blocks))
         worst = 0.0
         for it in live:
             for l, g in enumerate(embedded.stacks):
@@ -616,7 +618,7 @@ class TestIncrementalSearch:
             assert cert.per_x_ratio == ref.per_x_ratio
             np.testing.assert_allclose(cert.diagnostics["incumbent_history"],
                                        ref.diagnostics["incumbent_history"], rtol=1e-12)
-            embedded = problem.inclusion.embed_partition(cert.partition)
+            embedded = embed_partition(problem.inclusion, cert.partition)
             recomputed = max(op_norm(alg.pinch(embedded, it.diff)) / it.den
                              for it in problem.live())
             best = cert.diagnostics["best_objective"]
@@ -691,7 +693,7 @@ class TestVerify:
         problem = pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 19)],
                                    epsilon=0.5, index=1.0)
         with pytest.raises(pv.CandidateRejected):
-            pv.verify(problem, alg.PartitionOfUnity.from_projections([p, p]))
+            pv.verify(problem, partition_from_projections([p, p]))
 
     def test_rejects_candidate_outside_subalgebra(self):
         inc = families.tensor_product(2, 2)
@@ -700,18 +702,18 @@ class TestVerify:
         p = alg.random_element(inc.m_shape, alg.PROJECTION, 21, theta=0.5)
         q = identity(inc.m_shape) - p
         with pytest.raises(pv.CandidateRejected) as err:
-            pv.verify(problem, alg.PartitionOfUnity.from_projections([p, q]))
-        assert "expectation_residual" in err.value.residuals
+            pv.verify(problem, partition_from_projections([p, q]))
+        assert "shape" in err.value.residuals
 
-    def test_accepts_embedded_partition(self):
+    def test_rejects_m_shaped_unitaries(self):
+        # an embedded unitary of N is still a unitary over M, not over N
         inc = families.tensor_product(2, 2)
         problem = pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 22)],
                                    epsilon=1.5, index=4.0)
-        parts_n = alg.coordinate_partition(inc.n_shape, 2)
-        embedded = alg.PartitionOfUnity.from_projections(
-            [inc.embed(alg.frame_projection(inc.n_shape, f)) for f in parts_n.frames()])
-        cert = pv.verify(problem, embedded)
-        assert cert.r == 2 and cert.verified
+        u = inc.embed(alg.random_haar_unitary(inc.n_shape, 22))
+        with pytest.raises(pv.CandidateRejected) as err:
+            pv.verify(problem, [u])
+        assert err.value.residuals == {"shape": str(inc.m_shape)}
 
     def test_rejects_non_unitary_family(self):
         inc = families.self_inclusion(4)
@@ -726,7 +728,7 @@ class TestVerify:
         x = trace_zero_free = 0.7 * identity(inc.m_shape)
         problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.5,
                                    index=9.0)
-        cert = pv.verify(problem, alg.PartitionOfUnity.from_projections(
+        cert = pv.verify(problem, partition_from_projections(
             [identity(inc.n_shape)]))
         assert cert.per_x_ratio == [0.0] and cert.verified
 
@@ -749,7 +751,7 @@ class TestVerify:
         inc = families.self_inclusion(8)
         x = selfadjoint(inc.m_shape, 26)
         problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.5, index=1.0)
-        honest = pv.verify(problem, alg.PartitionOfUnity.from_projections(
+        honest = pv.verify(problem, partition_from_projections(
             [identity(inc.n_shape)]))
         assert abs(honest.per_x_ratio[0] - 1.0) < 1e-12 and not honest.verified
         e0 = np.eye(8, dtype=complex)[:, :1]
@@ -801,22 +803,9 @@ class TestVerifyDifferential:
         for seed in range(3):
             part = self.rotated(problem, r, child_seed(54, seed))
             cert = pv.verify(problem, part, mode=mode)
-            ref = self.literal(problem, inc.embed_partition(part), mode)
+            ref = self.literal(problem, embed_partition(inc, part), mode)
             assert len(cert.per_x_ratio) == len(ref)
             for got, want in zip(cert.per_x_ratio, ref):
-                assert abs(got - want) <= 1e-12 * want
-
-    @pytest.mark.parametrize("make, r", [PROBLEMS[0], PROBLEMS[2]], ids=["tensor", "two-block"])
-    def test_m_shaped_candidate_matches_literal_pinch(self, make, r):
-        problem = make()
-        inc = problem.inclusion
-        part = self.rotated(problem, r, 55)
-        m_part = alg.PartitionOfUnity.from_projections(
-            [inc.embed(alg.frame_projection(inc.n_shape, f)) for f in part.frames()])
-        for mode in ("partition", "l2"):
-            cert = pv.verify(problem, m_part, mode=mode)
-            assert cert.partition.shape == inc.n_shape
-            for got, want in zip(cert.per_x_ratio, self.literal(problem, m_part, mode)):
                 assert abs(got - want) <= 1e-12 * want
 
 

@@ -12,7 +12,7 @@ from pavelab import paving as pv
 from pavelab import serialize as ser
 from pavelab.algebra import AlgebraShape
 
-from conftest import strip_meta
+from conftest import elements_close, strip_meta
 
 
 def test_element_roundtrip():
@@ -21,7 +21,7 @@ def test_element_roundtrip():
     obj = ser.element_to_obj(x)
     assert obj["format"] == "element/1"
     back = ser.element_from_obj(obj)
-    assert back.allclose(x, tol=0.0)
+    assert elements_close(back, x, 0.0)
 
 
 def test_element_format_guard():
@@ -49,7 +49,7 @@ def test_partition_roundtrip_inline():
     back = ser.partition_from_obj(obj)
     back.validate()
     for p, q in zip(dense(part), dense(back)):
-        assert p.allclose(q, tol=0.0)
+        assert elements_close(p, q, 0.0)
 
 
 def test_partition_frames_roundtrip_exact(tmp_path):
