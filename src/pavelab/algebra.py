@@ -30,7 +30,9 @@ import numpy as np
 from .seeding import child_rng
 
 TOL_PROJ = 1e-8
+AVERAGE_UNITARY_TOL = 1e-6  # the looser unitarity check of `unitary_average`
 TIE_TOL = 1e-12
+RANK_CUT = 1e-9  # support projections keep eigenvalues above RANK_CUT * the top one
 
 SELFADJOINT = "selfadjoint-trace-zero-contraction"
 POSITIVE = "positive-contraction"
@@ -189,13 +191,13 @@ def unitary_residual(u: Element) -> float:
                for b in u.blocks)
 
 
-def herm_eig(x: Element, tol: float = TOL_PROJ):
+def herm_eig(x: Element):
     """Eigenvalues (ascending) and unitary diagonalizers per block.
 
-    Requires x Hermitian within `tol`; reconstruction x = U diag(w) U* is
+    Requires x Hermitian within TOL_PROJ; reconstruction x = U diag(w) U* is
     accurate to 1e-10 * norm (LAPACK backward stability, covered by tests).
     """
-    if hermitian_part_residual(x) > tol:
+    if hermitian_part_residual(x) > TOL_PROJ:
         raise AlgebraError("input is not Hermitian within tolerance")
     vals, vecs = [], []
     for b in x.blocks:
@@ -215,13 +217,13 @@ def frame_projection(shape: AlgebraShape, frames: list) -> Element:
     return Element(shape, blocks)
 
 
-def support_projection(b: Element, rank_tol: float = 1e-9) -> Element:
-    """Projection onto eigenspaces of a PSD element with eigenvalue > rank_tol * ‖b‖."""
+def support_projection(b: Element) -> Element:
+    """Projection onto eigenspaces of a PSD element with eigenvalue > RANK_CUT * ‖b‖."""
     vals, vecs = herm_eig(b)
     norm = max((float(np.abs(w).max()) if w.size else 0.0) for w in vals)
-    if any(w.size and w[0] < -rank_tol * max(norm, 1.0) for w in vals):
+    if any(w.size and w[0] < -RANK_CUT * max(norm, 1.0) for w in vals):
         raise AlgebraError("input is not positive semidefinite")
-    cut = rank_tol * norm
+    cut = RANK_CUT * norm
     frames = [v[:, w > cut] for w, v in zip(vals, vecs)]
     return frame_projection(b.shape, frames)
 
@@ -387,10 +389,10 @@ class PartitionOfUnity:
         return max(float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
                    for u in self.stacks)
 
-    def validate(self, tol: float = TOL_PROJ) -> float:
+    def validate(self) -> float:
         worst = self.residual()
-        if not worst <= tol:
-            raise AlgebraError(f"partition frame residual {worst:.3e} exceeds {tol}")
+        if not worst <= TOL_PROJ:
+            raise AlgebraError(f"partition frame residual {worst:.3e} exceeds {TOL_PROJ}")
         return worst
 
 
@@ -449,7 +451,7 @@ class CyclicUnitary:
     v: Element
     order: int
 
-    def validate(self, tol: float = TOL_PROJ) -> float:
+    def validate(self) -> float:
         one = identity(self.v.shape)
         worst = unitary_residual(self.v)
         power = one
@@ -457,7 +459,7 @@ class CyclicUnitary:
             power = power @ self.v
         worst = max(worst, max(float(np.linalg.norm(a - b)) for a, b in
                                zip(power.blocks, one.blocks)))
-        if worst > tol:
+        if worst > TOL_PROJ:
             raise AlgebraError(f"cyclic unitary residual {worst:.3e}")
         return worst
 
@@ -511,14 +513,15 @@ def pinch(partition: PartitionOfUnity, x: Element) -> Element:
                              in enumerate(zip(partition.stacks, x.blocks))])
 
 
-def unitary_average(unitaries, x: Element, tol: float = TOL_PROJ) -> Element:
-    """(1/n) sum_i u_i x u_i*; trace-preserving."""
+def unitary_average(unitaries, x: Element) -> Element:
+    """(1/n) sum_i u_i x u_i*; trace-preserving.  Each u_i must be unitary
+    within AVERAGE_UNITARY_TOL."""
     us = list(unitaries)
     if not us:
         raise AlgebraError("need at least one unitary")
     for u in us:
         resid = unitary_residual(u)
-        if resid > max(tol, 1e-6):
+        if resid > AVERAGE_UNITARY_TOL:
             raise AlgebraError(f"operand is not unitary (residual {resid:.3e})")
     acc = zero(x.shape)
     for u in us:

@@ -41,8 +41,8 @@ def _parse_grid(text: str):
     return vals
 
 
-def _budget(minimum: int):
-    """argparse type for --budget: an integer of at least `minimum`."""
+def _at_least(minimum: int):
+    """argparse type: an integer of at least `minimum`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -148,7 +148,7 @@ def _inclusion_from_recipe(recipe: dict) -> incl.Inclusion:
     if "family" in recipe:
         return families.parse_family(recipe["family"])
     spec = serialize.inclusion_spec_from_obj(recipe["spec"])
-    return incl.build_inclusion(spec, seed=recipe["embed_seed"], embed="haar")
+    return incl.build_inclusion(spec, seed=recipe["embed_seed"])
 
 
 def _inputs_from_recipe(recipe: dict):
@@ -219,8 +219,7 @@ def cmd_index(args) -> int:
 
 
 def _print_pave_table(problem, cert):
-    n, m, r_bound = paving.paving_partition_bound(problem.index, problem.epsilon) \
-        if problem.epsilon > 0 else (None, None, None)
+    n, m, r_bound = paving.paving_partition_bound(problem.index, problem.epsilon)
     print(f"mode={cert.mode} r={cert.r} epsilon={problem.epsilon} "
           f"threshold={cert.threshold:.6g} verified={cert.verified}")
     print(f"size bound: n={n} m={m} r<={r_bound}")
@@ -250,7 +249,9 @@ def cmd_pave(args) -> int:
         raise UsageError(f"pave --mode {args.mode} needs --seed")
     problem, recipe = _problem(args)
     if args.mode == "pipeline":
-        if args.n_parts and args.m_refine:
+        if (args.n_parts is None) != (args.m_refine is None):
+            raise UsageError("pipeline mode takes --n-parts and --m-refine together")
+        if args.n_parts is not None:
             n, m = args.n_parts, args.m_refine
         else:
             n, m, _ = paving.paving_partition_bound(problem.index, args.epsilon)
@@ -395,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-random", dest="f_random",
                    help="KIND:COUNT with KIND in selfadjoint|positive|projection@THETA")
     p.add_argument("--f-file", dest="f_file", help="JSON file with an elements list")
-    p.add_argument("--n-parts", dest="n_parts", type=int, default=None)
-    p.add_argument("--m-refine", dest="m_refine", type=int, default=None)
-    p.add_argument("--budget", type=_budget(0), default=8,
+    p.add_argument("--n-parts", dest="n_parts", type=_at_least(1), default=None)
+    p.add_argument("--m-refine", dest="m_refine", type=_at_least(1), default=None)
+    p.add_argument("--budget", type=_at_least(0), default=8,
                    help="pipeline: retries after the first attempt; "
                         "search: annealing steps per restart, in units of 50")
     p.add_argument("--certificate", help="saved certificate for verify mode")
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="comma-separated epsilons")
     p.add_argument("--f-random", dest="f_random")
     p.add_argument("--f-file", dest="f_file")
-    p.add_argument("--budget", type=_budget(1), default=64, help="largest r to try")
+    p.add_argument("--budget", type=_at_least(1), default=64, help="largest r to try")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("spec", help="validate a spec JSON and echo normalized weights")
@@ -454,8 +455,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, paving.PavingError, incl.InclusionSpecError,
-            alg.AlgebraError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, paving.PavingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

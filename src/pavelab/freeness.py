@@ -47,6 +47,9 @@ class KestenExperiment:
         if self.n < 2:
             raise ValueError("degenerate pinching: the experiment requires n >= 2 "
                              "(at n = 1 the partition is {1} and nothing shrinks)")
+        if self.dim < self.n:
+            raise ValueError(f"dim {self.dim} is smaller than n = {self.n}: "
+                             "every row group needs at least one row")
         if self.dim % self.n != 0:
             raise ValueError(f"dim {self.dim} is not a multiple of n = {self.n}")
         if self.trials < 1:

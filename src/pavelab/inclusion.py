@@ -244,18 +244,10 @@ class Inclusion:
         return out
 
 
-def build_inclusion(spec: InclusionSpec, seed=0, embed: str = "haar",
-                    known_index: float = None, label: str = "") -> Inclusion:
-    """Realize a spec with identity, permutation, or seeded Haar embeddings."""
-    unitaries = []
-    for l, ml in enumerate(spec.m_shape.block_dims):
-        if embed == "identity":
-            unitaries.append(("id", None))
-        elif embed == "haar":
-            unitaries.append(("dense", alg.haar_block(child_rng(seed, l), ml)))
-        else:
-            raise ValueError(f"unknown embedding style {embed!r}")
-    return Inclusion(spec, unitaries, known_index=known_index, label=label)
+def build_inclusion(spec: InclusionSpec, seed=0) -> Inclusion:
+    """Realize a spec with one seeded Haar embedding per M-block."""
+    return Inclusion(spec, [("dense", alg.haar_block(child_rng(seed, l), ml))
+                            for l, ml in enumerate(spec.m_shape.block_dims)])
 
 
 # -- index estimation ---------------------------------------------------------
@@ -320,14 +312,14 @@ def expectation_inequality_margin(inc: Inclusion, index: float, x: Element) -> f
     return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in gap.blocks)
 
 
-def expectation_support_bound(inc: Inclusion, q: Element, index: float,
-                              rank_tol: float = 1e-9):
+def expectation_support_bound(inc: Inclusion, q: Element, index: float):
     """(tau of the support of E_N(q), index * tau(q)) for a projection q.
 
-    The finiteness of the inclusion forces lhs <= rhs up to rank tolerance.
+    The finiteness of the inclusion forces lhs <= rhs up to the rank cut
+    `alg.RANK_CUT`.
     """
     h = inc.restrict_to_n(q)
-    s = alg.support_projection(h, rank_tol=rank_tol)
+    s = alg.support_projection(h)
     return float(trace(s).real), float(index * trace(q).real)
 
 

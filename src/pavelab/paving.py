@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra as alg
-from .algebra import (Element, PartitionOfUnity, TOL_PROJ, TIE_TOL,
+from .algebra import (Element, PartitionOfUnity, RANK_CUT, TOL_PROJ, TIE_TOL,
                       identity, op_norm, l2_norm, trace)
 from .inclusion import Inclusion
 from .seeding import child_rng
@@ -47,13 +47,10 @@ VERIFY_SLACK = 1e-9
 # ‖x - E_{N'∩M}(x)‖ at or below this: x already lies in the relative
 # commutant, its ratio is 0 and there is nothing to pave
 DEGENERATE_DEN = 1e-12
-L2_SLACK = 0.05  # default delta_l2 of an l2 paving
+L2_SLACK = 0.05  # delta_l2 of an l2 paving
 # τ(q) is a float sum of trace weights times ranks: a rank that meets δ'
 # exactly must not fail it by rounding
 TAU_SLACK = 1e-15
-# stage (iii) keeps the eigenvectors of h above this fraction of its top
-# eigenvalue as the support of E_N(b)
-SUPPORT_CUT = 1e-9
 # QR rank cut of `_join_frames`: a column whose |R_kk| is at or below the
 # cut depends on the earlier ones; it factors groups of orthonormal columns,
 # so the scale is 1
@@ -62,6 +59,14 @@ JOIN_RANK_TOL = 1e-9
 # inside this: a corner whose `eigvalsh` top lies below θ − TIE_TOL − margin
 # has no `eigh` eigenvalue at or above θ − TIE_TOL
 SCREEN_MARGIN = 1e-12
+# fixed schedules and budgets; see SearchConfig, dixmier_average_run and scan
+STEP_SCALE = math.pi / 8
+COOLING = 0.95
+SWEEP = 25
+STALL_BUDGET = 4
+MAX_FOLDS = 10
+SCAN_RESTARTS = 2
+SCAN_STEPS = 120
 
 
 class PavingError(RuntimeError):
@@ -169,26 +174,20 @@ class PipelineConfig:
 
 @dataclass
 class SearchConfig:
-    """Annealing budget: r parts, restarts × steps Givens moves, the step
-    scale multiplied by `cooling` after every `sweep` steps."""
+    """Annealing budget: r parts and restarts × steps Givens moves.  The
+    schedule is fixed: the step scale starts at STEP_SCALE and is multiplied
+    by COOLING after every SWEEP steps."""
 
     r: int
     restarts: int = 4
     steps: int = 300
-    step_scale: float = math.pi / 8
-    cooling: float = 0.95
-    sweep: int = 25
     seed: int = 0
 
     def __post_init__(self):
-        if self.r < 1 or self.restarts < 1 or self.sweep < 1:
-            raise PavingError("r, restarts and sweep must be >= 1")
+        if self.r < 1 or self.restarts < 1:
+            raise PavingError("r and restarts must be >= 1")
         if self.steps < 0:
             raise PavingError("steps must be >= 0")
-        if not self.step_scale > 0:
-            raise PavingError("step_scale must be positive")
-        if not 0 < self.cooling <= 1:
-            raise PavingError("cooling must lie in (0, 1]")
 
 
 @dataclass
@@ -614,7 +613,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                 h_c = _corner_expectation(b_x, mults, t_weights, s0)
                 h_corners.append(h_c)
                 w_h, v_h = np.linalg.eigh((h_c + h_c.conj().T) / 2)
-                cut = SUPPORT_CUT * max(float(w_h[-1]), 0.0) if w_h.size else 0.0
+                cut = RANK_CUT * max(float(w_h[-1]), 0.0) if w_h.size else 0.0
                 supp = v_h[:, w_h > cut]
                 joint_supports.append([supp])
                 record["support_trace_bound"].append(
@@ -713,7 +712,7 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     order = [np.argmax(np.abs(u), axis=0) for u in base.stacks]
     labels = [base.labels(k) for k in range(nsh.num_blocks)]
     config = {"r": cfg.r, "restarts": cfg.restarts, "steps": cfg.steps,
-              "step_scale": cfg.step_scale, "cooling": cfg.cooling}
+              "step_scale": STEP_SCALE, "cooling": COOLING}
     if problem.epsilon >= 1.0:
         return _trivial_certificate(problem, cfg.seed, config)
     live = problem.live()
@@ -765,7 +764,7 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
         cur = float(scores.max())
         if cur < best_obj:
             best_obj, best_u = cur, u_blocks
-        scale = cfg.step_scale
+        scale = STEP_SCALE
         for step in range(cfg.steps if len(pool) else 0):
             k, a, b = pool[rng.integers(len(pool))]
             theta = rng.normal(0.0, scale)
@@ -786,8 +785,8 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
                 u_blocks, scores, cur = trial, trial_scores, val
                 if cur < best_obj:
                     best_obj, best_u = cur, u_blocks
-            if (step + 1) % cfg.sweep == 0:
-                scale *= cfg.cooling
+            if (step + 1) % SWEEP == 0:
+                scale *= COOLING
             history.append(best_obj)
 
     return verify(problem, partition_of(best_u), seed=cfg.seed, config=config,
@@ -797,18 +796,19 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
 
 # -- Dixmier averaging -----------------------------------------------------------
 
-def dixmier_average_run(problem: PavingProblem, stall_budget: int = 4,
-                        max_folds: int = 10, seed: int = 0) -> PavingCertificate:
+def dixmier_average_run(problem: PavingProblem, seed: int = 0) -> PavingCertificate:
     """Iterative averaging by eigenvalue-order-reversal folds.
 
     Each step diagonalizes the worst centered element and averages with the
     unitary that reverses its eigenvalue order, doubling the family; a step
     that fails to cut the worst ratio by at least 1% falls back to a seeded
-    Haar conjugation, up to `stall_budget`.  Requires N = M (blockwise) so the
-    fold unitaries lie in N; operators must be self-adjoint after centering.
+    Haar conjugation.  The run stops once every ratio is within ε, after
+    MAX_FOLDS folds, or after more than STALL_BUDGET fallbacks.  Requires
+    N = M (blockwise) so the fold unitaries lie in N; operators must be
+    self-adjoint after centering.
     """
     inc = problem.inclusion
-    config = {"stall_budget": stall_budget, "max_folds": max_folds}
+    config = {"stall_budget": STALL_BUDGET, "max_folds": MAX_FOLDS}
     live = problem.live()
     if not live:
         return verify(problem, [identity(inc.n_shape)], seed=seed, config=config)
@@ -830,7 +830,7 @@ def dixmier_average_run(problem: PavingProblem, stall_budget: int = 4,
         history.append(max(ratios))
         if max(ratios) <= problem.epsilon + VERIFY_SLACK:
             break
-        if folds >= max_folds or stalls > stall_budget:
+        if folds >= MAX_FOLDS or stalls > STALL_BUDGET:
             break
         worst = int(np.argmax(ratios))
         y = current[worst]
@@ -856,24 +856,23 @@ def dixmier_average_run(problem: PavingProblem, stall_budget: int = 4,
 
 # -- trace-norm paving -----------------------------------------------------------
 
-def l2_pave(problem: PavingProblem, n_parts: int, delta_l2: float = L2_SLACK,
-            seed: int = 0) -> PavingCertificate:
+def l2_pave(problem: PavingProblem, n_parts: int, seed: int = 0) -> PavingCertificate:
     """Pinch by a Haar-rotated balanced diagonal partition and report trace-norm
-    ratios; verified when every ratio is within delta_l2 of n^(-1/2)."""
+    ratios; verified when every ratio is within L2_SLACK of n^(-1/2)."""
     inc = problem.inclusion
     u = alg.random_haar_unitary(inc.n_shape, child_rng(seed))
     partition = alg.coordinate_partition(inc.n_shape, n_parts, unitary=u)
-    config = {"n_parts": n_parts, "delta_l2": delta_l2}
+    config = {"n_parts": n_parts, "delta_l2": L2_SLACK}
     return verify(problem, partition, mode="l2", seed=seed, config=config)
 
 
 # -- profile scan ----------------------------------------------------------------
 
 def scan(inclusion: Inclusion, epsilons, operators, index: float,
-         seed: int = 0, r_cap: int = 64, restarts: int = 2,
-         steps: int = 120) -> list:
-    """For each ε: the smallest r that pave_search verifies under a step
-    budget, next to the closed-form bracket columns.
+         seed: int = 0, r_cap: int = 64) -> list:
+    """For each ε: the smallest r that pave_search verifies with
+    SCAN_RESTARTS restarts of SCAN_STEPS steps, next to the closed-form
+    bracket columns.
 
     The lower bound is the pinching inequality x <= r Σ p_i x p_i of an
     r-part partition, for each nonzero x >= 0 of F: a verified paving has
@@ -898,7 +897,7 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
         found, verified = None, False
         for r in range(1, min(r_cap, total_slots) + 1):
             cert = pave_search(problem, SearchConfig(
-                r=r, restarts=restarts, steps=steps, seed=int(seed) + 1000 * gi))
+                r=r, restarts=SCAN_RESTARTS, steps=SCAN_STEPS, seed=int(seed) + 1000 * gi))
             if cert.verified:
                 found, verified = r, True
                 break

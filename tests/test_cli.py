@@ -429,6 +429,47 @@ def test_bad_budget_usage_error(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (PAVE + ["--mode", "search", "--n-parts", "0"], "argument --n-parts: must be >= 1, got 0"),
+    (PAVE + ["--mode", "pipeline", "--n-parts", "2", "--m-refine", "0"],
+     "argument --m-refine: must be >= 1, got 0"),
+    (PAVE + ["--mode", "pipeline", "--n-parts", "2"],
+     "pipeline mode takes --n-parts and --m-refine together"),
+    (PAVE + ["--mode", "pipeline", "--m-refine", "2"],
+     "pipeline mode takes --n-parts and --m-refine together"),
+], ids=["search-zero-parts", "pipeline-zero-refine", "pipeline-parts-only",
+        "pipeline-refine-only"])
+def test_bad_size_flags_usage_error(tmp_path, capsys, argv, message):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "pave_certificate.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spec", "--spec", "{dir}"],
+    ["pave", "--mode", "verify", "--certificate", "{dir}"],
+], ids=["spec", "certificate"])
+def test_directory_as_input_file_usage_error(tmp_path, capsys, argv):
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, name, expected", [
+    (["pave", "--family", "tensor(8,2)", "--epsilon", "0.9", "--mode", "search",
+      "--n-parts", "4", "--budget", "0"], "pave_certificate.json",
+     {"step_scale": pv.STEP_SCALE, "cooling": pv.COOLING}),
+    (["pave", "--family", "self(16)", "--epsilon", "0.3", "--mode", "l2", "--n-parts", "4"],
+     "pave_certificate.json", {"delta_l2": pv.L2_SLACK}),
+    (["dixmier", "--family", "self(16)", "--epsilon", "0.25"], "dixmier_certificate.json",
+     {"stall_budget": pv.STALL_BUDGET, "max_folds": pv.MAX_FOLDS}),
+], ids=["search", "l2", "dixmier"])
+def test_certificate_config_records_constants(tmp_path, argv, name, expected):
+    run(argv + ["--f-random", "selfadjoint:1", "--seed", "1", "--out", str(tmp_path)])
+    config = load(os.path.join(tmp_path, name))["config"]
+    assert {key: config[key] for key in expected} == expected
+
+
 class TestSpecCommand:
     def write_spec(self, tmp_path, obj):
         path = os.path.join(tmp_path, "spec.json")

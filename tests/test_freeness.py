@@ -84,6 +84,12 @@ class TestRunKesten:
         with pytest.raises(ValueError):
             fr.KestenExperiment(n=1, dim=8, trials=3, seed=0)
 
+    @pytest.mark.parametrize("dim", [0, 1, -4])
+    def test_dim_below_n_rejected(self, dim):
+        # dim = 0 and -4 pass the divisibility check
+        with pytest.raises(ValueError, match="smaller than n = 2"):
+            fr.KestenExperiment(n=2, dim=dim, trials=1, seed=0)
+
     def test_fast_path_matches_literal_pinch(self):
         # the one-rotation trial formula agrees exactly with pinching the
         # sampled pair once the same relative rotation is used

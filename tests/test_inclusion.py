@@ -22,7 +22,11 @@ def haar_spec_inclusion():
     # N = M2 (weight 1/2) inside M4 + M2 with multiplicities (2, 1)
     spec = incl.InclusionSpec(AlgebraShape((2,), (0.5,)),
                               AlgebraShape((4, 2), (0.125, 0.25)), ((2, 1),))
-    return incl.build_inclusion(spec, seed=3, embed="haar")
+    return incl.build_inclusion(spec, seed=3)
+
+
+def identity_embedded(spec, label=""):
+    return incl.Inclusion(spec, [("id", None)] * spec.m_shape.num_blocks, label=label)
 
 
 MULTI_BLOCK_SPECS = {
@@ -45,8 +49,9 @@ def multi_block():
     out = []
     for i, (name, spec) in enumerate(MULTI_BLOCK_SPECS.items()):
         rng = child_rng(31, i)
-        out += [incl.build_inclusion(spec, embed="identity", label=name + "/id"),
-                incl.build_inclusion(spec, seed=i, embed="haar", label=name + "/haar"),
+        out += [identity_embedded(spec, label=name + "/id"),
+                incl.Inclusion(spec, incl.build_inclusion(spec, seed=i).embed_unitaries,
+                               label=name + "/haar"),
                 incl.Inclusion(spec, [("perm", rng.permutation(ml))
                                       for ml in spec.m_shape.block_dims],
                                label=name + "/perm")]
@@ -357,12 +362,12 @@ SLAB_CASES = {
     "scalars-in(6)": lambda: families.scalars_in(6),
     "scalars-in(64)": lambda: families.scalars_in(64),
     "self(4)": lambda: families.self_inclusion(4),
-    "haar-0": lambda: incl.build_inclusion(random_spec(0), seed=10, embed="haar"),
-    "haar-1": lambda: incl.build_inclusion(random_spec(1), seed=11, embed="haar"),
-    "haar-2": lambda: incl.build_inclusion(random_spec(2), seed=12, embed="haar"),
+    "haar-0": lambda: incl.build_inclusion(random_spec(0), seed=10),
+    "haar-1": lambda: incl.build_inclusion(random_spec(1), seed=11),
+    "haar-2": lambda: incl.build_inclusion(random_spec(2), seed=12),
     "haar-tensor": lambda: incl.build_inclusion(incl.InclusionSpec(
-        AlgebraShape.matrix(4), AlgebraShape.matrix(8), ((2,),)), seed=13, embed="haar"),
-    "identity-3": lambda: incl.build_inclusion(random_spec(3), embed="identity"),
+        AlgebraShape.matrix(4), AlgebraShape.matrix(8), ((2,),)), seed=13),
+    "identity-3": lambda: identity_embedded(random_spec(3)),
     "perm-4": lambda: random_perm_inclusion(4),
 }
 
