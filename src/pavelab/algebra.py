@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -412,10 +413,10 @@ def balanced_slot_partition(shape: AlgebraShape, r: int):
     slots = [(k, i) for k, d in enumerate(shape.block_dims) for i in range(d)]
     if r > len(slots):
         raise AlgebraError(f"cannot split {len(slots)} slots into {r} nonzero parts")
-    loads = np.zeros(r)
+    loads = [0.0] * r
     parts = [[] for _ in range(r)]
     for k, i in slots:
-        j = int(np.argmin(loads))
+        j = min(range(r), key=loads.__getitem__)  # the first lightest part
         parts[j].append((k, i))
         loads[j] += shape.trace_weights[k]
     return parts
@@ -477,29 +478,91 @@ def pinch_stack(g: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g @ part_compression(g, labels, x) @ g.conj().T
 
 
-def part_norms(g: np.ndarray, labels: np.ndarray, xs: np.ndarray, parts: np.ndarray):
-    """Norms of the part-diagonal blocks g_i* x g_i of a stack of x.
+class PartLayout(NamedTuple):
+    """Where the part-diagonal blocks of G* y G sit, for G = ⊕_slab 1_mult ⊗ F_k
+    in the slab coordinates of one M-block (see `part_layout`).
 
-    `g` holds frame columns sorted by part, `labels` their (sorted) part
-    labels, `xs` a (count, d, d) stack and `parts` a sorted array of the
-    labels to read.  x g is formed once per x, and from it only the
-    part-diagonal blocks B = g_i* (x g_i) of g* x g, batched per block size;
-    each size takes one batched eigvalsh of B* B, whose largest eigenvalue
-    gives ‖B‖² and whose sum gives ‖B‖_F².  Returns the
-    (count, len(parts)) operator norms ‖g_i* x g_i‖ and, per x, the squared
-    Frobenius norm summed over those blocks.  For a unitary g these are
-    ‖Σ_i p_i x p_i‖ = max_i ‖g_i* x g_i‖ and ‖Σ_i p_i x p_i‖_F²."""
-    xg = xs @ g
-    norms = np.zeros((len(xs), len(parts)))
-    fro = np.zeros(len(xs))
-    starts = np.searchsorted(labels, parts)
-    sizes = np.searchsorted(labels, parts, side="right") - starts
-    for s in set(sizes.tolist()) - {0}:
-        sel = np.flatnonzero(sizes == s)
-        idx = starts[sel, None] + np.arange(s)
-        # (parts, s, d) @ (count, parts, d, s) -> (count, parts, s, s)
-        blocks = g[:, idx].conj().transpose(1, 2, 0) @ xg[:, :, idx].transpose(0, 2, 1, 3)
-        w = np.linalg.eigvalsh(blocks.conj().swapaxes(-1, -2) @ blocks)
+    ``copies`` lists the slabs as (N-block k, mult) pairs and ``parts`` the
+    labels read.  Each batch holds parts with the same column count in
+    every slab: ``sel`` indexes them in ``parts``, ``idx`` (batch, s) lists
+    the columns of y G that belong to each part, by (slab, copy, column),
+    and ``cols`` gives per slab the columns of F_k that each part takes, or
+    None where it takes none.
+    """
+
+    copies: tuple
+    parts: np.ndarray
+    batches: tuple
+
+
+def part_layout(labels: list, copies: list, parts: np.ndarray) -> PartLayout:
+    """The layout of the parts `parts` (a sorted array) when the columns of
+    F_k carry the sorted part labels `labels[k]` and one M-block holds the
+    slabs `copies`, (k, mult) in slab order.  It depends on the labels
+    only, so it is reused while the frame values change."""
+    copies = tuple(copies)
+    starts, counts, firsts, base = [], [], [], 0
+    for k, mult in copies:
+        w = len(labels[k])
+        starts.append(labels[k].searchsorted(parts))
+        counts.append(labels[k].searchsorted(parts, "right") - starts[-1])
+        firsts.append(base + w * np.arange(mult)[:, None])  # first column of each copy
+        base += mult * w
+    grouped = {}
+    for i, key in enumerate(zip(*(c.tolist() for c in counts))):
+        grouped.setdefault(key, []).append(i)
+    batches = []
+    for key in sorted(grouped):
+        if not any(key):
+            continue
+        sel = np.array(grouped[key])
+        cols, idx = [], []
+        for (k, mult), start, first, w in zip(copies, starts, firsts, key):
+            cols.append(start[sel, None] + np.arange(w) if w else None)
+            if w:
+                idx.append((first + cols[-1][:, None, :]).reshape(len(sel), mult * w))
+        batches.append((sel, idx[0] if len(idx) == 1 else np.concatenate(idx, axis=1),
+                        tuple(cols)))
+    return PartLayout(copies, parts, tuple(batches))
+
+
+def part_norms(frames: list, layout: PartLayout, ys: np.ndarray):
+    """Norms of the part-diagonal blocks G_i* y G_i of a stack of y given in
+    slab coordinates, for G = ⊕_slab 1_mult ⊗ F_k.
+
+    `frames[k]` holds the columns of N-block k sorted by part, laid out as
+    `layout` says, and `ys` is a (count, m, m) stack.  Per slab, y (1 ⊗ F_k)
+    is one GEMM with n_k inner rows.  Per batch of equal-shaped parts, the
+    columns of y G are gathered by (part, copy) position and each slab's
+    rows meet F_k* of the same part, giving the blocks B = G_i* (y G_i);
+    one eigvalsh of B* B then gives ‖B‖² as its largest eigenvalue and
+    ‖B‖_F² as its sum.  Returns the (count, len(layout.parts)) operator
+    norms ‖G_i* y G_i‖ and, per y, the squared Frobenius norm summed over
+    those blocks.  For unitary F_k these are ‖Σ_i p_i y p_i‖ =
+    max_i ‖G_i* y G_i‖ and ‖Σ_i p_i y p_i‖_F²."""
+    count, m = len(ys), ys.shape[-1]
+    zs, rows, row = [], [], 0
+    for k, mult in layout.copies:
+        n = len(frames[k])
+        zs.append((ys[:, :, row:row + mult * n].reshape(count, m * mult, n) @ frames[k])
+                  .reshape(count, m, -1))
+        rows.append(slice(row, row + mult * n))
+        row += mult * n
+    z = zs[0] if len(zs) == 1 else np.concatenate(zs, axis=2)
+    norms = np.zeros((count, len(layout.parts)))
+    fro = np.zeros(count)
+    for sel, idx, cols in layout.batches:
+        zc = z[:, :, idx]                                     # (count, m, batch, s)
+        blocks = []
+        for (k, mult), span, c in zip(layout.copies, rows, cols):
+            if c is not None:
+                f = frames[k][:, c].conj().transpose(1, 2, 0)[:, None]  # (batch, 1, w, n)
+                zr = zc[:, span].reshape(count, mult, -1, len(sel), idx.shape[1])
+                # (batch, 1, w, n) @ (count, batch, mult, n, s) -> (count, batch, mult, w, s)
+                blocks.append((f @ zr.transpose(0, 3, 1, 2, 4))
+                              .reshape(count, len(sel), -1, idx.shape[1]))
+        b = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+        w = np.linalg.eigvalsh(b.conj().swapaxes(-1, -2) @ b)
         norms[:, sel] = np.sqrt(np.maximum(w[..., -1], 0.0))
         fro += w.sum(axis=(1, 2))  # ‖B‖_F² = tr B* B
     return norms, fro

@@ -227,8 +227,17 @@ def _print_pave_table(problem, cert):
         print(f"  x[{i}]: ratio = {ratio:.12g}")
 
 
+def _reject_unused_size_flags(args):
+    """A size flag that the mode cannot use would leave no trace in its output."""
+    if args.m_refine is not None and args.mode != "pipeline":
+        raise UsageError(f"pave --mode {args.mode} takes no --m-refine")
+    if args.n_parts is not None and args.mode in ("unitary", "verify"):
+        raise UsageError(f"pave --mode {args.mode} takes no --n-parts")
+
+
 def cmd_pave(args) -> int:
     if args.mode == "verify":
+        _reject_unused_size_flags(args)
         if not args.certificate:
             raise UsageError("verify mode needs --certificate")
         with _input_file(args.certificate) as saved:
@@ -247,6 +256,7 @@ def cmd_pave(args) -> int:
 
     if args.seed is None:  # optional only in verify mode, which reads it from the certificate
         raise UsageError(f"pave --mode {args.mode} needs --seed")
+    _reject_unused_size_flags(args)
     problem, recipe = _problem(args)
     if args.mode == "pipeline":
         if (args.n_parts is None) != (args.m_refine is None):

@@ -7,6 +7,15 @@ as u* x u).  `Inclusion` keeps one slab table: for each M-block l and each
 N-block k with Λ[k][l] > 0, the (Λ[k][l], n_k) array of rows holding every
 copy.  Each map is one gather or one scatter per slab.
 
+The slab table also fixes the basis that centered operators are stored in.
+Let Π_l be the row order of M-block l that lists the slabs in N-block order,
+copy by copy (the permutation itself for a "perm" embedding, 1 otherwise),
+and u_l the dense unitary (1 unless the embedding is "dense").  Frames
+F_k of N embed as G_l = u_l Π_l (⊕_k 1_{Λ[k][l]} ⊗ F_k), so in the slab
+basis, where `center` stores x − E_{N'∩M}(x) as Π_l* u_l*(x − E)u_l Π_l,
+`alg.part_norms` forms G* (x − E) G from the F_k themselves, with n_k rows
+per copy instead of m_l.
+
 The trace-preserving conditional expectation onto N is the orthogonal
 projection in the trace inner product <a, b> = tau(a* b).  Because the
 embedded matrix units of N form an orthogonal family in that inner product,
@@ -92,13 +101,12 @@ class InclusionSpec:
 
 class _Slab(NamedTuple):
     """The Λ[k][l] copies of N-block k in M-block l: index i of copy c sits
-    in row ``rows[c, i]``, ``key`` selects the slab rows × rows of a block
-    (by basic slices when the rows are contiguous), and ``copies`` is
-    arange(Λ[k][l]) as a column."""
+    in row ``rows[c, i]``, ``span`` is the range of those rows in slab
+    coordinates, and ``copies`` is arange(Λ[k][l]) as a column."""
 
     k: int
     rows: np.ndarray
-    key: tuple
+    span: slice
     copies: np.ndarray
 
 
@@ -129,10 +137,7 @@ class Inclusion:
                 rows = np.arange(span.start, span.stop).reshape(mult, nk)
                 if kind == "perm":
                     rows = u[rows]
-                    key = np.ix_(rows.ravel(), rows.ravel())
-                else:
-                    key = (span, span)
-                slabs.append(_Slab(k, rows, key, np.arange(mult)[:, None]))
+                slabs.append(_Slab(k, rows, span, np.arange(mult)[:, None]))
             self._slabs.append(slabs)
 
     @property
@@ -184,24 +189,49 @@ class Inclusion:
         """E_N(x) as an element of M (image inside the embedded copy of N)."""
         return self.embed(self.restrict_to_n(x))
 
-    def cond_exp_comm(self, x: Element) -> Element:
-        """E_{N' ∩ M}(x): normalized partial trace over each copy grid."""
+    def center(self, x: Element) -> tuple:
+        """(E, slabs) for E = E_{N' ∩ M}(x), the normalized partial trace over
+        each copy grid, and per M-block l the slab blocks
+        y − z = Π_l* u_l* (x − E) u_l Π_l, with y = Π_l* u_l* x u_l Π_l and
+        z its partial-trace part in slab coordinates (see the module
+        docstring)."""
         if x.shape != self.m_shape:
             raise alg.ShapeMismatchError("element does not live over M")
-        blocks = []
-        for l in range(self.m_shape.num_blocks):
-            u = self._dense(l)
-            y = x.blocks[l] if u is None else u.conj().T @ x.blocks[l] @ u
+        blocks, slabs = [], []
+        for l, (kind, u) in enumerate(self.embed_unitaries):
+            b = x.blocks[l]
+            if kind == "perm":
+                y = b[np.ix_(u, u)]
+            elif kind == "dense":
+                y = u.conj().T @ b @ u
+            else:
+                y = b
             z = np.zeros_like(y)
             for s in self._slabs[l]:
                 mult, nk = s.rows.shape
-                y4 = y[s.key].reshape(mult, nk, mult, nk)
+                y4 = y[s.span, s.span].reshape(mult, nk, mult, nk)
                 # a contiguous copy of the diagonals sums as np.trace of each block
                 tr = y4.diagonal(axis1=1, axis2=3).copy().sum(-1) / nk
                 z4 = tr[:, None, :, None] * np.eye(nk)[:, None, :]
-                z[s.key] = z4.reshape(mult * nk, mult * nk)
-            blocks.append(z if u is None else u @ z @ u.conj().T)
-        return Element(self.m_shape, blocks)
+                z[s.span, s.span] = z4.reshape(mult * nk, mult * nk)
+            slabs.append(y - z)
+            if kind == "perm":
+                e = np.empty_like(z)
+                e[np.ix_(u, u)] = z
+            elif kind == "dense":
+                e = u @ z @ u.conj().T
+            else:
+                e = z
+            blocks.append(e)
+        return Element(self.m_shape, blocks), slabs
+
+    def cond_exp_comm(self, x: Element) -> Element:
+        """E_{N' ∩ M}(x); see `center`."""
+        return self.center(x)[0]
+
+    def slab_layout(self, l: int) -> list:
+        """The slabs of M-block l in slab order, as (N-block, copies) pairs."""
+        return [(s.k, len(s.rows)) for s in self._slabs[l]]
 
     def commutant_dim(self) -> int:
         return sum(v * v for row in self.spec.inclusion_matrix for v in row)
@@ -224,23 +254,6 @@ class Inclusion:
                 col += mult * r
             u = self._dense(l)
             out.append(g if u is None else u @ g)
-        return out
-
-    def embed_parts(self, frames_n: list, labels_n: list) -> list:
-        """Embed per-N-block columns tagged with part labels.
-
-        `embed_frame` lays the columns of each N-block once per copy; a
-        stable sort by label regroups them part by part.  Per M-block this
-        returns the regrouped columns and their sorted labels.
-        """
-        out = []
-        for l, g in enumerate(self.embed_frame(frames_n)):
-            per_copy = []
-            for s in self._slabs[l]:
-                per_copy += [labels_n[s.k]] * len(s.rows)
-            labels = np.concatenate(per_copy)
-            order = np.argsort(labels, kind="stable")
-            out.append((g[:, order], labels[order]))
         return out
 
 

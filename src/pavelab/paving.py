@@ -20,12 +20,16 @@ commutant, measured relative to ‖x - E_{N'∩M}(x)‖.  This module provides
 Certificates are value objects; `verify` recomputes all ratios from scratch
 and is the only place the verified flag is set, so re-verification of a
 certificate is bit-identical to its creation.  A partition's ratios are read
-off the part-diagonal blocks of G*(x − E)G, G the embedded stacked frame and
-E = E_{N'∩M}(x), by the same kernel (`alg.part_norms`) that scores the
-annealing search; no M-size pinch is formed.  This rests on two facts that
-`verify` has in hand: the frame-unitarity check ‖U*U − 1‖ ≤ TOL_PROJ on the
-N-side stacks U, which the embedding carries over to G, and E ∈ N'∩M, which
-commutes with every part.
+off the part-diagonal blocks G_i*(x − E)G_i, G_i the embedded frame of part
+i and E = E_{N'∩M}(x), by the same kernel (`alg.part_norms`) that scores
+the annealing search; neither an M-size pinch nor an embedded frame is
+formed.  Each problem stores x − E once in the slab basis of every M-block,
+Y_l = Π_l* u_l*(x − E)u_l Π_l (`Inclusion.center`), where the embedded
+frame is 1 ⊗ F on each copy of an N-block, so the blocks come from the
+N-frames F with n_k rows per copy.  This rests on two facts that `verify`
+has in hand: the frame-unitarity check ‖U*U − 1‖ ≤ TOL_PROJ on the N-side
+stacks U, which carries over to the embedded frame u_l Π_l (⊕ 1 ⊗ U_k)
+because u_l Π_l is unitary, and E ∈ N'∩M, which commutes with every part.
 """
 
 from __future__ import annotations
@@ -99,9 +103,11 @@ class PavingProblem:
     """A finite operator set F in M, a target ε, and the index to use in bounds.
 
     F is stored as a tuple and centered once, here: `centered` holds one
-    `Centered` per operator, which every producer and `verify` read.  The
-    blocks of the centered x − E are views into `diff_stacks`, one
-    (|F|, d_l, d_l) array per M-block, which the batched norms read.
+    `Centered` per operator, with x − E in M coordinates, which the l2
+    denominators, the Dixmier folds and the pipeline read.  `slab_stacks`
+    holds the same x − E in slab coordinates (`Inclusion.center`), one
+    (|F|, m_l, m_l) array per M-block, which `verify` and `pave_search`
+    read part norms from.
     """
 
     inclusion: Inclusion
@@ -109,7 +115,7 @@ class PavingProblem:
     epsilon: float
     index: float = None
     centered: tuple = field(init=False, repr=False, compare=False)
-    diff_stacks: tuple = field(init=False, repr=False, compare=False)
+    slab_stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.operators = tuple(self.operators)
@@ -122,13 +128,14 @@ class PavingProblem:
         for x in self.operators:
             if x.shape != self.inclusion.m_shape:
                 raise alg.ShapeMismatchError("operators must live over M")
-        es = [self.inclusion.cond_exp_comm(x) for x in self.operators]
-        self.diff_stacks = tuple(
-            np.stack([x.blocks[l] - e.blocks[l] for x, e in zip(self.operators, es)])
-            for l in range(self.inclusion.m_shape.num_blocks))
+        self.slab_stacks = tuple(np.empty((len(self.operators), d, d), dtype=np.complex128)
+                                 for d in self.inclusion.m_shape.block_dims)
         centered = []
-        for i, (x, e) in enumerate(zip(self.operators, es)):
-            diff = Element(x.shape, [stack[i] for stack in self.diff_stacks])
+        for i, x in enumerate(self.operators):
+            e, slabs = self.inclusion.center(x)
+            for stack, y in zip(self.slab_stacks, slabs):
+                stack[i] = y
+            diff = x - e
             centered.append(Centered(x, e, diff, op_norm(diff)))
         self.centered = tuple(centered)
 
@@ -275,14 +282,16 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     rejected with a "shape" residual, so every ratio comes from the stored
     N-frames or N-unitaries themselves.
 
-    A partition is checked in a fixed order: its shape must be N's, its
-    frame residual ‖U*U − 1‖ must be at most TOL_PROJ, and only then are
-    its frames embedded in M.  The M-size pinch is never formed.
-    With E = E_{N'∩M}(x) in N'∩M, E commutes with every p_i ∈ N, so
-    Σ p_i x p_i − E = Σ p_i (x − E) p_i; the embedded stacked frame G is
-    unitary to the checked residual, so that norm is read off the
-    part-diagonal blocks of G*(x − E)G by `alg.part_norms`: the largest
-    block norm, or in l2 mode sqrt(Σ_l t_l ‖mask ⊙ G_l*(x − E)G_l‖_F²).
+    A partition is checked in a fixed order: its shape must be N's, and
+    its frame residual ‖U*U − 1‖ must be at most TOL_PROJ; only then are
+    its frames read.  Neither the M-size pinch nor an embedded frame is
+    formed.  With E = E_{N'∩M}(x) in N'∩M, E commutes with every p_i ∈ N,
+    so Σ p_i x p_i − E = Σ p_i (x − E) p_i.  In M-block l the parts embed
+    as G = u_l Π_l (⊕_k 1 ⊗ U_k), unitary exactly when the checked U_k are,
+    so that norm is read off the part-diagonal blocks G_i*(x − E)G_i, which
+    `alg.part_norms` forms from the U_k and the slab stack
+    Y_l = Π_l* u_l*(x − E)u_l Π_l of the problem: the largest block norm,
+    or in l2 mode sqrt(Σ_l t_l Σ_i ‖G_i*(x − E)G_i‖_F²).
 
     In l2 mode the threshold is n_parts^(-1/2) + delta_l2,
     both read from `config` (n_parts defaults to the partition size,
@@ -311,12 +320,12 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
                 f"partition frames are not unitary within {TOL_PROJ} "
                 f"(residual {worst:.3e})", {"frame_residual": worst})
         labels_n = [candidate.labels(k) for k in range(inc.n_shape.num_blocks)]
-        embedded = inc.embed_parts(candidate.stacks, labels_n)
         parts = np.arange(candidate.size)
         largest = np.zeros(len(problem.centered))
         square = np.zeros(len(problem.centered))
-        for l, ((g, labels), t) in enumerate(zip(embedded, inc.m_shape.trace_weights)):
-            norms, fro = alg.part_norms(g, labels, problem.diff_stacks[l], parts)
+        for l, (ys, t) in enumerate(zip(problem.slab_stacks, inc.m_shape.trace_weights)):
+            layout = alg.part_layout(labels_n, inc.slab_layout(l), parts)
+            norms, fro = alg.part_norms(candidate.stacks, layout, ys)
             largest = np.maximum(largest, norms.max(axis=1))
             square += t * fro
         ratios = []
@@ -700,10 +709,12 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
 
     The objective is max_i s_i over the parts, where
     s_i = max_x ‖G_i* (x - E(x)) G_i‖ / ‖x - E(x)‖ and G_i is the embedded
-    frame of part i.  A restart scores all r parts once; a move rotates two
-    slots of different parts, so only those two scores are recomputed from
-    the moved u: per x and M-block of dimension d, one d×d by d×rank
-    product for the two parts' rank columns instead of a full g* x g.
+    frame of part i.  `alg.part_norms` reads it off the slab stacks of the
+    problem with the N-frames of the parts, so no frame is embedded in M.
+    A restart scores all r parts once; a move rotates two slots of
+    different parts, so only those two scores are recomputed: the two
+    parts' columns of u, with the two slots rotated, form the trial frame,
+    and u itself is copied only when the move is accepted.
     """
     inc = problem.inclusion
     nsh = inc.n_shape
@@ -713,54 +724,65 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     labels = [base.labels(k) for k in range(nsh.num_blocks)]
     config = {"r": cfg.r, "restarts": cfg.restarts, "steps": cfg.steps,
               "step_scale": STEP_SCALE, "cooling": COOLING}
-    if problem.epsilon >= 1.0:
+    if problem.epsilon >= 1.0 or not problem.live():
         return _trivial_certificate(problem, cfg.seed, config)
-    live = problem.live()
 
     def partition_of(u_blocks):
         # the columns of u reordered by part, as coordinate_partition does
         return PartitionOfUnity(nsh, [u[:, o] for u, o in zip(u_blocks, order)],
                                 base.ranks)
 
-    if not live:
-        return _trivial_certificate(problem, cfg.seed, config)
-    diffs = [np.stack([it.diff.blocks[l] for it in live])
-             for l in range(inc.m_shape.num_blocks)]
-    dens = np.array([it.den for it in live])[:, None]
+    copies = [inc.slab_layout(l) for l in range(inc.m_shape.num_blocks)]
+    # an operator inside the relative commutant scores 0
+    dens = np.array([it.den if it.den > DEGENERATE_DEN else np.inf
+                     for it in problem.centered])[:, None]
 
-    def part_scores(u_blocks, parts):
-        # s_i for each part i of the sorted array `parts`: embed only their
-        # columns and read the part-diagonal blocks with `alg.part_norms`
-        chosen = np.zeros(cfg.r, dtype=bool)
-        chosen[parts] = True
-        keep = [chosen[lab] for lab in labels]
-        frames = [u[:, o[m]] for u, o, m in zip(u_blocks, order, keep)]
-        scores = np.zeros(len(parts))
-        for (g, lab), d in zip(inc.embed_parts(frames, [lab[m] for lab, m in zip(labels, keep)]),
-                               diffs):
-            norms, _ = alg.part_norms(g, lab, d, parts)
+    def part_scores(frames, layouts):
+        # s_i for each part i that `layouts` (one per M-block) reads, from the
+        # per-N-block columns of those parts sorted by part
+        scores = 0.0
+        for ys, layout in zip(problem.slab_stacks, layouts):
+            norms, _ = alg.part_norms(frames, layout, ys)
             scores = np.maximum(scores, (norms / dens).max(axis=0))
         return scores
+
+    # per N-block: the columns of u of each part, and per slot its part and
+    # its place among the columns of that part
+    part_cols = [np.split(o, np.cumsum(rk)[:-1]) for o, rk in zip(order, base.ranks)]
+    owners, places = [], []
+    for o, lab, rk in zip(order, labels, base.ranks):
+        owner, place = np.empty(len(o), dtype=int), np.empty(len(o), dtype=int)
+        owner[o] = lab
+        place[o] = np.arange(len(o)) - np.repeat(np.cumsum(rk) - rk, rk)
+        owners.append(owner)
+        places.append(place)
+    pair_layouts = {}
+
+    def pair_layout(i, j):
+        # the columns of parts i < j, labelled 0 and 1: their layouts depend
+        # on the two parts' ranks alone
+        key = tuple((rk[i], rk[j]) for rk in base.ranks)
+        if key not in pair_layouts:
+            pair_labels = [np.repeat([0, 1], widths) for widths in key]
+            pair_layouts[key] = [alg.part_layout(pair_labels, c, np.arange(2)) for c in copies]
+        return pair_layouts[key]
 
     # slot pairs (k, a, b) eligible for a cross-part rotation, in block then
     # row-major order; with a single part there is no move and the objective
     # is rotation-invariant
-    pool, owners = [], []
-    for k, o in enumerate(order):
-        owner = np.empty(len(o), dtype=int)
-        owner[o] = labels[k]
-        a, b = np.triu_indices(len(o), 1)
+    pool = []
+    for k, owner in enumerate(owners):
+        a, b = np.triu_indices(len(owner), 1)
         cross = owner[a] != owner[b]
         pool.append(np.stack([np.full(cross.sum(), k), a[cross], b[cross]], axis=1))
-        owners.append(owner)
     pool = np.concatenate(pool)
-    all_parts = np.arange(cfg.r)
+    all_layouts = [alg.part_layout(labels, c, np.arange(cfg.r)) for c in copies]
 
     best_obj, best_u, history = np.inf, None, []
     for restart in range(cfg.restarts):
         rng = child_rng(cfg.seed, restart)
         u_blocks = [alg.haar_block(rng, d) for d in nsh.block_dims]
-        scores = part_scores(u_blocks, all_parts)
+        scores = part_scores([u[:, o] for u, o in zip(u_blocks, order)], all_layouts)
         cur = float(scores.max())
         if cur < best_obj:
             best_obj, best_u = cur, u_blocks
@@ -771,18 +793,24 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
             phi = rng.uniform(0.0, 2 * np.pi)
             g = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
                           [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
-            # blocks are never written once placed in u_blocks, so the
-            # trial shares every block but k
-            trial = list(u_blocks)
-            trial[k] = u_blocks[k].copy()
-            trial[k][:, [a, b]] = trial[k][:, [a, b]] @ g
-            touched = np.sort(owners[k][[a, b]])
+            rotated = u_blocks[k][:, [a, b]] @ g
+            i, j = sorted((owners[k][a], owners[k][b]))
+            frames = [u[:, np.concatenate((cols[i], cols[j]))]
+                      for u, cols in zip(u_blocks, part_cols)]
+            # part j's columns follow the base.ranks[k][i] columns of part i
+            frames[k][:, [places[k][s] + (base.ranks[k][i] if owners[k][s] == j else 0)
+                          for s in (a, b)]] = rotated
             trial_scores = scores.copy()
-            trial_scores[touched] = part_scores(trial, touched)
+            trial_scores[[i, j]] = part_scores(frames, pair_layout(i, j))
             val = float(trial_scores.max())
             temp = max(scale * 0.1, 1e-6)
             if val < cur or rng.random() < math.exp(-(val - cur) / temp):
-                u_blocks, scores, cur = trial, trial_scores, val
+                # blocks are never written once placed in u_blocks, so the
+                # accepted u shares every block but k
+                moved = u_blocks[k].copy()
+                moved[:, [a, b]] = rotated
+                u_blocks = u_blocks[:k] + [moved] + u_blocks[k + 1:]
+                scores, cur = trial_scores, val
                 if cur < best_obj:
                     best_obj, best_u = cur, u_blocks
             if (step + 1) % SWEEP == 0:

@@ -79,11 +79,67 @@ def partition_from_projections(projections) -> alg.PartitionOfUnity:
     return alg.PartitionOfUnity.from_frames(projections[0].shape, frames)
 
 
+# -- the per-copy loops over an offsets table that the slab table of
+# `Inclusion` replaced, kept as references for embedded frames -------------
+
+def ref_offsets(inc):
+    """Per M-block, the first grouped row of each copy (k, c) of N-block k."""
+    offsets = []
+    for l in range(inc.m_shape.num_blocks):
+        table, off = {}, 0
+        for k, nk in enumerate(inc.n_shape.block_dims):
+            for c in range(inc.spec.inclusion_matrix[k][l]):
+                table[(k, c)] = off
+                off += nk
+        offsets.append(table)
+    return offsets
+
+
+def ref_from_grouped_cols(inc, l, cols):
+    kind, u = inc.embed_unitaries[l]
+    if kind == "id":
+        return cols
+    if kind == "perm":
+        out = np.zeros_like(cols)
+        out[u, :] = cols
+        return out
+    return u @ cols
+
+
+def ref_embed_frame(inc, frames_n):
+    out = []
+    for l, ml in enumerate(inc.m_shape.block_dims):
+        cols = []
+        for (k, c), off in ref_offsets(inc)[l].items():
+            f = frames_n[k]
+            if f.shape[1] == 0:
+                continue
+            nk = inc.n_shape.block_dims[k]
+            g = np.zeros((ml, f.shape[1]), dtype=np.complex128)
+            g[off:off + nk, :] = f
+            cols.append(g)
+        stacked = (np.concatenate(cols, axis=1) if cols
+                   else np.zeros((ml, 0), dtype=np.complex128))
+        out.append(ref_from_grouped_cols(inc, l, stacked))
+    return out
+
+
+def ref_embed_parts(inc, frames_n, labels_n):
+    """Per M-block, the embedded columns regrouped part by part (a stable
+    sort by label) and their sorted labels."""
+    out = []
+    for l, g in enumerate(ref_embed_frame(inc, frames_n)):
+        labels = np.concatenate([labels_n[k] for k, _ in ref_offsets(inc)[l]])
+        order = np.argsort(labels, kind="stable")
+        out.append((g[:, order], labels[order]))
+    return out
+
+
 def embed_partition(inc, partition: alg.PartitionOfUnity) -> alg.PartitionOfUnity:
     """The parts of a partition of N, embedded, as a partition of unity of M."""
     labels_n = [partition.labels(k) for k in range(inc.n_shape.num_blocks)]
     stacks, ranks = [], []
-    for g, labels in inc.embed_parts(partition.stacks, labels_n):
+    for g, labels in ref_embed_parts(inc, partition.stacks, labels_n):
         stacks.append(g)
         ranks.append(np.bincount(labels, minlength=partition.size))
     return alg.PartitionOfUnity(inc.m_shape, stacks, ranks)

@@ -291,30 +291,6 @@ class TestPartitionsAndPinching:
         twice = alg.pinch(part, once)
         assert op_norm(once - twice) < 1e-11
 
-    def test_part_norms_against_literal_blocks(self):
-        # uneven parts, one with no columns (label 2); a stack of generic x
-        d = 9
-        labels = np.array([0, 0, 0, 1, 3, 3, 4, 4, 4])
-        g = alg.random_haar_unitary(AlgebraShape.matrix(d), 32).blocks[0]
-        xs = np.stack([rand_generic(AlgebraShape.matrix(d), child_seed(33, t)).blocks[0]
-                       for t in range(3)])
-        for parts in (np.arange(5), np.array([1, 3]), np.array([2])):
-            norms, fro = alg.part_norms(g, labels, xs, parts)
-            assert norms.shape == (3, len(parts))
-            for t, x in enumerate(xs):
-                blocks = [g[:, labels == i].conj().T @ x @ g[:, labels == i] for i in parts]
-                ref = [np.linalg.norm(b, 2) if b.size else 0.0 for b in blocks]
-                np.testing.assert_allclose(norms[t], ref, rtol=1e-12, atol=0.0)
-                assert fro[t] == pytest.approx(sum(np.sum(np.abs(b) ** 2) for b in blocks),
-                                               rel=1e-12, abs=0.0)
-        # unitary g: the largest block norm is the norm of the pinch
-        part = alg.PartitionOfUnity(AlgebraShape.matrix(d), [g], [np.bincount(labels)])
-        x = Element(AlgebraShape.matrix(d), [xs[0]])
-        norms, fro = alg.part_norms(g, labels, xs[:1], np.arange(5))
-        pinched = alg.pinch(part, x)
-        assert norms.max() == pytest.approx(op_norm(pinched), rel=1e-12)
-        assert fro[0] == pytest.approx(np.sum(np.abs(pinched.blocks[0]) ** 2), rel=1e-12)
-
     def test_unitary_average_trivial_and_trace(self):
         x = rand_generic(MIXED, 28)
         assert elements_close(alg.unitary_average([identity(MIXED)], x), x, 0.0)
@@ -372,3 +348,24 @@ class TestBalancedPartitions:
     def test_slot_partition_granularity(self):
         with pytest.raises(alg.AlgebraError):
             alg.balanced_slot_partition(M2, 3)
+
+    @staticmethod
+    def argmin_slot_partition(shape, r):
+        # the np.argmin loop that the list of loads replaced
+        loads = np.zeros(r)
+        parts = [[] for _ in range(r)]
+        for k, d in enumerate(shape.block_dims):
+            for i in range(d):
+                j = int(np.argmin(loads))
+                parts[j].append((k, i))
+                loads[j] += shape.trace_weights[k]
+        return parts
+
+    @pytest.mark.parametrize("shape, rs", [
+        (AlgebraShape.matrix(32), (1, 5, 16, 32)),
+        (AlgebraShape((3, 4, 2), (1 / 9, 1 / 9, 1 / 9)), (2, 4, 9)),
+        (AlgebraShape((2, 3, 1), (0.1, 0.2, 0.2)), (2, 3, 6)),
+    ], ids=["single-block", "multi-block", "unequal-weight"])
+    def test_slot_partition_matches_argmin_loop(self, shape, rs):
+        for r in rs:
+            assert alg.balanced_slot_partition(shape, r) == self.argmin_slot_partition(shape, r)

@@ -384,9 +384,9 @@ class TestScanCommand:
 
     def test_centers_each_operator_once(self, tmp_path, monkeypatch):
         calls = []
-        cond_exp_comm = incl.Inclusion.cond_exp_comm
-        monkeypatch.setattr(incl.Inclusion, "cond_exp_comm",
-                            lambda self, x: calls.append(x) or cond_exp_comm(self, x))
+        center = incl.Inclusion.center
+        monkeypatch.setattr(incl.Inclusion, "center",
+                            lambda self, x: calls.append(x) or center(self, x))
         assert run(["scan", "--family", "self(8)", "--grid", "0.5,0.7,1.0",
                     "--f-random", "selfadjoint:2", "--seed", "2", "--budget", "4",
                     "--out", str(tmp_path)]) == 0
@@ -442,6 +442,23 @@ def test_bad_budget_usage_error(tmp_path, capsys, argv, message):
 def test_bad_size_flags_usage_error(tmp_path, capsys, argv, message):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "pave_certificate.json"))
+
+
+@pytest.mark.parametrize("flag, mode", [
+    ("--m-refine", "search"), ("--m-refine", "l2"), ("--m-refine", "unitary"),
+    ("--m-refine", "verify"), ("--n-parts", "unitary"), ("--n-parts", "verify"),
+])
+def test_size_flag_the_mode_cannot_use(tmp_path, capsys, flag, mode):
+    # with --n-parts given too where the mode reads it, so only `flag` is unused
+    if mode == "verify":
+        argv = ["pave", "--certificate", str(tmp_path / "missing.json")]
+    else:
+        argv = PAVE + (["--n-parts", "4"] if mode in ("search", "l2") else [])
+    argv += ["--mode", mode, flag, "3"]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: pave --mode {mode} takes no {flag}\n"
     assert not os.path.exists(os.path.join(tmp_path, "pave_certificate.json"))
 
 

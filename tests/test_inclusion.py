@@ -10,7 +10,8 @@ from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace, zer
 from pavelab.seeding import child_rng, child_seed
 
 from conftest import (elements_close, expectation_residuals, partial_trace_left,
-                      partial_trace_right, projection_defect)
+                      partial_trace_right, projection_defect, ref_embed_frame,
+                      ref_offsets)
 
 
 def rand_m(inc, seed, kind=alg.SELFADJOINT, theta=None):
@@ -199,19 +200,8 @@ class TestExpectations:
 
 
 # -- the per-copy loops over an `_offsets` table that the slab table
-# replaced, kept as the reference its maps must match bit for bit ------------
-
-def ref_offsets(inc):
-    offsets = []
-    for l in range(inc.m_shape.num_blocks):
-        table, off = {}, 0
-        for k, nk in enumerate(inc.n_shape.block_dims):
-            for c in range(inc.spec.inclusion_matrix[k][l]):
-                table[(k, c)] = off
-                off += nk
-        offsets.append(table)
-    return offsets
-
+# replaced, kept as the reference its maps must match bit for bit; the
+# offsets table and the frame references are in conftest ---------------------
 
 def ref_to_grouped(inc, l, x_l):
     kind, u = inc.embed_unitaries[l]
@@ -231,17 +221,6 @@ def ref_from_grouped(inc, l, y_l):
         out[np.ix_(u, u)] = y_l
         return out
     return u @ y_l @ u.conj().T
-
-
-def ref_from_grouped_cols(inc, l, cols):
-    kind, u = inc.embed_unitaries[l]
-    if kind == "id":
-        return cols
-    if kind == "perm":
-        out = np.zeros_like(cols)
-        out[u, :] = cols
-        return out
-    return u @ cols
 
 
 def ref_embed(inc, x):
@@ -302,33 +281,6 @@ def ref_commutant_basis(inc):
                     blocks[l] = ref_from_grouped(inc, l, y) / np.sqrt(tl * nk)
                     basis.append(Element(inc.m_shape, blocks))
     return basis
-
-
-def ref_embed_frame(inc, frames_n):
-    out = []
-    for l, ml in enumerate(inc.m_shape.block_dims):
-        cols = []
-        for (k, c), off in ref_offsets(inc)[l].items():
-            f = frames_n[k]
-            if f.shape[1] == 0:
-                continue
-            nk = inc.n_shape.block_dims[k]
-            g = np.zeros((ml, f.shape[1]), dtype=np.complex128)
-            g[off:off + nk, :] = f
-            cols.append(g)
-        stacked = (np.concatenate(cols, axis=1) if cols
-                   else np.zeros((ml, 0), dtype=np.complex128))
-        out.append(ref_from_grouped_cols(inc, l, stacked))
-    return out
-
-
-def ref_embed_parts(inc, frames_n, labels_n):
-    out = []
-    for l, g in enumerate(ref_embed_frame(inc, frames_n)):
-        labels = np.concatenate([labels_n[k] for k, _ in ref_offsets(inc)[l]])
-        order = np.argsort(labels, kind="stable")
-        out.append((g[:, order], labels[order]))
-    return out
 
 
 def random_spec(seed):
@@ -396,15 +348,13 @@ def general_element(shape, seed):
 
 
 def random_frames(inc, seed, empty_block=None):
-    """Per N-block columns of random width (none in `empty_block`) and
-    their part labels in 0..2."""
+    """Per N-block columns of random width (none in `empty_block`)."""
     rng = child_rng(seed)
-    frames, labels = [], []
+    frames = []
     for k, nk in enumerate(inc.n_shape.block_dims):
         r = 0 if k == empty_block else int(rng.integers(1, nk + 1))
         frames.append(rng.standard_normal((nk, r)) + 1j * rng.standard_normal((nk, r)))
-        labels.append(rng.integers(0, 3, size=r))
-    return frames, labels
+    return frames
 
 
 @pytest.mark.parametrize("name", list(SLAB_CASES))
@@ -425,13 +375,43 @@ class TestSlabTable:
         # the second and third frames have no columns in the first or last N-block
         inc = SLAB_CASES[name]()
         for t, empty in enumerate((None, 0, inc.n_shape.num_blocks - 1)):
-            frames, labels = random_frames(inc, child_seed(23, t), empty_block=empty)
+            frames = random_frames(inc, child_seed(23, t), empty_block=empty)
             for g, ref in zip(inc.embed_frame(frames), ref_embed_frame(inc, frames)):
                 assert_same_bits(g, ref)
-            for (g, lab), (rg, rlab) in zip(inc.embed_parts(frames, labels),
-                                            ref_embed_parts(inc, frames, labels)):
-                assert_same_bits(g, rg)
-                assert np.array_equal(lab, rlab)
+
+
+@pytest.mark.parametrize("name", list(SLAB_CASES))
+def test_part_norms_against_literal_blocks(name):
+    # square random frames with labels from {0, 1, 2, 4}: part 3 is empty
+    # everywhere, and a label may miss an N-block; one generic and one
+    # self-adjoint x; all five parts, a two-part subset and the empty part
+    inc = SLAB_CASES[name]()
+    rng = child_rng(25)
+    frames, labels = [], []
+    for nk in inc.n_shape.block_dims:
+        frames.append(rng.standard_normal((nk, nk)) + 1j * rng.standard_normal((nk, nk)))
+        labels.append(np.sort(rng.choice([0, 1, 2, 4], size=nk)))
+    xs = [general_element(inc.m_shape, 26),
+          alg.random_element(inc.m_shape, alg.SELFADJOINT, 27)]
+    centered = [inc.center(x) for x in xs]
+    for parts in (np.arange(5), np.array([1, 4]), np.array([3])):
+        for l in range(inc.m_shape.num_blocks):
+            ys = np.stack([slabs[l] for _, slabs in centered])
+            layout = alg.part_layout(labels, inc.slab_layout(l), parts)
+            norms, fro = alg.part_norms(frames, layout, ys)
+            assert norms.shape == (len(xs), len(parts))
+            for t, (x, (e, _)) in enumerate(zip(xs, centered)):
+                diff = x.blocks[l] - e.blocks[l]
+                blocks = []
+                for i in parts:
+                    g = ref_embed_frame(inc, [f[:, lab == i] for f, lab in zip(frames, labels)])[l]
+                    blocks.append(g.conj().T @ diff @ g)
+                ref = [np.linalg.norm(b, 2) if b.size else 0.0 for b in blocks]
+                # a block that vanishes in slab coordinates is rounding in M's
+                np.testing.assert_allclose(norms[t], ref, rtol=1e-12,
+                                           atol=1e-12 * max(ref + [1.0]))
+                want = sum(np.sum(np.abs(b) ** 2) for b in blocks)
+                assert fro[t] == pytest.approx(want, rel=1e-12, abs=1e-24)
 
 
 # scalars-in(64) has 4096 commutant basis elements of size 64 x 64

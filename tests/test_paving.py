@@ -670,9 +670,9 @@ def test_pipeline_config_validation(field, value, message):
 def test_each_operator_centered_once(monkeypatch):
     # the problem centers F when it is built; producers and verify reuse it
     calls = []
-    cond_exp_comm = incl.Inclusion.cond_exp_comm
-    monkeypatch.setattr(incl.Inclusion, "cond_exp_comm",
-                        lambda self, x: calls.append(x) or cond_exp_comm(self, x))
+    center = incl.Inclusion.center
+    monkeypatch.setattr(incl.Inclusion, "center",
+                        lambda self, x: calls.append(x) or center(self, x))
     inc = families.tensor_product(8, 2)
     ops = [selfadjoint(inc.m_shape, child_seed(45, t)) for t in range(3)]
     for produce in (lambda p: pv.pave_search(p, pv.SearchConfig(r=4, restarts=1, steps=20)),
@@ -769,6 +769,14 @@ def with_generic_operator(problem, seed):
                             operators=problem.operators + (z,), epsilon=problem.epsilon)
 
 
+def haar_copies_problem():
+    # N = M_4 Haar-embedded in M_12 by Λ = [[3]]: one M-block, one dense slab
+    spec = incl.InclusionSpec(AlgebraShape.matrix(4), AlgebraShape.matrix(12), ((3,),))
+    inc = incl.build_inclusion(spec, seed=9)
+    return pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 57)],
+                            epsilon=0.5)
+
+
 class TestVerifyDifferential:
     """`verify` reads ratios off part-diagonal blocks; here they are checked
     against the literal M-size pinch ‖Σ p_i x p_i − E‖ / ‖x − E‖."""
@@ -777,8 +785,10 @@ class TestVerifyDifferential:
         (lambda: with_generic_operator(family_problem("tensor(6,2)", 50), 51), 4),
         (lambda: with_generic_operator(family_problem("self(8)", 52), 53), 3),
         (two_block_problem, 3),   # Haar-embedded, Λ = [[1, 2], [2, 1]]
+        (lambda: with_generic_operator(family_problem("tensor(4,3)", 55), 56), 3),
+        (lambda: with_generic_operator(haar_copies_problem(), 58), 2),
     ]
-    IDS = ["tensor", "self", "two-block"]
+    IDS = ["tensor", "self", "two-block", "tensor-three-copies", "haar-three-copies"]
 
     @staticmethod
     def literal(problem, partition, mode):
@@ -1014,9 +1024,9 @@ class TestScan:
 
     def test_centers_each_operator_once_per_grid(self, monkeypatch):
         calls = []
-        cond_exp_comm = incl.Inclusion.cond_exp_comm
-        monkeypatch.setattr(incl.Inclusion, "cond_exp_comm",
-                            lambda self, x: calls.append(x) or cond_exp_comm(self, x))
+        center = incl.Inclusion.center
+        monkeypatch.setattr(incl.Inclusion, "center",
+                            lambda self, x: calls.append(x) or center(self, x))
         inc = families.self_inclusion(8)
         ops = [selfadjoint(inc.m_shape, child_seed(59, t)) for t in range(2)]
         rows = pv.scan(inc, [0.5, 0.7, 1.0], ops, 1.0, seed=5, r_cap=4)
