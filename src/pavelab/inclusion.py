@@ -236,26 +236,6 @@ class Inclusion:
     def commutant_dim(self) -> int:
         return sum(v * v for row in self.spec.inclusion_matrix for v in row)
 
-    def embed_frame(self, frames_n: list) -> list:
-        """Push per-N-block orthonormal columns to per-M-block ones.
-
-        A rank-r projection of N embeds with rank sum_k Λ[k][l] r_k in
-        M-block l; the embedded columns stay orthonormal.  They come copy by
-        copy, in N-block order.
-        """
-        out = []
-        for l, ml in enumerate(self.m_shape.block_dims):
-            width = sum(len(s.rows) * frames_n[s.k].shape[1] for s in self._slabs[l])
-            g, col = np.zeros((ml, width), dtype=np.complex128), 0
-            for s in self._slabs[l]:
-                f = frames_n[s.k]
-                mult, r = len(s.rows), f.shape[1]
-                g[:, col:col + mult * r].reshape(ml, mult, r)[s.rows, s.copies] = f
-                col += mult * r
-            u = self._dense(l)
-            out.append(g if u is None else u @ g)
-        return out
-
 
 def build_inclusion(spec: InclusionSpec, seed=0) -> Inclusion:
     """Realize a spec with one seeded Haar embedding per M-block."""

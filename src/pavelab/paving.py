@@ -30,6 +30,8 @@ N-frames F with n_k rows per copy.  This rests on two facts that `verify`
 has in hand: the frame-unitarity check ‖U*U − 1‖ ≤ TOL_PROJ on the N-side
 stacks U, which carries over to the embedded frame u_l Π_l (⊕ 1 ⊗ U_k)
 because u_l Π_l is unitary, and E ∈ N'∩M, which commutes with every part.
+The pipeline's stage (ii) corners (1 ⊗ w)* Y_l (1 ⊗ w) of an outer part w
+come from the same stacks.
 """
 
 from __future__ import annotations
@@ -90,11 +92,10 @@ class CandidateRejected(PavingError):
 
 
 class Centered(NamedTuple):
-    """One operator x of F with e = E_{N'∩M}(x), diff = x - e and den = ‖x - e‖."""
+    """One operator x of F with e = E_{N'∩M}(x) and den = ‖x - e‖."""
 
     x: Element
     e: Element
-    diff: Element
     den: float
 
 
@@ -103,11 +104,11 @@ class PavingProblem:
     """A finite operator set F in M, a target ε, and the index to use in bounds.
 
     F is stored as a tuple and centered once, here: `centered` holds one
-    `Centered` per operator, with x − E in M coordinates, which the l2
-    denominators, the Dixmier folds and the pipeline read.  `slab_stacks`
-    holds the same x − E in slab coordinates (`Inclusion.center`), one
-    (|F|, m_l, m_l) array per M-block, which `verify` and `pave_search`
-    read part norms from.
+    `Centered` per operator (x, E and ‖x − E‖), and `slab_stacks` holds
+    x − E once, in slab coordinates (`Inclusion.center`), one
+    (|F|, m_l, m_l) array per M-block, which `verify`, `pave_search` and
+    the pipeline read.  Readers that need x − E in M coordinates (the l2
+    denominators and the Dixmier folds) subtract on demand.
     """
 
     inclusion: Inclusion
@@ -135,8 +136,7 @@ class PavingProblem:
             e, slabs = self.inclusion.center(x)
             for stack, y in zip(self.slab_stacks, slabs):
                 stack[i] = y
-            diff = x - e
-            centered.append(Centered(x, e, diff, op_norm(diff)))
+            centered.append(Centered(x, e, op_norm(x - e)))
         self.centered = tuple(centered)
 
     def live(self) -> list:
@@ -331,7 +331,7 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
         ratios = []
         for item, a, b in zip(problem.centered, largest, square):
             num = float(a) if mode != "l2" else math.sqrt(b)
-            den = item.den if mode != "l2" else l2_norm(item.diff)
+            den = item.den if mode != "l2" else l2_norm(item.x - item.e)
             ratios.append(0.0 if den <= DEGENERATE_DEN else num / den)
         r = candidate.size
         if mode == "l2":
@@ -395,7 +395,12 @@ def _trivial_certificate(problem: PavingProblem, seed, config) -> PavingCertific
 # -- the constructive pipeline -------------------------------------------------
 
 def _join_frames(frame_lists, dim_per_block):
-    """Orthonormal basis of the span of several per-block frames."""
+    """Orthonormal basis of the span of several per-block frames.
+
+    A QR without pivoting spans all columns with its first `rank` columns
+    only when the dependent columns (|R_kk| ≤ JOIN_RANK_TOL) come after
+    the independent ones and R reaches every column; otherwise the
+    dependent columns are dropped and the rest factored again."""
     joined = []
     for k, d in enumerate(dim_per_block):
         cols = [fr[k] for fr in frame_lists if fr[k].shape[1] > 0]
@@ -403,8 +408,15 @@ def _join_frames(frame_lists, dim_per_block):
             joined.append(np.zeros((d, 0), dtype=np.complex128))
             continue
         stacked = np.concatenate(cols, axis=1)
-        q, rr = np.linalg.qr(stacked)
-        rank = int(np.sum(np.abs(np.diag(rr)) > JOIN_RANK_TOL))
+        while True:
+            q, rr = np.linalg.qr(stacked)
+            # R has a diagonal entry for the first min(d, width) columns only
+            keep = np.abs(np.diag(rr)) > JOIN_RANK_TOL
+            rank = int(keep.sum())
+            if keep[:rank].all() and len(keep) in (rank, stacked.shape[1]):
+                break
+            unreached = np.ones(stacked.shape[1] - len(keep), dtype=bool)
+            stacked = stacked[:, np.concatenate([keep, unreached])]
         joined.append(q[:, :rank])
     return joined
 
@@ -422,8 +434,13 @@ def _fourier_refinement(dim: int, e_cols: np.ndarray, m: int):
     c = max(s, 1)
     if m * c > dim:
         return None
-    basis, _ = np.linalg.qr(np.concatenate(
-        [e_cols, np.eye(dim, dtype=np.complex128)], axis=1))
+    if s:
+        basis, _ = np.linalg.qr(np.concatenate(
+            [e_cols, np.eye(dim, dtype=np.complex128)], axis=1))
+    else:
+        # the QR of the identity is the identity exactly (every Householder
+        # reflector has τ = 0)
+        basis = np.eye(dim, dtype=np.complex128)
     base = basis[:, :m * c]
     omega = np.exp(2j * np.pi / m)
     parts = []
@@ -446,27 +463,56 @@ def _fourier_refinement(dim: int, e_cols: np.ndarray, m: int):
     return out
 
 
-def _exceptional_frame(a: np.ndarray, theta: float):
-    """(top, frame) of the Hermitian part h = (a + a*)/2 of a corner gram:
-    top is the largest eigenvalue of h by `eigvalsh` (0.0 for an empty
-    corner), frame the eigenvectors of h whose `eigh` eigenvalue is at least
-    θ − TIE_TOL.  `eigh` runs only when top reaches θ − TIE_TOL −
-    SCREEN_MARGIN; below that the frame is empty."""
+def _slab_corners(slab_stacks, w: np.ndarray, live, scale: np.ndarray):
+    """(corners, grams) of the part with N-frame w over a single-block N, per
+    M-block l: C = (1_mult ⊗ w)* Y_l (1_mult ⊗ w) of the operators `live`
+    (indices into the slab stacks Y_l), each scaled by its entry of `scale`,
+    and C*C, as (len(live), mult·r, mult·r) arrays.  In slab coordinates the
+    embedded frame of the part is w on every copy (see the module
+    docstring), so one GEMM with n inner rows forms (1 ⊗ w)* Y_l, copy by
+    copy, and one more multiplies w into the columns of every copy; the
+    columns of C run copy by copy, w once per copy."""
+    n, r = w.shape
+    wh = w.conj().T
+    corners, grams = [], []
+    for ys in slab_stacks:
+        count, d, _ = ys.shape
+        mult = d // n
+        wy = (wh @ ys.reshape(count, mult, n, d)).reshape(count, mult * r * mult, n)
+        c = (wy @ w).reshape(count, mult * r, mult * r)[live]
+        c *= scale[:, None, None]
+        corners.append(c)
+        grams.append(c.conj().transpose(0, 2, 1) @ c)
+    return corners, grams
+
+
+def _exceptional_frames(grams: np.ndarray, theta: float):
+    """(tops, frames) of the Hermitian parts h = (a + a*)/2 of a stack of
+    corner grams a: tops[x] is the largest eigenvalue of h[x] by one batched
+    `eigvalsh` (0.0 for an empty corner), frames[x] the eigenvectors of h[x]
+    whose `eigh` eigenvalue is at least θ − TIE_TOL.  `eigh` runs only on an
+    h[x] whose top reaches θ − TIE_TOL − SCREEN_MARGIN; below that the
+    frame is empty."""
     cutoff = theta - TIE_TOL
-    h = (a + a.conj().T) / 2
-    if not h.size:
-        return 0.0, np.zeros((0, 0), dtype=np.complex128)
-    top = float(np.linalg.eigvalsh(h)[-1])
-    if top < cutoff - SCREEN_MARGIN:
-        return top, np.zeros((len(h), 0), dtype=np.complex128)
-    w, v = np.linalg.eigh(h)
-    return top, v[:, w >= cutoff]
+    count, d, _ = grams.shape
+    if not d:
+        return [0.0] * count, [np.zeros((0, 0), dtype=np.complex128)] * count
+    h = (grams + grams.conj().transpose(0, 2, 1)) / 2
+    tops = np.linalg.eigvalsh(h)[:, -1].tolist()
+    frames = []
+    for h_x, top in zip(h, tops):
+        if top < cutoff - SCREEN_MARGIN:
+            frames.append(np.zeros((d, 0), dtype=np.complex128))
+        else:
+            w, v = np.linalg.eigh(h_x)
+            frames.append(v[:, w >= cutoff])
+    return tops, frames
 
 
 def _corner_expectation(b_x, mults, t_weights, s0) -> np.ndarray:
-    """h = w* E_N(v b v*) w for a corner element b = (b_l) of v = embed_frame([w])
-    over a single-block N.  The columns of v_l are w once per copy, so E_N,
-    which averages the diagonal copy blocks, leaves
+    """h = w* E_N(v b v*) w for a corner element b = (b_l) of the embedded
+    frame v of a part w over a single-block N.  The columns of v_l are w
+    once per copy, so E_N, which averages the diagonal copy blocks, leaves
     h = Σ_l t_l Σ_c b_l[c, c] / s_0: a trace over the copy index of each
     b_l viewed as (mult_l, r, mult_l, r)."""
     r = len(b_x[0]) // mults[0]
@@ -502,18 +548,21 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
     to `retry_budget`; exhaustion returns the best unverified certificate
     with per-stage diagnostics.
 
-    Stage (ii) screens each corner gram with `eigvalsh` and takes an `eigh`
-    only where the top eigenvalue comes within SCREEN_MARGIN of the
-    threshold.  A part whose joined q_i is empty, as under a generic
-    rotation, skips stage (iii) and eq (1)–(4), since b = q x* p x q and
-    y = p x q are then exactly 0: τ(q) = 0, the support trace bound is
-    (0, 0) with support rank 0, the refined expectation, both transfer
-    sides and the Schwarz minimum are 0, and the eq (1) tail is the square
-    root of the screened top eigenvalue of the untrimmed gram, the
-    `eigvalsh` of the same matrix.  Its refinement is the empty-support one,
-    which depends on the part's rank alone (and always fits, as n m ≤ dim N),
-    so each call builds it once per distinct rank.  Partitions, ratios and
-    diagnostics are bit-identical to running every stage on every part.
+    Stage (ii) reads the corners p_i (x − E) p_i / ‖x − E‖ of every live x
+    off the slab stacks of the problem (`_slab_corners`), so no frame is
+    embedded in M; the grams of all x go through one batched `eigvalsh` per
+    M-block, and an `eigh` runs only where the top eigenvalue comes within
+    SCREEN_MARGIN of the threshold.  A part whose joined q_i is empty, as
+    under a generic rotation, skips stage (iii) and eq (1)–(4), since
+    b = q x* p x q and y = p x q are then exactly 0: τ(q) = 0, the support
+    trace bound is (0, 0) with support rank 0, the refined expectation,
+    both transfer sides and the Schwarz minimum are 0, and the eq (1) tail
+    is the square root of the screened top eigenvalue of the untrimmed gram,
+    the `eigvalsh` of the same matrix.  Its refinement is the empty-support
+    one, which depends on the part's rank alone (and always fits, as
+    n m ≤ dim N), so each call builds it once per distinct rank.
+    Partitions, ratios and diagnostics are bit-identical to running every
+    stage on every part of the same corners.
     """
     inc = problem.inclusion
     if inc.n_shape.num_blocks != 1:
@@ -537,11 +586,14 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
         cert = _trivial_certificate(problem, cfg.seed, base_config)
         cert.diagnostics["normalization"] = "all operators lie in the commutant"
         return cert
-    normalized = [(1.0 / it.den) * it.diff for it in live]
+    # the slab-stack rows of the live operators, and their 1/‖x − E‖
+    live_rows = [i for i, it in enumerate(problem.centered) if it.den > DEGENERATE_DEN]
+    scale = 1.0 / np.array([it.den for it in live])
 
     theta_exc = 4.0 * (n - 1) / n ** 2 + cfg.delta_prime
     certified_bound = math.sqrt(theta_exc) + math.sqrt(problem.index / m)
-    mults = [inc.spec.inclusion_matrix[0][l] for l in range(inc.m_shape.num_blocks)]
+    blocks = range(inc.m_shape.num_blocks)
+    mults = [inc.spec.inclusion_matrix[0][l] for l in blocks]
     t_weights = inc.m_shape.trace_weights
     s0 = inc.n_shape.trace_weights[0]
 
@@ -563,12 +615,12 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
         for i in range(n):
             w_i = u[:, bounds_idx[i]:bounds_idx[i + 1]]
             r_i = w_i.shape[1]
-            v_i = inc.embed_frame([w_i])
-            corners = [[g.conj().T @ x.blocks[l] @ g for l, g in enumerate(v_i)]
-                       for x in normalized]
-            gram = [[c.conj().T @ c for c in cs] for cs in corners]
-            screened = [[_exceptional_frame(a_l, theta_exc) for a_l in a_x] for a_x in gram]
-            corner_dims = [g.shape[1] for g in v_i]
+            corner_stacks, gram_stacks = _slab_corners(problem.slab_stacks, w_i, live_rows, scale)
+            screens = [_exceptional_frames(a, theta_exc) for a in gram_stacks]
+            # per operator, per M-block: the screened (top, frame) pairs
+            screened = [[(tops[t], frames[t]) for tops, frames in screens]
+                        for t in range(len(live))]
+            corner_dims = [a.shape[1] for a in gram_stacks]
             q_frames = _join_frames([[fr for _, fr in s_x] for s_x in screened], corner_dims)
             tau_q = sum(t_weights[l] * q_frames[l].shape[1]
                         for l in range(len(q_frames)))
@@ -598,6 +650,10 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                 stacks.append(w_i @ z_stack)
                 ranks.extend(part_ranks)
                 continue
+
+            # per operator, per M-block: the corners and their grams
+            corners = [[c[t] for c in corner_stacks] for t in range(len(live))]
+            gram = [[a[t] for a in gram_stacks] for t in range(len(live))]
 
             # eq (1): the trimmed compression stays under the threshold
             for a_x in gram:
@@ -643,7 +699,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             z_stack = np.concatenate(refinement, axis=1)
             z_labels = np.repeat(np.arange(m), [z.shape[1] for z in refinement])
             kron_stacks = [(np.kron(np.eye(mults[l]), z_stack), np.tile(z_labels, mults[l]))
-                           for l in range(len(v_i))]
+                           for l in blocks]
 
             def corner_pinch(mats):
                 return [alg.pinch_stack(g, lab, c) for (g, lab), c in zip(kron_stacks, mats)]
@@ -656,13 +712,13 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             for c_x in corners:
                 # y = p x q in corner coordinates
                 y = []
-                for l in range(len(v_i)):
+                for l in blocks:
                     z = q_frames[l]
                     y.append(c_x[l] @ (z @ z.conj().T))
                 phi_y = corner_pinch(y)
                 phi_yy = corner_pinch([yl.conj().T @ yl for yl in y])
                 resid = np.inf
-                for l in range(len(v_i)):
+                for l in blocks:
                     gap = phi_yy[l] - phi_y[l].conj().T @ phi_y[l]
                     if gap.size:
                         w = np.linalg.eigvalsh((gap + gap.conj().T) / 2)
@@ -844,11 +900,9 @@ def dixmier_average_run(problem: PavingProblem, seed: int = 0) -> PavingCertific
         raise ResourceError(
             "averaging folds need N = M; proper inclusions are only supported "
             "for operator sets inside the relative commutant")
-    for it in live:
-        if alg.hermitian_part_residual(it.diff) > 1e-8:
-            raise PavingError("operators must be self-adjoint after centering")
-
-    current = [it.diff.copy() for it in live]
+    current = [it.x - it.e for it in live]
+    if any(alg.hermitian_part_residual(c) > 1e-8 for c in current):
+        raise PavingError("operators must be self-adjoint after centering")
     dens = [it.den for it in live]
     family = [identity(inc.m_shape)]
     folds, stalls = 0, 0

@@ -372,12 +372,29 @@ class TestSlabTable:
                 assert_same_bits(inc.cond_exp_comm(y), ref_cond_exp_comm(inc, y))
 
     def test_frames_match_reference(self, name):
-        # the second and third frames have no columns in the first or last N-block
+        # in slab coordinates a frame of N is ⊕_k 1 ⊗ F_k, one F_k per copy:
+        # it compresses the centered slabs as the reference embedded frame
+        # compresses x − E; the second and third frames have no columns in
+        # the first or last N-block
         inc = SLAB_CASES[name]()
+        x = general_element(inc.m_shape, 24)
+        e, slabs = inc.center(x)
         for t, empty in enumerate((None, 0, inc.n_shape.num_blocks - 1)):
             frames = random_frames(inc, child_seed(23, t), empty_block=empty)
-            for g, ref in zip(inc.embed_frame(frames), ref_embed_frame(inc, frames)):
-                assert_same_bits(g, ref)
+            for l, g in enumerate(ref_embed_frame(inc, frames)):
+                blocks = [np.kron(np.eye(mult), frames[k]) for k, mult in inc.slab_layout(l)]
+                s = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                             dtype=np.complex128)
+                row = col = 0
+                for b in blocks:
+                    s[row:row + b.shape[0], col:col + b.shape[1]] = b
+                    row, col = row + b.shape[0], col + b.shape[1]
+                got = s.conj().T @ slabs[l] @ s
+                want = g.conj().T @ (x.blocks[l] - e.blocks[l]) @ g
+                assert got.shape == want.shape
+                # an entry that vanishes in slab coordinates is rounding in M's
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * max(np.abs(want).max(initial=0.0), 1.0))
 
 
 @pytest.mark.parametrize("name", list(SLAB_CASES))

@@ -12,7 +12,7 @@ from pavelab import paving as pv
 from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
 
-from conftest import embed_partition, partition_from_projections
+from conftest import embed_partition, partition_from_projections, ref_embed_frame
 
 
 def selfadjoint(shape, seed):
@@ -59,7 +59,7 @@ def aligned_pipeline_case():
     seed = 5
     u = alg.haar_block(child_rng(seed, 0), 32)
     w = u[:, :1]
-    frame_m = inc.embed_frame([w])[0]
+    frame_m = ref_embed_frame(inc, [w])[0]
     xi = frame_m[:, :1]
     x = Element(inc.m_shape, [xi @ xi.conj().T])
     problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.99,
@@ -192,7 +192,9 @@ class TestConstructivePipeline:
 def reference_pipeline(problem, cfg):
     """`pave_constructive` with the per-part loop it had before it became
     rank-aware: every corner gets an `eigh`, and stage (iii) and eq (1)-(4)
-    run on every part, also where q_i = 0 makes their matrices zero."""
+    run on every part, also where q_i = 0 makes their matrices zero.  The
+    corners come from the same slab-coordinate helper as the pipeline's, so
+    the two agree bit for bit."""
     inc = problem.inclusion
     dim_n = inc.n_shape.block_dims[0]
     n, m = cfg.n_parts, cfg.m_refine
@@ -202,7 +204,8 @@ def reference_pipeline(problem, cfg):
         "n_parts": n, "m_refine": m, "delta_prime": cfg.delta_prime,
         "retry_budget": cfg.retry_budget, "index": problem.index,
     }
-    normalized = [(1.0 / it.den) * it.diff for it in live]
+    live_rows = [i for i, it in enumerate(problem.centered) if it.den > pv.DEGENERATE_DEN]
+    scale = 1.0 / np.array([it.den for it in live])
     theta_exc = 4.0 * (n - 1) / n ** 2 + cfg.delta_prime
     certified_bound = math.sqrt(theta_exc) + math.sqrt(problem.index / m)
     mults = [inc.spec.inclusion_matrix[0][l] for l in range(inc.m_shape.num_blocks)]
@@ -222,10 +225,11 @@ def reference_pipeline(problem, cfg):
         for i in range(n):
             w_i = u[:, bounds_idx[i]:bounds_idx[i + 1]]
             r_i = w_i.shape[1]
-            v_i = inc.embed_frame([w_i])
-            corners = [[g.conj().T @ x.blocks[l] @ g for l, g in enumerate(v_i)]
-                       for x in normalized]
-            gram = [[c.conj().T @ c for c in cs] for cs in corners]
+            corner_stacks, gram_stacks = pv._slab_corners(problem.slab_stacks, w_i,
+                                                          live_rows, scale)
+            corners = [[c[x] for c in corner_stacks] for x in range(len(live))]
+            gram = [[a[x] for a in gram_stacks] for x in range(len(live))]
+            corner_dims = [a.shape[1] for a in gram_stacks]
             exc_frames = []
             for a_x in gram:
                 per_block = []
@@ -234,7 +238,7 @@ def reference_pipeline(problem, cfg):
                             else (np.zeros(0), np.zeros((0, 0), dtype=np.complex128)))
                     per_block.append(v[:, w >= theta_exc - alg.TIE_TOL])
                 exc_frames.append(per_block)
-            q_frames = pv._join_frames(exc_frames, [g.shape[1] for g in v_i])
+            q_frames = pv._join_frames(exc_frames, corner_dims)
             tau_q = sum(t_weights[l] * q_frames[l].shape[1] for l in range(len(q_frames)))
             record["tau_q"].append(tau_q)
             if tau_q > cfg.delta_prime + 1e-15:
@@ -281,7 +285,7 @@ def reference_pipeline(problem, cfg):
             z_stack = np.concatenate(refinement, axis=1)
             z_labels = np.repeat(np.arange(m), [z.shape[1] for z in refinement])
             kron_stacks = [(np.kron(np.eye(mults[l]), z_stack), np.tile(z_labels, mults[l]))
-                           for l in range(len(v_i))]
+                           for l in range(len(corner_dims))]
 
             def corner_pinch(mats):
                 return [alg.pinch_stack(g, lab, c) for (g, lab), c in zip(kron_stacks, mats)]
@@ -292,11 +296,12 @@ def reference_pipeline(problem, cfg):
                 record["transfer_lhs"].append(pv._corner_norm(corner_pinch(b_x)))
                 record["transfer_rhs"].append(problem.index * refined)
             for c_x in corners:
-                y = [c_x[l] @ (q_frames[l] @ q_frames[l].conj().T) for l in range(len(v_i))]
+                y = [c_x[l] @ (q_frames[l] @ q_frames[l].conj().T)
+                     for l in range(len(corner_dims))]
                 phi_y = corner_pinch(y)
                 phi_yy = corner_pinch([yl.conj().T @ yl for yl in y])
                 resid = np.inf
-                for l in range(len(v_i)):
+                for l in range(len(corner_dims)):
                     gap = phi_yy[l] - phi_y[l].conj().T @ phi_y[l]
                     if gap.size:
                         w = np.linalg.eigvalsh((gap + gap.conj().T) / 2)
@@ -399,7 +404,7 @@ class TestRankAwarePipeline:
 
 
 class TestExceptionalFrame:
-    """The eigvalsh screen in front of the exceptional-frame `eigh`."""
+    """The batched eigvalsh screen in front of the exceptional-frame `eigh`."""
 
     THETA = 0.75
 
@@ -415,22 +420,28 @@ class TestExceptionalFrame:
         w, v = np.linalg.eigh((a + a.conj().T) / 2)
         return v[:, w >= theta - alg.TIE_TOL]
 
+    @classmethod
+    def single(cls, a):
+        tops, frames = pv._exceptional_frames(a[None], cls.THETA)
+        assert len(tops) == len(frames) == 1
+        return tops[0], frames[0]
+
     def test_below_cutoff_skips_eigh(self, monkeypatch):
         calls = self.count_eigh(monkeypatch)
         a = np.diag([0.5, 0.1, 0.0]).astype(complex)
-        top, frame = pv._exceptional_frame(a, self.THETA)
+        top, frame = self.single(a)
         assert top == 0.5 and frame.shape == (3, 0) and not calls
 
     def test_top_at_cutoff_selects_like_eigh(self, monkeypatch):
         cutoff = self.THETA - alg.TIE_TOL
         a = np.diag([0.2, cutoff, 0.9, 0.1]).astype(complex)
         calls = self.count_eigh(monkeypatch)
-        top, frame = pv._exceptional_frame(a, self.THETA)
+        top, frame = self.single(a)
         assert top == 0.9 and len(calls) == 1
         want = self.direct(a, self.THETA)
         assert want.shape == (4, 2) and np.array_equal(frame, want)
         b = np.diag([0.2, cutoff, 0.1]).astype(complex)
-        top, frame = pv._exceptional_frame(b, self.THETA)
+        top, frame = self.single(b)
         assert top == cutoff and np.array_equal(frame, self.direct(b, self.THETA))
         assert frame.shape == (3, 1)
 
@@ -438,12 +449,132 @@ class TestExceptionalFrame:
         inside = self.THETA - alg.TIE_TOL - 0.5 * pv.SCREEN_MARGIN
         a = np.diag([inside, 0.3]).astype(complex)
         calls = self.count_eigh(monkeypatch)
-        top, frame = pv._exceptional_frame(a, self.THETA)
+        top, frame = self.single(a)
         assert top == inside and len(calls) == 1 and frame.shape == (2, 0)
 
     def test_empty_corner(self):
-        top, frame = pv._exceptional_frame(np.zeros((0, 0), dtype=complex), self.THETA)
-        assert top == 0.0 and frame.shape == (0, 0)
+        tops, frames = pv._exceptional_frames(np.zeros((2, 0, 0), dtype=complex), self.THETA)
+        assert tops == [0.0, 0.0] and [f.shape for f in frames] == [(0, 0), (0, 0)]
+
+    def test_stack_screens_each_gram(self, monkeypatch):
+        # one batched eigvalsh for the stack; `eigh` only on the gram that
+        # reaches the cutoff, and each top and frame as for that gram alone
+        rng = child_rng(62)
+        q = alg.haar_block(rng, 4)
+        grams = np.stack([(q * s) @ q.conj().T for s in
+                          ([0.5, 0.2, 0.1, 0.0], [0.9, 0.8, 0.3, 0.1], [0.7, 0.6, 0.0, 0.0])])
+        calls = self.count_eigh(monkeypatch)
+        tops, frames = pv._exceptional_frames(grams, self.THETA)
+        assert len(calls) == 1
+        assert [f.shape for f in frames] == [(4, 0), (4, 2), (4, 0)]
+        for a, top, frame in zip(grams, tops, frames):
+            h = (a + a.conj().T) / 2
+            assert top == float(np.linalg.eigvalsh(h)[-1])
+        assert np.array_equal(frames[1], self.direct(grams[1], self.THETA))
+
+
+class TestSlabCorners:
+    """The pipeline's corners and grams, read off the slab stacks, against
+    g* ((x − E)/‖x − E‖) g with g the literal embedded frame of the part."""
+
+    @pytest.mark.parametrize("make, n", [
+        (lambda: family_problem("tensor(40,2)", 63), 3),   # parts of ranks 14, 13, 13
+        (lambda: family_problem("self(64)", 64), 4),
+        (lambda: corner_spec_problem(65), 2),              # two Haar-embedded M-blocks
+    ], ids=["tensor(40,2)", "self(64)", "two-m-blocks"])
+    def test_against_embedded_frames(self, make, n):
+        problem = make()
+        inc = problem.inclusion
+        dim = inc.n_shape.block_dims[0]
+        u = alg.haar_block(child_rng(66), dim)
+        bounds = np.cumsum([0] + alg.balanced_sizes(dim, n))
+        scale = 1.0 / np.array([it.den for it in problem.centered])
+        for a, b in zip(bounds, bounds[1:]):
+            w = u[:, a:b]
+            corners, grams = pv._slab_corners(problem.slab_stacks, w,
+                                              list(range(len(problem.centered))), scale)
+            for l, g in enumerate(ref_embed_frame(inc, [w])):
+                for t, it in enumerate(problem.centered):
+                    c = g.conj().T @ ((1.0 / it.den) * (it.x - it.e)).blocks[l] @ g
+                    for got, want in ((corners[l][t], c), (grams[l][t], c.conj().T @ c)):
+                        assert got.shape == want.shape
+                        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_live_rows_only(self):
+        # an operator inside the relative commutant is left out, and the
+        # others keep their corners
+        problem = family_problem("tensor(8,2)", 67)
+        inc = problem.inclusion
+        inert = Element(inc.m_shape, [np.kron(np.eye(8), np.diag([1.0, -1.0]).astype(complex))])
+        mixed = pv.PavingProblem(inclusion=inc, operators=(inert,) + problem.operators,
+                                 epsilon=problem.epsilon)
+        assert [it.den > pv.DEGENERATE_DEN for it in mixed.centered] == [False, True, True]
+        w = alg.haar_block(child_rng(68), 8)[:, :3]
+        scale = 1.0 / np.array([it.den for it in problem.centered])
+        want = pv._slab_corners(problem.slab_stacks, w, [0, 1], scale)
+        got = pv._slab_corners(mixed.slab_stacks, w, [1, 2], scale)
+        for a, b in zip(got, want):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestJoinFrames:
+    @pytest.mark.parametrize("dim", [6, 2])
+    def test_dependent_column_first(self, dim):
+        # a comes twice before b: the span must hold b too, also when there
+        # are more columns than dimensions
+        u = alg.haar_block(child_rng(69), dim)
+        a, b = u[:, :1], u[:, 1:2]
+        q = pv._join_frames([[a], [np.c_[a, b]]], [dim])[0]
+        assert q.shape == (dim, 2)
+        assert np.abs(q.conj().T @ q - np.eye(2)).max() <= 1e-12
+        for v in (a, b):
+            assert np.linalg.norm(v - q @ (q.conj().T @ v)) <= 1e-12
+
+    def test_trailing_dependent_columns_keep_the_plain_qr(self):
+        u = alg.haar_block(child_rng(70), 6)
+        a, b = u[:, :1], u[:, 1:2]
+        stacked = np.c_[a, b, a]
+        q = pv._join_frames([[np.c_[a, b]], [a]], [6])[0]
+        assert np.array_equal(q, np.linalg.qr(stacked)[0][:, :2])
+
+
+def qr_refinement(dim, e_cols, m):
+    """`_fourier_refinement` as it was before it skipped the QR of an empty
+    support."""
+    s = e_cols.shape[1]
+    c = max(s, 1)
+    if m * c > dim:
+        return None
+    basis, _ = np.linalg.qr(np.concatenate(
+        [e_cols, np.eye(dim, dtype=np.complex128)], axis=1))
+    base = basis[:, :m * c]
+    omega = np.exp(2j * np.pi / m)
+    parts = []
+    for j in range(m):
+        phases = omega ** (j * np.arange(m))
+        cols = np.zeros((dim, c), dtype=np.complex128)
+        for k in range(m):
+            cols += phases[k] * base[:, k * c:(k + 1) * c]
+        parts.append(cols / math.sqrt(m))
+    leftover = basis[:, m * c:dim]
+    extras = [[] for _ in range(m)]
+    for t in range(leftover.shape[1]):
+        extras[t % m].append(leftover[:, t:t + 1])
+    return [np.concatenate([parts[j]] + extras[j], axis=1) if extras[j] else parts[j]
+            for j in range(m)]
+
+
+def test_empty_support_refinement_skips_the_qr():
+    # with no support, the QR of [e_cols, 1] = 1 is the identity exactly
+    for dim in range(1, 61):
+        empty = np.zeros((dim, 0), dtype=np.complex128)
+        for m in range(1, 13):
+            got, want = pv._fourier_refinement(dim, empty, m), qr_refinement(dim, empty, m)
+            if want is None:
+                assert got is None
+                continue
+            assert len(got) == len(want) == m
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 class TestSearch:
@@ -531,12 +662,14 @@ def reference_search(problem, cfg):
             worst = max(worst, float(w[:, -1].max()))
         return math.sqrt(max(worst, 0.0))
 
+    diffs = [it.x - it.e for it in live]
+
     def objective(u_blocks):
         embedded = embed_partition(inc, partition_of(u_blocks))
         worst = 0.0
-        for it in live:
+        for it, diff in zip(live, diffs):
             for l, g in enumerate(embedded.stacks):
-                c = alg.part_compression(g, embedded.labels(l), it.diff.blocks[l])
+                c = alg.part_compression(g, embedded.labels(l), diff.blocks[l])
                 worst = max(worst, diagonal_block_norm(c, embedded.ranks[l]) / it.den)
         return worst
 
@@ -619,7 +752,7 @@ class TestIncrementalSearch:
             np.testing.assert_allclose(cert.diagnostics["incumbent_history"],
                                        ref.diagnostics["incumbent_history"], rtol=1e-12)
             embedded = embed_partition(problem.inclusion, cert.partition)
-            recomputed = max(op_norm(alg.pinch(embedded, it.diff)) / it.den
+            recomputed = max(op_norm(alg.pinch(embedded, it.x - it.e)) / it.den
                              for it in problem.live())
             best = cert.diagnostics["best_objective"]
             assert abs(best - recomputed) <= 1e-12 * recomputed
@@ -794,7 +927,7 @@ class TestVerifyDifferential:
     def literal(problem, partition, mode):
         # `partition` lives over M: pinch with it directly
         norm = alg.l2_norm if mode == "l2" else op_norm
-        return [norm(alg.pinch(partition, it.x) - it.e) / norm(it.diff)
+        return [norm(alg.pinch(partition, it.x) - it.e) / norm(it.x - it.e)
                 for it in problem.centered]
 
     @staticmethod
@@ -825,7 +958,7 @@ def test_stage_iii_corner_expectation():
     inc = incl.build_inclusion(spec, seed=56)
     mults = spec.inclusion_matrix[0]
     w = alg.haar_block(child_rng(57), 3)[:, :2]
-    v = inc.embed_frame([w])
+    v = ref_embed_frame(inc, [w])
     rng = child_rng(58)
     for _ in range(3):
         b = []
