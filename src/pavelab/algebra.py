@@ -8,13 +8,12 @@ Neumann algebra: everything downstream (inclusions, conditional expectations,
 paving partitions) is built on the operations in this module.
 
 All spectral operations go through dense Hermitian eigendecompositions.
-Projections produced by spectral calculus are re-symmetrized eigenvector
-outer products, so they stay exact idempotents instead of drifting through
-pipeline stages.  Tolerances:
+Dense projections are re-symmetrized frame outer products F F*, so they
+stay exact idempotents instead of drifting through pipeline stages.
+Tolerances:
 
 * ``TOL_PROJ`` (1e-8): algebraic identity checks (projections, unitarity,
   the frame residual ‖U* U - 1‖ of a partition of unity).
-* spectral reconstruction: 1e-10 * norm.
 * ``TIE_TOL`` (1e-12): eigenvalue tie margin; the constructive pipeline
   keeps an eigenvector whose eigenvalue is at least θ − TIE_TOL.
 """
@@ -33,7 +32,7 @@ from .seeding import child_rng
 TOL_PROJ = 1e-8
 AVERAGE_UNITARY_TOL = 1e-6  # the looser unitarity check of `unitary_average`
 TIE_TOL = 1e-12
-RANK_CUT = 1e-9  # support projections keep eigenvalues above RANK_CUT * the top one
+RANK_CUT = 1e-9  # a support keeps the eigenvalues above RANK_CUT * the top one
 
 SELFADJOINT = "selfadjoint-trace-zero-contraction"
 POSITIVE = "positive-contraction"
@@ -192,22 +191,6 @@ def unitary_residual(u: Element) -> float:
                for b in u.blocks)
 
 
-def herm_eig(x: Element):
-    """Eigenvalues (ascending) and unitary diagonalizers per block.
-
-    Requires x Hermitian within TOL_PROJ; reconstruction x = U diag(w) U* is
-    accurate to 1e-10 * norm (LAPACK backward stability, covered by tests).
-    """
-    if hermitian_part_residual(x) > TOL_PROJ:
-        raise AlgebraError("input is not Hermitian within tolerance")
-    vals, vecs = [], []
-    for b in x.blocks:
-        w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
-        vals.append(w)
-        vecs.append(v)
-    return vals, vecs
-
-
 def frame_projection(shape: AlgebraShape, frames: list) -> Element:
     """Dense projection F F* from per-block orthonormal column frames F."""
     blocks = []
@@ -216,17 +199,6 @@ def frame_projection(shape: AlgebraShape, frames: list) -> Element:
         p = f @ f.conj().T
         blocks.append((p + p.conj().T) / 2.0)
     return Element(shape, blocks)
-
-
-def support_projection(b: Element) -> Element:
-    """Projection onto eigenspaces of a PSD element with eigenvalue > RANK_CUT * ‖b‖."""
-    vals, vecs = herm_eig(b)
-    norm = max((float(np.abs(w).max()) if w.size else 0.0) for w in vals)
-    if any(w.size and w[0] < -RANK_CUT * max(norm, 1.0) for w in vals):
-        raise AlgebraError("input is not positive semidefinite")
-    cut = RANK_CUT * norm
-    frames = [v[:, w > cut] for w, v in zip(vals, vecs)]
-    return frame_projection(b.shape, frames)
 
 
 def haar_block(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -390,12 +362,6 @@ class PartitionOfUnity:
         return max(float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
                    for u in self.stacks)
 
-    def validate(self) -> float:
-        worst = self.residual()
-        if not worst <= TOL_PROJ:
-            raise AlgebraError(f"partition frame residual {worst:.3e} exceeds {TOL_PROJ}")
-        return worst
-
 
 def balanced_sizes(total: int, parts: int):
     """Sizes differing by at most one, larger parts first."""
@@ -435,47 +401,12 @@ def coordinate_partition(shape: AlgebraShape, r: int, unitary: Element = None) -
     return PartitionOfUnity(shape, stacks, ranks)
 
 
-def cyclic_unitary_from_partition(partition: PartitionOfUnity):
-    """v = sum_k alpha^(k-1) p_k with alpha = exp(2 pi i / n); v^n = 1."""
-    n = partition.size
-    partition.validate()
-    alpha = np.exp(2j * np.pi / n)
-    blocks = [(u * alpha ** partition.labels(k)) @ u.conj().T
-              for k, u in enumerate(partition.stacks)]
-    return CyclicUnitary(v=Element(partition.shape, blocks), order=n)
-
-
 @dataclass
 class CyclicUnitary:
     """Unitary v of finite order n: v^n = 1."""
 
     v: Element
     order: int
-
-    def validate(self) -> float:
-        one = identity(self.v.shape)
-        worst = unitary_residual(self.v)
-        power = one
-        for _ in range(self.order):
-            power = power @ self.v
-        worst = max(worst, max(float(np.linalg.norm(a - b)) for a, b in
-                               zip(power.blocks, one.blocks)))
-        if worst > TOL_PROJ:
-            raise AlgebraError(f"cyclic unitary residual {worst:.3e}")
-        return worst
-
-
-def part_compression(g: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mask ⊙ (g* x g), the mask keeping the entries whose two columns carry
-    the same part label: the blocks g_i* x g_i of the parts g_i of one
-    stacked frame g.  Every pinch in the package runs through here."""
-    c = g.conj().T @ x @ g
-    return np.where(labels[:, None] == labels[None, :], c, 0.0)
-
-
-def pinch_stack(g: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g (mask ⊙ g* x g) g* = sum_i g_i g_i* x g_i g_i*."""
-    return g @ part_compression(g, labels, x) @ g.conj().T
 
 
 class PartLayout(NamedTuple):
@@ -526,20 +457,16 @@ def part_layout(labels: list, copies: list, parts: np.ndarray) -> PartLayout:
     return PartLayout(copies, parts, tuple(batches))
 
 
-def part_norms(frames: list, layout: PartLayout, ys: np.ndarray):
-    """Norms of the part-diagonal blocks G_i* y G_i of a stack of y given in
-    slab coordinates, for G = ⊕_slab 1_mult ⊗ F_k.
+def part_blocks(frames: list, layout: PartLayout, ys: np.ndarray):
+    """The part-diagonal blocks G_i* y G_i of a stack of y given in slab
+    coordinates, for G = ⊕_slab 1_mult ⊗ F_k: one (count, batch, s, s)
+    array per batch of `layout`, in its order.
 
     `frames[k]` holds the columns of N-block k sorted by part, laid out as
     `layout` says, and `ys` is a (count, m, m) stack.  Per slab, y (1 ⊗ F_k)
     is one GEMM with n_k inner rows.  Per batch of equal-shaped parts, the
     columns of y G are gathered by (part, copy) position and each slab's
-    rows meet F_k* of the same part, giving the blocks B = G_i* (y G_i);
-    one eigvalsh of B* B then gives ‖B‖² as its largest eigenvalue and
-    ‖B‖_F² as its sum.  Returns the (count, len(layout.parts)) operator
-    norms ‖G_i* y G_i‖ and, per y, the squared Frobenius norm summed over
-    those blocks.  For unitary F_k these are ‖Σ_i p_i y p_i‖ =
-    max_i ‖G_i* y G_i‖ and ‖Σ_i p_i y p_i‖_F²."""
+    rows meet F_k* of the same part, giving the blocks B = G_i* (y G_i)."""
     count, m = len(ys), ys.shape[-1]
     zs, rows, row = [], [], 0
     for k, mult in layout.copies:
@@ -549,8 +476,6 @@ def part_norms(frames: list, layout: PartLayout, ys: np.ndarray):
         rows.append(slice(row, row + mult * n))
         row += mult * n
     z = zs[0] if len(zs) == 1 else np.concatenate(zs, axis=2)
-    norms = np.zeros((count, len(layout.parts)))
-    fro = np.zeros(count)
     for sel, idx, cols in layout.batches:
         zc = z[:, :, idx]                                     # (count, m, batch, s)
         blocks = []
@@ -561,19 +486,26 @@ def part_norms(frames: list, layout: PartLayout, ys: np.ndarray):
                 # (batch, 1, w, n) @ (count, batch, mult, n, s) -> (count, batch, mult, w, s)
                 blocks.append((f @ zr.transpose(0, 3, 1, 2, 4))
                               .reshape(count, len(sel), -1, idx.shape[1]))
-        b = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+        yield blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+
+
+def part_norms(frames: list, layout: PartLayout, ys: np.ndarray):
+    """Norms of the part-diagonal blocks B = G_i* y G_i of `part_blocks`.
+
+    One eigvalsh of B* B gives ‖B‖² as its largest eigenvalue and ‖B‖_F² as
+    its sum.  Returns the (count, len(layout.parts)) operator norms
+    ‖G_i* y G_i‖ and, per y, the squared Frobenius norm summed over those
+    blocks.  For unitary F_k these are ‖Σ_i p_i y p_i‖ = max_i ‖G_i* y G_i‖
+    and ‖Σ_i p_i y p_i‖_F².  `verify` and `pave_search` read the pinch of
+    x − E off it, and the constructive pipeline the pinches of its stage
+    diagnostics, in corner coordinates."""
+    norms = np.zeros((len(ys), len(layout.parts)))
+    fro = np.zeros(len(ys))
+    for (sel, _, _), b in zip(layout.batches, part_blocks(frames, layout, ys)):
         w = np.linalg.eigvalsh(b.conj().swapaxes(-1, -2) @ b)
         norms[:, sel] = np.sqrt(np.maximum(w[..., -1], 0.0))
         fro += w.sum(axis=(1, 2))  # ‖B‖_F² = tr B* B
     return norms, fro
-
-
-def pinch(partition: PartitionOfUnity, x: Element) -> Element:
-    """sum_i p_i x p_i; idempotent and contractive in both norms."""
-    if partition.shape != x.shape:
-        raise ShapeMismatchError("partition and element shapes differ")
-    return Element(x.shape, [pinch_stack(u, partition.labels(k), b) for k, (u, b)
-                             in enumerate(zip(partition.stacks, x.blocks))])
 
 
 def unitary_average(unitaries, x: Element) -> Element:

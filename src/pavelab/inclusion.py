@@ -233,9 +233,6 @@ class Inclusion:
         """The slabs of M-block l in slab order, as (N-block, copies) pairs."""
         return [(s.k, len(s.rows)) for s in self._slabs[l]]
 
-    def commutant_dim(self) -> int:
-        return sum(v * v for row in self.spec.inclusion_matrix for v in row)
-
 
 def build_inclusion(spec: InclusionSpec, seed=0) -> Inclusion:
     """Realize a spec with one seeded Haar embedding per M-block."""
@@ -308,12 +305,22 @@ def expectation_inequality_margin(inc: Inclusion, index: float, x: Element) -> f
 def expectation_support_bound(inc: Inclusion, q: Element, index: float):
     """(tau of the support of E_N(q), index * tau(q)) for a projection q.
 
-    The finiteness of the inclusion forces lhs <= rhs up to the rank cut
-    `alg.RANK_CUT`.
+    The support of h = E_N(q) keeps the eigenvalues above `alg.RANK_CUT`
+    times ‖h‖, so its trace is Σ_k s_k times their count in N-block k, from
+    one eigvalsh per block.  The finiteness of the inclusion forces
+    lhs <= rhs up to that rank cut.  Raises AlgebraError unless h is
+    Hermitian within TOL_PROJ and positive semidefinite.
     """
     h = inc.restrict_to_n(q)
-    s = alg.support_projection(h)
-    return float(trace(s).real), float(index * trace(q).real)
+    if alg.hermitian_part_residual(h) > alg.TOL_PROJ:
+        raise AlgebraError("input is not Hermitian within tolerance")
+    vals = [np.linalg.eigvalsh((b + b.conj().T) / 2.0) for b in h.blocks]
+    norm = max(float(np.abs(w).max()) for w in vals)
+    if any(w[0] < -alg.RANK_CUT * max(norm, 1.0) for w in vals):
+        raise AlgebraError("input is not positive semidefinite")
+    tau_s = sum(s * int(np.count_nonzero(w > alg.RANK_CUT * norm))
+                for s, w in zip(inc.n_shape.trace_weights, vals))
+    return float(tau_s), float(index * trace(q).real)
 
 
 # -- orthonormal bases over N --------------------------------------------------

@@ -31,7 +31,9 @@ has in hand: the frame-unitarity check ‖U*U − 1‖ ≤ TOL_PROJ on the N-sid
 stacks U, which carries over to the embedded frame u_l Π_l (⊕ 1 ⊗ U_k)
 because u_l Π_l is unitary, and E ∈ N'∩M, which commutes with every part.
 The pipeline's stage (ii) corners (1 ⊗ w)* Y_l (1 ⊗ w) of an outer part w
-come from the same stacks.
+come from the same stacks, and its eq (2)–(4) diagnostics, pinches of
+corner elements by a refinement of w, are part blocks of the same kernel
+(`alg.part_norms`, `alg.part_blocks`): the package has one pinch kernel.
 """
 
 from __future__ import annotations
@@ -520,16 +522,6 @@ def _corner_expectation(b_x, mults, t_weights, s0) -> np.ndarray:
                for b, m, t in zip(b_x, mults, t_weights)) / s0
 
 
-def _corner_norm(mats) -> float:
-    worst = 0.0
-    for c in mats:
-        if c.size == 0:
-            continue
-        w = np.linalg.eigvalsh(c.conj().T @ c)
-        worst = max(worst, math.sqrt(max(float(w[-1]), 0.0)))
-    return worst
-
-
 def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCertificate:
     """Constructive ε-paving pipeline.
 
@@ -563,6 +555,14 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
     n m ≤ dim N), so each call builds it once per distinct rank.
     Partitions, ratios and diagnostics are bit-identical to running every
     stage on every part of the same corners.
+
+    Where q_i ≠ 0, eq (2)–(4) pinch corner elements by the refinement
+    Z_1..Z_m of the part, which in the corner coordinates of M-block l is
+    1_mult ⊗ Z_j, one slab of mult copies.  They are read off its part
+    blocks: the refined expectation max_j ‖Z_j* h Z_j‖, the transfer side
+    max_{l,j} ‖Z_j′* b_l Z_j′‖, and the Schwarz minimum, the smallest
+    eigenvalue of Z_j′* y*y Z_j′ − B_j* B_j with B_j = Z_j′* y Z_j′, which
+    is the spectrum of Φ(y*y) − Φ(y)*Φ(y) for the pinch Φ.
     """
     inc = problem.inclusion
     if inc.n_shape.num_blocks != 1:
@@ -651,8 +651,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                 ranks.extend(part_ranks)
                 continue
 
-            # per operator, per M-block: the corners and their grams
-            corners = [[c[t] for c in corner_stacks] for t in range(len(live))]
+            # per operator, per M-block: the corner grams
             gram = [[a[t] for a in gram_stacks] for t in range(len(live))]
 
             # eq (1): the trimmed compression stays under the threshold
@@ -693,37 +692,35 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                                      f"pieces of a rank-{r_i} part")
                 break
 
-            # stage diagnostics (eq 2-4) in the corner picture: the M-corner
-            # coordinates of the embedded refinement are kron(1_mult, Z) for
-            # the stacked refinement frame Z, with its part labels tiled
+            # stage diagnostics (eq 2-4) off part blocks: in the corner
+            # coordinates of M-block l the embedded refinement is 1_mult ⊗ Z,
+            # Z the stacked refinement frame, that is one slab of mult copies
             z_stack = np.concatenate(refinement, axis=1)
-            z_labels = np.repeat(np.arange(m), [z.shape[1] for z in refinement])
-            kron_stacks = [(np.kron(np.eye(mults[l]), z_stack), np.tile(z_labels, mults[l]))
-                           for l in blocks]
-
-            def corner_pinch(mats):
-                return [alg.pinch_stack(g, lab, c) for (g, lab), c in zip(kron_stacks, mats)]
-
-            for h_c, b_x in zip(h_corners, b_corners):
-                refined = _corner_norm([alg.pinch_stack(z_stack, z_labels, h_c)])
-                record["refined_expectation"].append(refined)
-                record["transfer_lhs"].append(_corner_norm(corner_pinch(b_x)))
-                record["transfer_rhs"].append(problem.index * refined)
-            for c_x in corners:
-                # y = p x q in corner coordinates
-                y = []
-                for l in blocks:
-                    z = q_frames[l]
-                    y.append(c_x[l] @ (z @ z.conj().T))
-                phi_y = corner_pinch(y)
-                phi_yy = corner_pinch([yl.conj().T @ yl for yl in y])
-                resid = np.inf
-                for l in blocks:
-                    gap = phi_yy[l] - phi_y[l].conj().T @ phi_y[l]
-                    if gap.size:
-                        w = np.linalg.eigvalsh((gap + gap.conj().T) / 2)
-                        resid = min(resid, float(w[0]))
-                record["schwarz_min"].append(resid if resid != np.inf else 0.0)
+            pieces = np.arange(m)
+            z_labels = [np.repeat(pieces, [z.shape[1] for z in refinement])]
+            refined = alg.part_norms([z_stack], alg.part_layout(z_labels, [(0, 1)], pieces),
+                                     np.stack(h_corners))[0].max(axis=1)
+            transfer_lhs = np.zeros(len(live))
+            schwarz_min = np.full(len(live), np.inf)
+            for l in blocks:
+                layout = alg.part_layout(z_labels, [(0, mults[l])], pieces)
+                b_l = np.stack([b_x[l] for b_x in b_corners])
+                transfer_lhs = np.maximum(
+                    transfer_lhs, alg.part_norms([z_stack], layout, b_l)[0].max(axis=1))
+                # y = p x q in corner coordinates; the Schwarz gap of the pinch
+                # is, part by part, Z_j′* y*y Z_j′ − B_j* B_j with B_j = Z_j′* y Z_j′
+                z = q_frames[l]
+                y = corner_stacks[l] @ (z @ z.conj().T)
+                ys = np.concatenate([y, y.conj().transpose(0, 2, 1) @ y])
+                for b in alg.part_blocks([z_stack], layout, ys):
+                    b_y = b[:len(live)]
+                    gap = b[len(live):] - b_y.conj().swapaxes(-1, -2) @ b_y
+                    w = np.linalg.eigvalsh((gap + gap.conj().swapaxes(-1, -2)) / 2)
+                    schwarz_min = np.minimum(schwarz_min, w[..., 0].min(axis=1))
+            record["refined_expectation"].extend(refined.tolist())
+            record["transfer_lhs"].extend(transfer_lhs.tolist())
+            record["transfer_rhs"].extend((problem.index * refined).tolist())
+            record["schwarz_min"].extend(schwarz_min.tolist())
 
             stacks.append(w_i @ z_stack)
             ranks.extend(z.shape[1] for z in refinement)

@@ -79,6 +79,35 @@ def partition_from_projections(projections) -> alg.PartitionOfUnity:
     return alg.PartitionOfUnity.from_frames(projections[0].shape, frames)
 
 
+def part_compression(g: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mask ⊙ (g* x g), the mask keeping the entries whose two columns carry
+    the same part label: the blocks g_i* x g_i of the parts g_i of one
+    stacked frame g."""
+    c = g.conj().T @ x @ g
+    return np.where(labels[:, None] == labels[None, :], c, 0.0)
+
+
+def pinch(partition: alg.PartitionOfUnity, x: alg.Element) -> alg.Element:
+    """sum_i p_i x p_i as the dense product g (mask ⊙ g* x g) g* per block."""
+    if partition.shape != x.shape:
+        raise alg.ShapeMismatchError("partition and element shapes differ")
+    return alg.Element(x.shape, [g @ part_compression(g, partition.labels(k), b) @ g.conj().T
+                                 for k, (g, b) in enumerate(zip(partition.stacks, x.blocks))])
+
+
+def cyclic_unitary(partition: alg.PartitionOfUnity) -> alg.CyclicUnitary:
+    """v = sum_k alpha^(k-1) p_k with alpha = exp(2 pi i / n); v^n = 1.
+    Rejects a partition whose frame residual exceeds TOL_PROJ."""
+    n = partition.size
+    worst = partition.residual()
+    if not worst <= alg.TOL_PROJ:
+        raise alg.AlgebraError(f"partition frame residual {worst:.3e} exceeds {alg.TOL_PROJ}")
+    alpha = np.exp(2j * np.pi / n)
+    blocks = [(u * alpha ** partition.labels(k)) @ u.conj().T
+              for k, u in enumerate(partition.stacks)]
+    return alg.CyclicUnitary(v=alg.Element(partition.shape, blocks), order=n)
+
+
 # -- the per-copy loops over an offsets table that the slab table of
 # `Inclusion` replaced, kept as references for embedded frames -------------
 

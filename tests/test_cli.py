@@ -13,7 +13,7 @@ from pavelab import paving as pv
 from pavelab import serialize as ser
 from pavelab.cli import main
 
-from conftest import embed_partition, spectral_partition, strip_meta
+from conftest import embed_partition, pinch, spectral_partition, strip_meta
 
 
 def run(args):
@@ -301,7 +301,7 @@ class TestKestenCommand:
             rows = [line.split(",") for line in handle.read().splitlines()[1:]]
         for t, row in enumerate(rows):
             v, x = fr.trial_pair(4, 64, child_rng(3, t))
-            literal = alg.op_norm(alg.pinch(spectral_partition(v), x))
+            literal = alg.op_norm(pinch(spectral_partition(v), x))
             assert abs(float(row[3]) - literal) <= 1e-12
             assert float(row[5]) == fr.freeness_defect(v, x, 2)
 

@@ -8,7 +8,7 @@ from pavelab import freeness as fr
 from pavelab.algebra import identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
 
-from conftest import sample_pair, spectral_partition
+from conftest import pinch, sample_pair, spectral_partition
 
 
 class TestBound:
@@ -95,7 +95,7 @@ class TestRunKesten:
         # sampled pair once the same relative rotation is used
         n, dim = 3, 12
         v, x, u, w, s = sample_pair(n, dim, 7)
-        literal = op_norm(alg.pinch(spectral_partition(v), x))
+        literal = op_norm(pinch(spectral_partition(v), x))
         z = w.conj().T @ u
         worst = 0.0
         for sl in fr._group_slices(dim, n):
@@ -110,7 +110,7 @@ class TestRunKesten:
         # pinched blocks of the sampled pair
         n, dim = 3, 12
         v, x, u, w, _ = sample_pair(n, dim, 7)
-        literal = op_norm(alg.pinch(spectral_partition(v), x))
+        literal = op_norm(pinch(spectral_partition(v), x))
         z = w.conj().T @ u
         q = z[:dim // 2, :].conj().T
         worst = 0.0
@@ -127,7 +127,7 @@ class TestRunKesten:
             v, x = fr.trial_pair(n, dim, child_rng(12, t))
             spectrum = np.linalg.eigvalsh(x.blocks[0])
             assert np.allclose(spectrum, np.sort(fr._sign_spectrum(dim)), atol=1e-12)
-            literal = op_norm(alg.pinch(spectral_partition(v), x))
+            literal = op_norm(pinch(spectral_partition(v), x))
             fast = fr._pinched_norms_fast(n, dim, child_rng(12, t))
             assert abs(literal - fast) < 1e-12
 
@@ -142,7 +142,7 @@ class TestRunKesten:
                 fast = fr._pinched_norms_fast(2, dim, child_rng(14, dim, t))
                 assert abs(fast - both) <= 1e-12
                 v, x = fr.trial_pair(2, dim, child_rng(14, dim, t))
-                assert abs(fast - op_norm(alg.pinch(spectral_partition(v), x))) <= 1e-12
+                assert abs(fast - op_norm(pinch(spectral_partition(v), x))) <= 1e-12
 
     def test_pinch_average_identity_per_trial(self):
         n, dim = 4, 16
@@ -154,7 +154,7 @@ class TestRunKesten:
                 acc = acc @ v.v
                 powers.append(acc)
             avg = alg.unitary_average(powers, x)
-            assert op_norm(avg - alg.pinch(part, x)) <= 1e-10
+            assert op_norm(avg - pinch(part, x)) <= 1e-10
 
     def test_small_dim_run(self):
         res = fr.run_kesten(fr.KestenExperiment(n=2, dim=64, trials=10, seed=9))

@@ -96,14 +96,14 @@ class TestExpectations:
         inc = families.self_inclusion(4)
         x = rand_m(inc, 1)
         assert op_norm(inc.cond_exp_n(x) - x) < 1e-13
-        assert inc.commutant_dim() == 1
+        assert sum(v * v for row in inc.spec.inclusion_matrix for v in row) == 1
 
     def test_scalars_expectation(self):
         inc = families.scalars_in(3)
         x = rand_m(inc, 2)
         assert op_norm(inc.cond_exp_n(x) - trace(x) * identity(inc.m_shape)) < 1e-13
         # commutant is all of M; its expectation is the identity map
-        assert inc.commutant_dim() == 9
+        assert sum(v * v for row in inc.spec.inclusion_matrix for v in row) == 9
         assert op_norm(inc.cond_exp_comm(x) - x) < 1e-13
 
     def test_tensor_partial_trace_oracle(self):
@@ -118,7 +118,7 @@ class TestExpectations:
         ec = inc.cond_exp_comm(x)
         oracle_c = np.kron(np.eye(2) * np.trace(a) / 2, b)
         assert np.abs(ec.blocks[0] - oracle_c).max() < 1e-12
-        assert inc.commutant_dim() == 9
+        assert sum(v * v for row in inc.spec.inclusion_matrix for v in row) == 9
 
     def test_tensor_oracle_on_generic_element(self):
         inc = families.tensor_product(3, 2)
@@ -159,7 +159,7 @@ class TestExpectations:
     def test_commutant_basis_orthonormal(self, haar_spec_inclusion):
         inc = haar_spec_inclusion
         basis = ref_commutant_basis(inc)
-        assert len(basis) == inc.commutant_dim()
+        assert len(basis) == sum(v * v for row in inc.spec.inclusion_matrix for v in row)
         for i, gi in enumerate(basis):
             for j, gj in enumerate(basis):
                 val = trace(gi.adjoint() @ gj)
@@ -192,7 +192,7 @@ class TestExpectations:
         system = np.concatenate(rows, axis=0)
         svals = np.linalg.svd(system, compute_uv=False)
         nullity = int(np.sum(svals < 1e-9))
-        assert nullity == inc.commutant_dim()
+        assert nullity == sum(v * v for row in inc.spec.inclusion_matrix for v in row)
         # and every structural basis vector is in the kernel
         for g in ref_commutant_basis(inc):
             vec = np.concatenate([b.reshape(-1) for b in g.blocks])
@@ -522,6 +522,18 @@ class TestSupportBound:
         inc = families.scalars_in(3)
         lhs, rhs = incl.expectation_support_bound(inc, zero(inc.m_shape), 9.0)
         assert lhs == 0.0 and rhs == 0.0
+
+    def test_negative_projection_rejected(self):
+        inc = families.scalars_in(3)
+        p = rand_m(inc, 9, kind=alg.PROJECTION, theta=1 / 3)
+        with pytest.raises(alg.AlgebraError, match="not positive semidefinite"):
+            incl.expectation_support_bound(inc, -p, 9.0)
+
+    def test_non_hermitian_rejected(self):
+        inc = families.self_inclusion(2)
+        q = Element(inc.m_shape, [np.array([[0, 1], [0, 0]], dtype=complex)])
+        with pytest.raises(alg.AlgebraError, match="not Hermitian"):
+            incl.expectation_support_bound(inc, q, 1.0)
 
     def test_rank_one_in_scalars_in_8(self):
         inc = families.scalars_in(8)
