@@ -388,17 +388,22 @@ def balanced_slot_partition(shape: AlgebraShape, r: int):
     return parts
 
 
+def slot_order(shape: AlgebraShape, r: int):
+    """(orders, ranks) of `balanced_slot_partition`: per block k, the slots
+    of block k in part order (an index array) and the slot count of each part."""
+    parts = balanced_slot_partition(shape, r)
+    slots = [[[i for blk, i in part if blk == k] for part in parts]
+             for k in range(shape.num_blocks)]
+    return ([np.array([i for p in s for i in p], dtype=int) for s in slots],
+            [tuple(map(len, s)) for s in slots])
+
+
 def coordinate_partition(shape: AlgebraShape, r: int, unitary: Element = None) -> PartitionOfUnity:
     """Partition of unity from balanced diagonal slot groups, optionally rotated:
     the columns of `unitary` (or of 1) reordered by part."""
-    parts = balanced_slot_partition(shape, r)
-    stacks, ranks = [], []
-    for k, d in enumerate(shape.block_dims):
-        cols = [i for part in parts for blk, i in part if blk == k]
-        u = np.eye(d, dtype=np.complex128) if unitary is None else unitary.blocks[k]
-        stacks.append(u[:, cols])
-        ranks.append([sum(blk == k for blk, _ in part) for part in parts])
-    return PartitionOfUnity(shape, stacks, ranks)
+    orders, ranks = slot_order(shape, r)
+    u = identity(shape) if unitary is None else unitary
+    return PartitionOfUnity(shape, [b[:, o] for b, o in zip(u.blocks, orders)], ranks)
 
 
 @dataclass

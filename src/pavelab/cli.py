@@ -29,6 +29,10 @@ from . import algebra as alg
 from . import families, freeness, inclusion as incl, paving, serialize
 from .seeding import child_rng, child_seed
 
+# `basis` accepts d_ob within this of its interval and an expansion
+# residual at most this
+BASIS_TOL = 1e-8
+
 
 class UsageError(Exception):
     pass
@@ -337,7 +341,7 @@ def cmd_basis(args) -> int:
                                  child_seed(args.seed or 0, 3, t))
               for t in range(10)]
     residual = incl.expansion_residual(inc, basis.elements, probes)
-    ok = (lo - 1e-8 <= value <= hi + 1e-8) and residual <= 1e-8
+    ok = (lo - BASIS_TOL <= value <= hi + BASIS_TOL) and residual <= BASIS_TOL
     print(f"basis size J = {len(basis.elements)}")
     print(f"d_ob = {value:.12g}, interval [{lo:.6g}, {hi:.6g}]")
     print(f"expansion residual = {residual:.3e}; verified = {ok}")

@@ -189,32 +189,36 @@ class Inclusion:
         """E_N(x) as an element of M (image inside the embedded copy of N)."""
         return self.embed(self.restrict_to_n(x))
 
-    def center(self, x: Element) -> tuple:
+    def center(self, x: Element, slabs: list = None) -> tuple:
         """(E, slabs) for E = E_{N' ∩ M}(x), the normalized partial trace over
-        each copy grid, and per M-block l the slab blocks
-        y − z = Π_l* u_l* (x − E) u_l Π_l, with y = Π_l* u_l* x u_l Π_l and
+        each copy grid, and per M-block l the slab block
+        Π_l* u_l* (x − E) u_l Π_l = y − z, with y = Π_l* u_l* x u_l Π_l and
         z its partial-trace part in slab coordinates (see the module
-        docstring)."""
+        docstring).  y is written into `slabs[l]`, an m_l × m_l array such
+        as a row of a problem's slab stack (new arrays when `slabs` is None),
+        and z is subtracted from it in place, slab by slab."""
         if x.shape != self.m_shape:
             raise alg.ShapeMismatchError("element does not live over M")
-        blocks, slabs = [], []
-        for l, (kind, u) in enumerate(self.embed_unitaries):
+        if slabs is None:
+            slabs = [np.empty((d, d), dtype=np.complex128) for d in self.m_shape.block_dims]
+        blocks = []
+        for l, ((kind, u), y) in enumerate(zip(self.embed_unitaries, slabs)):
             b = x.blocks[l]
             if kind == "perm":
-                y = b[np.ix_(u, u)]
+                y[...] = b[np.ix_(u, u)]
             elif kind == "dense":
-                y = u.conj().T @ b @ u
+                np.matmul(u.conj().T @ b, u, out=y)
             else:
-                y = b
+                y[...] = b
             z = np.zeros_like(y)
             for s in self._slabs[l]:
                 mult, nk = s.rows.shape
                 y4 = y[s.span, s.span].reshape(mult, nk, mult, nk)
                 # a contiguous copy of the diagonals sums as np.trace of each block
                 tr = y4.diagonal(axis1=1, axis2=3).copy().sum(-1) / nk
-                z4 = tr[:, None, :, None] * np.eye(nk)[:, None, :]
-                z[s.span, s.span] = z4.reshape(mult * nk, mult * nk)
-            slabs.append(y - z)
+                z4 = z[s.span, s.span].reshape(mult, nk, mult, nk)  # a view: axes only split
+                np.multiply(tr[:, None, :, None], np.eye(nk)[:, None, :], out=z4)
+                y4 -= z4
             if kind == "perm":
                 e = np.empty_like(z)
                 e[np.ix_(u, u)] = z

@@ -56,6 +56,11 @@ VERIFY_SLACK = 1e-9
 # commutant, its ratio is 0 and there is nothing to pave
 DEGENERATE_DEN = 1e-12
 L2_SLACK = 0.05  # delta_l2 of an l2 paving
+# a positive stand-in for a norm of 0 where a bound needs a positive one
+NORM_FLOOR = 1e-30
+# `scan` rounds its lower bound up, and a quotient that is an integer up to
+# rounding must not gain one
+CEIL_GUARD = 1e-12
 # τ(q) is a float sum of trace weights times ranks: a rank that meets δ'
 # exactly must not fail it by rounding
 TAU_SLACK = 1e-15
@@ -135,9 +140,7 @@ class PavingProblem:
                                  for d in self.inclusion.m_shape.block_dims)
         centered = []
         for i, x in enumerate(self.operators):
-            e, slabs = self.inclusion.center(x)
-            for stack, y in zip(self.slab_stacks, slabs):
-                stack[i] = y
+            e, _ = self.inclusion.center(x, [stack[i] for stack in self.slab_stacks])
             centered.append(Centered(x, e, op_norm(x - e)))
         self.centered = tuple(centered)
 
@@ -297,7 +300,20 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
 
     In l2 mode the threshold is n_parts^(-1/2) + delta_l2,
     both read from `config` (n_parts defaults to the partition size,
-    delta_l2 to L2_SLACK).  For unitary candidates containing a positive
+    delta_l2 to L2_SLACK).
+
+    A candidate is accepted for the exact one nearest to it, not only for
+    its own stored numbers.  A partition whose frame residual is δ moves a
+    part-block norm by at most (2δ + δ²)‖x − E‖ from the partition its frames
+    stand for (the Frobenius residual bounds the operator norm), so it is
+    verified only when every ratio + 2δ + δ² is within threshold +
+    VERIFY_SLACK.  A unitary family with residual δ_u moves the average of x
+    by at most (2δ_u + δ_u²)‖x‖, that is (2δ_u + δ_u²)‖x‖/‖x − E‖ relative
+    to ‖x − E‖: a factor that grows without bound as x nears N′∩M (an x
+    inside it, with ratio 0, gets bound 0).  The bound of every x is
+    recorded under diagnostics["residual_bound"].
+
+    For unitary candidates containing a positive
     norm-one operator with scalar commutant expectation, the averaging-count
     lower bound is asserted; a violation sets the soundness alarm, which
     means the verifier itself is broken.
@@ -341,7 +357,9 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
             threshold = parts ** -0.5 + config.get("delta_l2", L2_SLACK)
         else:
             threshold = problem.epsilon
-        verified = max(ratios, default=0.0) <= threshold + VERIFY_SLACK
+        bound = 2 * worst + worst ** 2
+        diagnostics["residual_bound"] = [bound] * len(ratios)
+        verified = max(ratios) + bound <= threshold + VERIFY_SLACK
         return PavingCertificate(
             mode=mode, per_x_ratio=ratios, r=r, epsilon=problem.epsilon,
             threshold=threshold, verified=verified, seed=seed,
@@ -362,25 +380,28 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
         raise CandidateRejected(
             f"candidate family is not unitary within {TOL_PROJ}",
             {"unitary_residual": worst_unitary})
-    ratios, alarm = [], False
-    lower_bounds = []
+    ratios, bounds, lower_bounds, alarm = [], [], [], False
+    grow = 2 * worst_unitary + worst_unitary ** 2
     embedded = [inc.embed(u) for u in unitaries]
     for item in problem.centered:
         avg = alg.unitary_average(embedded, item.x)
         num = op_norm(avg - item.e)
-        ratios.append(0.0 if item.den <= DEGENERATE_DEN else num / item.den)
-        x = item.x
-        if (_is_positive(x) and abs(op_norm(x) - 1.0) <= TOL_PROJ
+        x, norm_x = item.x, op_norm(item.x)
+        live = item.den > DEGENERATE_DEN
+        ratios.append(num / item.den if live else 0.0)
+        bounds.append(grow * norm_x / item.den if live else 0.0)
+        if (_is_positive(x) and abs(norm_x - 1.0) <= TOL_PROJ
                 and op_norm(item.e - trace(x) * identity(inc.m_shape)) <= TOL_PROJ):
-            lb = averaging_count_lower_bound(float(trace(x).real), max(num, 1e-30))
+            lb = averaging_count_lower_bound(float(trace(x).real), max(num, NORM_FLOOR))
             lower_bounds.append(lb)
-            if num <= problem.epsilon * max(item.den, 1e-30) + VERIFY_SLACK:
+            if num <= problem.epsilon * max(item.den, NORM_FLOOR) + VERIFY_SLACK:
                 if len(unitaries) < lb - VERIFY_SLACK:
                     alarm = True
         else:
             lower_bounds.append(None)
     diagnostics["lower_bounds"] = lower_bounds
-    verified = max(ratios, default=0.0) <= problem.epsilon + VERIFY_SLACK
+    diagnostics["residual_bound"] = bounds
+    verified = max(a + b for a, b in zip(ratios, bounds)) <= problem.epsilon + VERIFY_SLACK
     return PavingCertificate(
         mode="unitaries", per_x_ratio=ratios, r=len(unitaries),
         epsilon=problem.epsilon, threshold=problem.epsilon,
@@ -764,26 +785,24 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     s_i = max_x ‖G_i* (x - E(x)) G_i‖ / ‖x - E(x)‖ and G_i is the embedded
     frame of part i.  `alg.part_norms` reads it off the slab stacks of the
     problem with the N-frames of the parts, so no frame is embedded in M.
-    A restart scores all r parts once; a move rotates two slots of
-    different parts, so only those two scores are recomputed: the two
-    parts' columns of u, with the two slots rotated, form the trial frame,
-    and u itself is copied only when the move is accepted.
+    The annealing state is the partition itself: per N-block, the columns
+    of the restart's Haar unitary in part order (`alg.slot_order`), part 0
+    first, as `PartitionOfUnity` stacks them.  A move rotates two columns
+    of one stack that belong to different parts; the pool lists these pairs
+    by stack column, in the block then row-major order of the slots they
+    hold.  A restart scores all r parts; a move scores only the two parts
+    it touches, whose trial frame is their two contiguous column slices of
+    the rotated stack, and the accepted stacks are returned as they are.
     """
     inc = problem.inclusion
     nsh = inc.n_shape
-    base = alg.coordinate_partition(nsh, cfg.r)  # raises on granularity
-    # per N-block: the columns of u in part order, and the part of each
-    order = [np.argmax(np.abs(u), axis=0) for u in base.stacks]
-    labels = [base.labels(k) for k in range(nsh.num_blocks)]
+    # per N-block: the slots in part order, and the column count of each part
+    orders, ranks = alg.slot_order(nsh, cfg.r)  # raises on granularity
+    labels = [np.repeat(np.arange(cfg.r), rk) for rk in ranks]
     config = {"r": cfg.r, "restarts": cfg.restarts, "steps": cfg.steps,
               "step_scale": STEP_SCALE, "cooling": COOLING}
     if problem.epsilon >= 1.0 or not problem.live():
         return _trivial_certificate(problem, cfg.seed, config)
-
-    def partition_of(u_blocks):
-        # the columns of u reordered by part, as coordinate_partition does
-        return PartitionOfUnity(nsh, [u[:, o] for u, o in zip(u_blocks, order)],
-                                base.ranks)
 
     copies = [inc.slab_layout(l) for l in range(inc.m_shape.num_blocks)]
     # an operator inside the relative commutant scores 0
@@ -799,46 +818,38 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
             scores = np.maximum(scores, (norms / dens).max(axis=0))
         return scores
 
-    # per N-block: the columns of u of each part, and per slot its part and
-    # its place among the columns of that part
-    part_cols = [np.split(o, np.cumsum(rk)[:-1]) for o, rk in zip(order, base.ranks)]
-    owners, places = [], []
-    for o, lab, rk in zip(order, labels, base.ranks):
-        owner, place = np.empty(len(o), dtype=int), np.empty(len(o), dtype=int)
-        owner[o] = lab
-        place[o] = np.arange(len(o)) - np.repeat(np.cumsum(rk) - rk, rk)
-        owners.append(owner)
-        places.append(place)
+    offsets = [np.cumsum((0,) + rk) for rk in ranks]
     pair_layouts = {}
 
     def pair_layout(i, j):
         # the columns of parts i < j, labelled 0 and 1: their layouts depend
         # on the two parts' ranks alone
-        key = tuple((rk[i], rk[j]) for rk in base.ranks)
+        key = tuple((rk[i], rk[j]) for rk in ranks)
         if key not in pair_layouts:
             pair_labels = [np.repeat([0, 1], widths) for widths in key]
             pair_layouts[key] = [alg.part_layout(pair_labels, c, np.arange(2)) for c in copies]
         return pair_layouts[key]
 
-    # slot pairs (k, a, b) eligible for a cross-part rotation, in block then
-    # row-major order; with a single part there is no move and the objective
-    # is rotation-invariant
+    # moves (k, a, b): the stack columns of slots a < b of N-block k in
+    # different parts, in block then row-major slot order; with a single
+    # part there is no move and the objective is rotation-invariant
     pool = []
-    for k, owner in enumerate(owners):
-        a, b = np.triu_indices(len(owner), 1)
-        cross = owner[a] != owner[b]
+    for k, (o, lab) in enumerate(zip(orders, labels)):
+        column = np.argsort(o)  # the stack column of each slot
+        a, b = (column[s] for s in np.triu_indices(len(o), 1))
+        cross = lab[a] != lab[b]
         pool.append(np.stack([np.full(cross.sum(), k), a[cross], b[cross]], axis=1))
     pool = np.concatenate(pool)
     all_layouts = [alg.part_layout(labels, c, np.arange(cfg.r)) for c in copies]
 
-    best_obj, best_u, history = np.inf, None, []
+    best_obj, best_stacks, history = np.inf, None, []
     for restart in range(cfg.restarts):
         rng = child_rng(cfg.seed, restart)
-        u_blocks = [alg.haar_block(rng, d) for d in nsh.block_dims]
-        scores = part_scores([u[:, o] for u, o in zip(u_blocks, order)], all_layouts)
+        stacks = [alg.haar_block(rng, d)[:, o] for d, o in zip(nsh.block_dims, orders)]
+        scores = part_scores(stacks, all_layouts)
         cur = float(scores.max())
         if cur < best_obj:
-            best_obj, best_u = cur, u_blocks
+            best_obj, best_stacks = cur, stacks
         scale = STEP_SCALE
         for step in range(cfg.steps if len(pool) else 0):
             k, a, b = pool[rng.integers(len(pool))]
@@ -846,33 +857,29 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
             phi = rng.uniform(0.0, 2 * np.pi)
             g = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
                           [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
-            rotated = u_blocks[k][:, [a, b]] @ g
-            i, j = sorted((owners[k][a], owners[k][b]))
-            frames = [u[:, np.concatenate((cols[i], cols[j]))]
-                      for u, cols in zip(u_blocks, part_cols)]
-            # part j's columns follow the base.ranks[k][i] columns of part i
-            frames[k][:, [places[k][s] + (base.ranks[k][i] if owners[k][s] == j else 0)
-                          for s in (a, b)]] = rotated
+            # stacks are never written once placed, so the trial shares
+            # every block but k with the current state
+            moved = stacks[k].copy()
+            moved[:, [a, b]] = moved[:, [a, b]] @ g
+            trial = stacks[:k] + [moved] + stacks[k + 1:]
+            i, j = sorted((labels[k][a], labels[k][b]))
+            frames = [np.concatenate((s[:, off[i]:off[i + 1]], s[:, off[j]:off[j + 1]]), axis=1)
+                      for s, off in zip(trial, offsets)]
             trial_scores = scores.copy()
             trial_scores[[i, j]] = part_scores(frames, pair_layout(i, j))
             val = float(trial_scores.max())
             temp = max(scale * 0.1, 1e-6)
             if val < cur or rng.random() < math.exp(-(val - cur) / temp):
-                # blocks are never written once placed in u_blocks, so the
-                # accepted u shares every block but k
-                moved = u_blocks[k].copy()
-                moved[:, [a, b]] = rotated
-                u_blocks = u_blocks[:k] + [moved] + u_blocks[k + 1:]
-                scores, cur = trial_scores, val
+                stacks, scores, cur = trial, trial_scores, val
                 if cur < best_obj:
-                    best_obj, best_u = cur, u_blocks
+                    best_obj, best_stacks = cur, stacks
             if (step + 1) % SWEEP == 0:
                 scale *= COOLING
             history.append(best_obj)
 
-    return verify(problem, partition_of(best_u), seed=cfg.seed, config=config,
-                  diagnostics={"incumbent_history": history,
-                               "best_objective": best_obj})
+    return verify(problem, PartitionOfUnity(nsh, best_stacks, ranks), seed=cfg.seed,
+                  config=config, diagnostics={"incumbent_history": history,
+                                              "best_objective": best_obj})
 
 
 # -- Dixmier averaging -----------------------------------------------------------
@@ -898,7 +905,7 @@ def dixmier_average_run(problem: PavingProblem, seed: int = 0) -> PavingCertific
             "averaging folds need N = M; proper inclusions are only supported "
             "for operator sets inside the relative commutant")
     current = [it.x - it.e for it in live]
-    if any(alg.hermitian_part_residual(c) > 1e-8 for c in current):
+    if any(alg.hermitian_part_residual(c) > TOL_PROJ for c in current):
         raise PavingError("operators must be self-adjoint after centering")
     dens = [it.den for it in live]
     family = [identity(inc.m_shape)]
@@ -971,7 +978,7 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
     for gi, eps in enumerate(epsilons):
         problem = base.with_epsilon(eps)
         theorem_r = paving_partition_bound(problem.index, eps)[2]
-        lower = max((math.ceil(nx / (ne + (eps + VERIFY_SLACK) * den) - 1e-12)
+        lower = max((math.ceil(nx / (ne + (eps + VERIFY_SLACK) * den) - CEIL_GUARD)
                      for nx, ne, den in positives if nx > 0.0), default=None)
         found, verified = None, False
         for r in range(1, min(r_cap, total_slots) + 1):

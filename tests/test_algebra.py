@@ -306,4 +306,10 @@ class TestBalancedPartitions:
     ], ids=["single-block", "multi-block", "unequal-weight"])
     def test_slot_partition_matches_argmin_loop(self, shape, rs):
         for r in rs:
-            assert alg.balanced_slot_partition(shape, r) == self.argmin_slot_partition(shape, r)
+            parts = self.argmin_slot_partition(shape, r)
+            assert alg.balanced_slot_partition(shape, r) == parts
+            # `slot_order` lists each block's slots part by part
+            orders, ranks = alg.slot_order(shape, r)
+            for k in range(shape.num_blocks):
+                assert orders[k].tolist() == [i for part in parts for blk, i in part if blk == k]
+                assert list(ranks[k]) == [sum(blk == k for blk, _ in part) for part in parts]

@@ -386,7 +386,7 @@ class TestScanCommand:
         calls = []
         center = incl.Inclusion.center
         monkeypatch.setattr(incl.Inclusion, "center",
-                            lambda self, x: calls.append(x) or center(self, x))
+                            lambda self, x, *out: calls.append(x) or center(self, x, *out))
         assert run(["scan", "--family", "self(8)", "--grid", "0.5,0.7,1.0",
                     "--f-random", "selfadjoint:2", "--seed", "2", "--budget", "4",
                     "--out", str(tmp_path)]) == 0

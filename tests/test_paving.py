@@ -784,6 +784,21 @@ class TestIncrementalSearch:
             best = cert.diagnostics["best_objective"]
             assert abs(best - recomputed) <= 1e-12 * recomputed
 
+    @pytest.mark.parametrize("make, r", [
+        (lambda: family_problem("tensor(8,2)", 41), 8), (two_block_problem, 3)])
+    def test_state_is_the_part_ordered_draw(self, make, r):
+        # with no step the certificate holds the restart's Haar draw, its
+        # columns in the part order of the balanced slot partition
+        problem = make()
+        nsh = problem.inclusion.n_shape
+        parts = alg.balanced_slot_partition(nsh, r)
+        cert = pv.pave_search(problem, pv.SearchConfig(r=r, restarts=1, steps=0, seed=5))
+        rng = child_rng(5, 0)
+        for k, d in enumerate(nsh.block_dims):
+            order = [i for part in parts for blk, i in part if blk == k]
+            want = alg.haar_block(rng, d)[:, order]
+            assert cert.partition.stacks[k].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("args, kwargs", [
         ((families.self_inclusion(8), [0.8, 1.2],
           [alg.random_element(AlgebraShape.matrix(8), alg.PROJECTION, 32, theta=0.25)], 1.0),
@@ -832,7 +847,7 @@ def test_each_operator_centered_once(monkeypatch):
     calls = []
     center = incl.Inclusion.center
     monkeypatch.setattr(incl.Inclusion, "center",
-                        lambda self, x: calls.append(x) or center(self, x))
+                        lambda self, x, *out: calls.append(x) or center(self, x, *out))
     inc = families.tensor_product(8, 2)
     ops = [selfadjoint(inc.m_shape, child_seed(45, t)) for t in range(3)]
     for produce in (lambda p: pv.pave_search(p, pv.SearchConfig(r=4, restarts=1, steps=20)),
@@ -902,6 +917,45 @@ class TestVerify:
         with pytest.raises(pv.CandidateRejected) as err:
             pv.verify(problem, alg.PartitionOfUnity(part.shape, [stack], part.ranks))
         assert err.value.residuals["frame_residual"] > alg.TOL_PROJ
+
+    def test_scaled_frame_is_judged_by_its_exact_partition(self):
+        # the worst part's two columns shrunk by 1 − 3.5e-9: the frame residual
+        # stays within TOL_PROJ and the stored ratio drops below ε + slack,
+        # but the exact partition the frames stand for, the unscaled one,
+        # misses that threshold
+        inc = families.parse_family("tensor(16,2)")
+        ops = [selfadjoint(inc.m_shape, child_seed(60, t)) for t in range(2)]
+        problem = pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.5)
+        part = pv.pave_search(problem, pv.SearchConfig(r=8, restarts=1, steps=20,
+                                                       seed=0)).partition
+        ratio = max(pv.verify(problem, part).per_x_ratio)
+        exact = pv.verify(problem.with_epsilon(ratio), part)
+        assert exact.verified
+        assert exact.diagnostics["residual_bound"] == [2 * part.residual() + part.residual() ** 2] * 2
+        layout = alg.part_layout([part.labels(0)], inc.slab_layout(0), np.arange(8))
+        norms, _ = alg.part_norms(part.stacks, layout, problem.slab_stacks[0])
+        dens = np.array([it.den for it in problem.centered])[:, None]
+        worst = int((norms / dens).max(axis=0).argmax())
+        stack = part.stacks[0].copy()
+        stack[:, 2 * worst:2 * worst + 2] *= 1 - 3.5e-9
+        scaled = alg.PartitionOfUnity(part.shape, [stack], part.ranks)
+        assert scaled.residual() <= alg.TOL_PROJ
+        cert = pv.verify(problem.with_epsilon(ratio - 2e-9), scaled)
+        assert max(cert.per_x_ratio) <= cert.threshold + pv.VERIFY_SLACK
+        assert not cert.verified
+
+    def test_unitary_residual_bound(self):
+        # (2δ + δ²)‖x‖/‖x − E‖ per x, and 0 for an x inside N′∩M
+        inc = families.self_inclusion(4)
+        x = selfadjoint(inc.m_shape, 27)
+        problem = pv.PavingProblem(inclusion=inc, operators=[x, 0.5 * identity(inc.m_shape)],
+                                   epsilon=0.9, index=1.0)
+        us = [alg.random_haar_unitary(inc.n_shape, child_seed(28, t)) for t in range(3)]
+        cert = pv.verify(problem, us)
+        delta = max(alg.unitary_residual(u) for u in us)
+        den = problem.centered[0].den
+        assert cert.diagnostics["residual_bound"] == [(2 * delta + delta ** 2) * op_norm(x) / den,
+                                                      0.0]
 
     def test_forged_frame_cannot_be_built(self):
         # identity blocks next to a one-vector frame: the frame alone is the
@@ -1186,7 +1240,7 @@ class TestScan:
         calls = []
         center = incl.Inclusion.center
         monkeypatch.setattr(incl.Inclusion, "center",
-                            lambda self, x: calls.append(x) or center(self, x))
+                            lambda self, x, *out: calls.append(x) or center(self, x, *out))
         inc = families.self_inclusion(8)
         ops = [selfadjoint(inc.m_shape, child_seed(59, t)) for t in range(2)]
         rows = pv.scan(inc, [0.5, 0.7, 1.0], ops, 1.0, seed=5, r_cap=4)
