@@ -20,6 +20,7 @@ Tolerances:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -33,6 +34,10 @@ TOL_PROJ = 1e-8
 AVERAGE_UNITARY_TOL = 1e-6  # the looser unitarity check of `unitary_average`
 TIE_TOL = 1e-12
 RANK_CUT = 1e-9  # a support keeps the eigenvalues above RANK_CUT * the top one
+# entries kept by the per-process memos of shape-only index plans: `slot_order`
+# holds d ints per block, a `part_layout` about m ints per M-block
+SLOT_ORDER_CACHE = 64
+LAYOUT_CACHE = 256
 
 SELFADJOINT = "selfadjoint-trace-zero-contraction"
 POSITIVE = "positive-contraction"
@@ -347,10 +352,6 @@ class PartitionOfUnity:
     def size(self) -> int:
         return len(self.ranks[0])
 
-    def labels(self, k: int) -> np.ndarray:
-        """Part index of each column of ``stacks[k]``."""
-        return np.repeat(np.arange(self.size), self.ranks[k])
-
     def frames(self) -> list:
         """Per part, per block: the column frame F_i with p_i = F_i F_i*."""
         offsets = [np.cumsum((0,) + rk) for rk in self.ranks]
@@ -388,14 +389,22 @@ def balanced_slot_partition(shape: AlgebraShape, r: int):
     return parts
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only: a memoised plan is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=SLOT_ORDER_CACHE)
 def slot_order(shape: AlgebraShape, r: int):
     """(orders, ranks) of `balanced_slot_partition`: per block k, the slots
-    of block k in part order (an index array) and the slot count of each part."""
+    of block k in part order (a read-only index array) and the slot count of
+    each part, as tuples.  Built once per process for each (shape, r)."""
     parts = balanced_slot_partition(shape, r)
     slots = [[[i for blk, i in part if blk == k] for part in parts]
              for k in range(shape.num_blocks)]
-    return ([np.array([i for p in s for i in p], dtype=int) for s in slots],
-            [tuple(map(len, s)) for s in slots])
+    return (tuple(_frozen(np.array([i for p in s for i in p], dtype=int)) for s in slots),
+            tuple(tuple(map(len, s)) for s in slots))
 
 
 def coordinate_partition(shape: AlgebraShape, r: int, unitary: Element = None) -> PartitionOfUnity:
@@ -418,34 +427,35 @@ class PartLayout(NamedTuple):
     """Where the part-diagonal blocks of G* y G sit, for G = ⊕_slab 1_mult ⊗ F_k
     in the slab coordinates of one M-block (see `part_layout`).
 
-    ``copies`` lists the slabs as (N-block k, mult) pairs and ``parts`` the
-    labels read.  Each batch holds parts with the same column count in
-    every slab: ``sel`` indexes them in ``parts``, ``idx`` (batch, s) lists
-    the columns of y G that belong to each part, by (slab, copy, column),
-    and ``cols`` gives per slab the columns of F_k that each part takes, or
-    None where it takes none.
+    ``copies`` lists the slabs as (N-block k, mult) pairs and ``size`` is
+    the number of parts.  Each batch holds parts with the same column count
+    in every slab: ``sel`` lists them, ``idx`` (batch, s) the columns of
+    y G that belong to each part, by (slab, copy, column), and ``cols``
+    gives per slab the columns of F_k that each part takes, or None where
+    it takes none.  The index arrays are read-only.
     """
 
     copies: tuple
-    parts: np.ndarray
+    size: int
     batches: tuple
 
 
-def part_layout(labels: list, copies: list, parts: np.ndarray) -> PartLayout:
-    """The layout of the parts `parts` (a sorted array) when the columns of
-    F_k carry the sorted part labels `labels[k]` and one M-block holds the
-    slabs `copies`, (k, mult) in slab order.  It depends on the labels
-    only, so it is reused while the frame values change."""
-    copies = tuple(copies)
-    starts, counts, firsts, base = [], [], [], 0
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
+def part_layout(ranks: tuple, copies: tuple) -> PartLayout:
+    """The layout of every part when the columns of F_k run part by part,
+    ``ranks[k][i]`` of them for part i (`PartitionOfUnity.ranks`), and one
+    M-block holds the slabs `copies`, ((k, mult), ...) in slab order
+    (`Inclusion.slab_layout`).  Both arguments are tuples: the layout
+    depends on them alone, so it is built once per process for each pair
+    and reused while the frame values change."""
+    starts, firsts, base = [], [], 0
     for k, mult in copies:
-        w = len(labels[k])
-        starts.append(labels[k].searchsorted(parts))
-        counts.append(labels[k].searchsorted(parts, "right") - starts[-1])
+        w = sum(ranks[k])
+        starts.append(np.cumsum((0,) + ranks[k])[:-1])
         firsts.append(base + w * np.arange(mult)[:, None])  # first column of each copy
         base += mult * w
     grouped = {}
-    for i, key in enumerate(zip(*(c.tolist() for c in counts))):
+    for i, key in enumerate(zip(*(ranks[k] for k, _ in copies))):
         grouped.setdefault(key, []).append(i)
     batches = []
     for key in sorted(grouped):
@@ -454,12 +464,13 @@ def part_layout(labels: list, copies: list, parts: np.ndarray) -> PartLayout:
         sel = np.array(grouped[key])
         cols, idx = [], []
         for (k, mult), start, first, w in zip(copies, starts, firsts, key):
-            cols.append(start[sel, None] + np.arange(w) if w else None)
+            cols.append(_frozen(start[sel, None] + np.arange(w)) if w else None)
             if w:
                 idx.append((first + cols[-1][:, None, :]).reshape(len(sel), mult * w))
-        batches.append((sel, idx[0] if len(idx) == 1 else np.concatenate(idx, axis=1),
+        batches.append((_frozen(sel),
+                        _frozen(idx[0] if len(idx) == 1 else np.concatenate(idx, axis=1)),
                         tuple(cols)))
-    return PartLayout(copies, parts, tuple(batches))
+    return PartLayout(copies, len(ranks[0]), tuple(batches))
 
 
 def part_blocks(frames: list, layout: PartLayout, ys: np.ndarray):
@@ -498,13 +509,13 @@ def part_norms(frames: list, layout: PartLayout, ys: np.ndarray):
     """Norms of the part-diagonal blocks B = G_i* y G_i of `part_blocks`.
 
     One eigvalsh of B* B gives ‖B‖² as its largest eigenvalue and ‖B‖_F² as
-    its sum.  Returns the (count, len(layout.parts)) operator norms
+    its sum.  Returns the (count, layout.size) operator norms
     ‖G_i* y G_i‖ and, per y, the squared Frobenius norm summed over those
     blocks.  For unitary F_k these are ‖Σ_i p_i y p_i‖ = max_i ‖G_i* y G_i‖
     and ‖Σ_i p_i y p_i‖_F².  `verify` and `pave_search` read the pinch of
     x − E off it, and the constructive pipeline the pinches of its stage
     diagnostics, in corner coordinates."""
-    norms = np.zeros((len(ys), len(layout.parts)))
+    norms = np.zeros((len(ys), layout.size))
     fro = np.zeros(len(ys))
     for (sel, _, _), b in zip(layout.batches, part_blocks(frames, layout, ys)):
         w = np.linalg.eigvalsh(b.conj().swapaxes(-1, -2) @ b)

@@ -233,9 +233,10 @@ class Inclusion:
         """E_{N' ∩ M}(x); see `center`."""
         return self.center(x)[0]
 
-    def slab_layout(self, l: int) -> list:
-        """The slabs of M-block l in slab order, as (N-block, copies) pairs."""
-        return [(s.k, len(s.rows)) for s in self._slabs[l]]
+    def slab_layout(self, l: int) -> tuple:
+        """The slabs of M-block l in slab order, as a tuple of (N-block,
+        copies) pairs: the `copies` key of `algebra.part_layout`."""
+        return tuple((s.k, len(s.rows)) for s in self._slabs[l])
 
 
 def build_inclusion(spec: InclusionSpec, seed=0) -> Inclusion:

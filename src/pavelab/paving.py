@@ -34,11 +34,18 @@ The pipeline's stage (ii) corners (1 ⊗ w)* Y_l (1 ⊗ w) of an outer part w
 come from the same stacks, and its eq (2)–(4) diagnostics, pinches of
 corner elements by a refinement of w, are part blocks of the same kernel
 (`alg.part_norms`, `alg.part_blocks`): the package has one pinch kernel.
+
+The kernel's index plan, `alg.part_layout`, depends on a partition's ranks
+and an M-block's slab layout alone, and the search's slot order and move
+pool and the pipeline's empty-support refinement on shapes alone: each is
+built once per process (`functools.lru_cache`, with a fixed `maxsize`) and
+shared read-only, so a warm plan gives the bytes a fresh one would.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -80,6 +87,10 @@ STALL_BUDGET = 4
 MAX_FOLDS = 10
 SCAN_RESTARTS = 2
 SCAN_STEPS = 120
+# entries kept by the per-process memos of `_move_pool` (one N = M_512 pool
+# holds up to 130 816 rows of 5 ints) and `_empty_refinement`
+MOVE_POOL_CACHE = 8
+REFINEMENT_CACHE = 8
 
 
 class PavingError(RuntimeError):
@@ -337,12 +348,10 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
             raise CandidateRejected(
                 f"partition frames are not unitary within {TOL_PROJ} "
                 f"(residual {worst:.3e})", {"frame_residual": worst})
-        labels_n = [candidate.labels(k) for k in range(inc.n_shape.num_blocks)]
-        parts = np.arange(candidate.size)
         largest = np.zeros(len(problem.centered))
         square = np.zeros(len(problem.centered))
         for l, (ys, t) in enumerate(zip(problem.slab_stacks, inc.m_shape.trace_weights)):
-            layout = alg.part_layout(labels_n, inc.slab_layout(l), parts)
+            layout = alg.part_layout(candidate.ranks, inc.slab_layout(l))
             norms, fro = alg.part_norms(candidate.stacks, layout, ys)
             largest = np.maximum(largest, norms.max(axis=1))
             square += t * fro
@@ -486,6 +495,17 @@ def _fourier_refinement(dim: int, e_cols: np.ndarray, m: int):
     return out
 
 
+@functools.lru_cache(maxsize=REFINEMENT_CACHE)
+def _empty_refinement(rank: int, m: int):
+    """(stacked frame, part ranks) of the Fourier refinement of a rank-`rank`
+    part into m pieces around an empty support: it depends on (rank, m)
+    alone, so it is built once per process.  The frame is read-only."""
+    refinement = _fourier_refinement(rank, np.zeros((rank, 0), dtype=np.complex128), m)
+    z_stack = np.concatenate(refinement, axis=1)
+    z_stack.flags.writeable = False
+    return z_stack, tuple(z.shape[1] for z in refinement)
+
+
 def _slab_corners(slab_stacks, w: np.ndarray, live, scale: np.ndarray):
     """(corners, grams) of the part with N-frame w over a single-block N, per
     M-block l: C = (1_mult ⊗ w)* Y_l (1_mult ⊗ w) of the operators `live`
@@ -572,8 +592,8 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
     both transfer sides and the Schwarz minimum are 0, and the eq (1) tail
     is the square root of the screened top eigenvalue of the untrimmed gram,
     the `eigvalsh` of the same matrix.  Its refinement is the empty-support
-    one, which depends on the part's rank alone (and always fits, as
-    n m ≤ dim N), so each call builds it once per distinct rank.
+    one, which depends on the part's rank and m alone (and always fits, as
+    n m ≤ dim N), so it is built once per process (`_empty_refinement`).
     Partitions, ratios and diagnostics are bit-identical to running every
     stage on every part of the same corners.
 
@@ -620,9 +640,6 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
 
     attempts = []
     best_cert = None
-    # the refinement of a part with q_i = 0 depends on its rank alone:
-    # rank -> (stacked frame, part ranks)
-    empty_refinements = {}
     for attempt in range(cfg.retry_budget + 1):
         rng = child_rng(cfg.seed, attempt)
         u = alg.haar_block(rng, dim_n)
@@ -662,12 +679,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
                 for key in ("refined_expectation", "transfer_lhs", "transfer_rhs",
                             "schwarz_min"):
                     record[key].extend([0.0] * len(screened))
-                if r_i not in empty_refinements:
-                    refinement = _fourier_refinement(
-                        r_i, np.zeros((r_i, 0), dtype=np.complex128), m)
-                    empty_refinements[r_i] = (np.concatenate(refinement, axis=1),
-                                              [z.shape[1] for z in refinement])
-                z_stack, part_ranks = empty_refinements[r_i]
+                z_stack, part_ranks = _empty_refinement(r_i, m)
                 stacks.append(w_i @ z_stack)
                 ranks.extend(part_ranks)
                 continue
@@ -717,14 +729,13 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             # coordinates of M-block l the embedded refinement is 1_mult ⊗ Z,
             # Z the stacked refinement frame, that is one slab of mult copies
             z_stack = np.concatenate(refinement, axis=1)
-            pieces = np.arange(m)
-            z_labels = [np.repeat(pieces, [z.shape[1] for z in refinement])]
-            refined = alg.part_norms([z_stack], alg.part_layout(z_labels, [(0, 1)], pieces),
+            part_ranks = tuple(z.shape[1] for z in refinement)
+            refined = alg.part_norms([z_stack], alg.part_layout((part_ranks,), ((0, 1),)),
                                      np.stack(h_corners))[0].max(axis=1)
             transfer_lhs = np.zeros(len(live))
             schwarz_min = np.full(len(live), np.inf)
             for l in blocks:
-                layout = alg.part_layout(z_labels, [(0, mults[l])], pieces)
+                layout = alg.part_layout((part_ranks,), ((0, mults[l]),))
                 b_l = np.stack([b_x[l] for b_x in b_corners])
                 transfer_lhs = np.maximum(
                     transfer_lhs, alg.part_norms([z_stack], layout, b_l)[0].max(axis=1))
@@ -744,7 +755,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             record["schwarz_min"].extend(schwarz_min.tolist())
 
             stacks.append(w_i @ z_stack)
-            ranks.extend(z.shape[1] for z in refinement)
+            ranks.extend(part_ranks)
 
         attempts.append(record)
         if not record["stage_ok"]:
@@ -777,6 +788,29 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
 
 # -- simulated-annealing search --------------------------------------------------
 
+@functools.lru_cache(maxsize=MOVE_POOL_CACHE)
+def _move_pool(n_shape, r: int) -> np.ndarray:
+    """The moves of `pave_search` over the slot order of (n_shape, r), as a
+    read-only array of rows (k, a, b, i, j): stack columns a, b of slots
+    a' < b' of N-block k, in block then row-major slot order, whose parts
+    i < j differ.  With a single part there is no move.  It depends on the
+    shape and r alone, so it is built once per process."""
+    orders, ranks = alg.slot_order(n_shape, r)
+    pool = []
+    for k, (o, rk) in enumerate(zip(orders, ranks)):
+        labels = np.repeat(np.arange(r), rk)  # the part of each stack column
+        column = np.argsort(o)  # the stack column of each slot
+        a, b = (column[s] for s in np.triu_indices(len(o), 1))
+        cross = labels[a] != labels[b]
+        a, b = a[cross], b[cross]
+        pool.append(np.stack([np.full(len(a), k), a, b,
+                              np.minimum(labels[a], labels[b]),
+                              np.maximum(labels[a], labels[b])], axis=1))
+    pool = np.concatenate(pool)
+    pool.flags.writeable = False
+    return pool
+
+
 def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     """Minimize the worst pinching ratio over partitions u P0 u* by annealed
     Givens rotations of u; the global incumbent is kept across restarts.
@@ -788,17 +822,19 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     The annealing state is the partition itself: per N-block, the columns
     of the restart's Haar unitary in part order (`alg.slot_order`), part 0
     first, as `PartitionOfUnity` stacks them.  A move rotates two columns
-    of one stack that belong to different parts; the pool lists these pairs
-    by stack column, in the block then row-major order of the slots they
-    hold.  A restart scores all r parts; a move scores only the two parts
-    it touches, whose trial frame is their two contiguous column slices of
-    the rotated stack, and the accepted stacks are returned as they are.
+    of one stack that belong to different parts; the pool (`_move_pool`)
+    lists these pairs by stack column, in the block then row-major order of
+    the slots they hold.  A restart scores all r parts; a move scores only
+    the two parts it touches, whose trial frame is their two contiguous
+    column slices of the rotated stack, and the accepted stacks are
+    returned as they are.  The slot order, the pool and the part layouts
+    depend on the N-shape, r and the part ranks alone, and are built once
+    per process (`alg.part_layout` keys a pair of parts by its ranks).
     """
     inc = problem.inclusion
     nsh = inc.n_shape
     # per N-block: the slots in part order, and the column count of each part
     orders, ranks = alg.slot_order(nsh, cfg.r)  # raises on granularity
-    labels = [np.repeat(np.arange(cfg.r), rk) for rk in ranks]
     config = {"r": cfg.r, "restarts": cfg.restarts, "steps": cfg.steps,
               "step_scale": STEP_SCALE, "cooling": COOLING}
     if problem.epsilon >= 1.0 or not problem.live():
@@ -809,50 +845,29 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     dens = np.array([it.den if it.den > DEGENERATE_DEN else np.inf
                      for it in problem.centered])[:, None]
 
-    def part_scores(frames, layouts):
-        # s_i for each part i that `layouts` (one per M-block) reads, from the
-        # per-N-block columns of those parts sorted by part
+    def part_scores(frames, part_ranks):
+        # s_i for each part i of `part_ranks` (per N-block, the column counts
+        # of the parts scored), from the per-N-block columns of those parts
         scores = 0.0
-        for ys, layout in zip(problem.slab_stacks, layouts):
-            norms, _ = alg.part_norms(frames, layout, ys)
+        for ys, c in zip(problem.slab_stacks, copies):
+            norms, _ = alg.part_norms(frames, alg.part_layout(part_ranks, c), ys)
             scores = np.maximum(scores, (norms / dens).max(axis=0))
         return scores
 
     offsets = [np.cumsum((0,) + rk) for rk in ranks]
-    pair_layouts = {}
-
-    def pair_layout(i, j):
-        # the columns of parts i < j, labelled 0 and 1: their layouts depend
-        # on the two parts' ranks alone
-        key = tuple((rk[i], rk[j]) for rk in ranks)
-        if key not in pair_layouts:
-            pair_labels = [np.repeat([0, 1], widths) for widths in key]
-            pair_layouts[key] = [alg.part_layout(pair_labels, c, np.arange(2)) for c in copies]
-        return pair_layouts[key]
-
-    # moves (k, a, b): the stack columns of slots a < b of N-block k in
-    # different parts, in block then row-major slot order; with a single
-    # part there is no move and the objective is rotation-invariant
-    pool = []
-    for k, (o, lab) in enumerate(zip(orders, labels)):
-        column = np.argsort(o)  # the stack column of each slot
-        a, b = (column[s] for s in np.triu_indices(len(o), 1))
-        cross = lab[a] != lab[b]
-        pool.append(np.stack([np.full(cross.sum(), k), a[cross], b[cross]], axis=1))
-    pool = np.concatenate(pool)
-    all_layouts = [alg.part_layout(labels, c, np.arange(cfg.r)) for c in copies]
+    pool = _move_pool(nsh, cfg.r)
 
     best_obj, best_stacks, history = np.inf, None, []
     for restart in range(cfg.restarts):
         rng = child_rng(cfg.seed, restart)
         stacks = [alg.haar_block(rng, d)[:, o] for d, o in zip(nsh.block_dims, orders)]
-        scores = part_scores(stacks, all_layouts)
+        scores = part_scores(stacks, ranks)
         cur = float(scores.max())
         if cur < best_obj:
             best_obj, best_stacks = cur, stacks
         scale = STEP_SCALE
         for step in range(cfg.steps if len(pool) else 0):
-            k, a, b = pool[rng.integers(len(pool))]
+            k, a, b, i, j = pool[rng.integers(len(pool))]
             theta = rng.normal(0.0, scale)
             phi = rng.uniform(0.0, 2 * np.pi)
             g = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
@@ -862,11 +877,10 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
             moved = stacks[k].copy()
             moved[:, [a, b]] = moved[:, [a, b]] @ g
             trial = stacks[:k] + [moved] + stacks[k + 1:]
-            i, j = sorted((labels[k][a], labels[k][b]))
             frames = [np.concatenate((s[:, off[i]:off[i + 1]], s[:, off[j]:off[j + 1]]), axis=1)
                       for s, off in zip(trial, offsets)]
             trial_scores = scores.copy()
-            trial_scores[[i, j]] = part_scores(frames, pair_layout(i, j))
+            trial_scores[[i, j]] = part_scores(frames, tuple((rk[i], rk[j]) for rk in ranks))
             val = float(trial_scores.max())
             temp = max(scale * 0.1, 1e-6)
             if val < cur or rng.random() < math.exp(-(val - cur) / temp):

@@ -79,6 +79,11 @@ def partition_from_projections(projections) -> alg.PartitionOfUnity:
     return alg.PartitionOfUnity.from_frames(projections[0].shape, frames)
 
 
+def part_labels(partition: alg.PartitionOfUnity, k: int) -> np.ndarray:
+    """Part index of each column of ``partition.stacks[k]``."""
+    return np.repeat(np.arange(partition.size), partition.ranks[k])
+
+
 def part_compression(g: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     """mask ⊙ (g* x g), the mask keeping the entries whose two columns carry
     the same part label: the blocks g_i* x g_i of the parts g_i of one
@@ -91,7 +96,7 @@ def pinch(partition: alg.PartitionOfUnity, x: alg.Element) -> alg.Element:
     """sum_i p_i x p_i as the dense product g (mask ⊙ g* x g) g* per block."""
     if partition.shape != x.shape:
         raise alg.ShapeMismatchError("partition and element shapes differ")
-    return alg.Element(x.shape, [g @ part_compression(g, partition.labels(k), b) @ g.conj().T
+    return alg.Element(x.shape, [g @ part_compression(g, part_labels(partition, k), b) @ g.conj().T
                                  for k, (g, b) in enumerate(zip(partition.stacks, x.blocks))])
 
 
@@ -103,7 +108,7 @@ def cyclic_unitary(partition: alg.PartitionOfUnity) -> alg.CyclicUnitary:
     if not worst <= alg.TOL_PROJ:
         raise alg.AlgebraError(f"partition frame residual {worst:.3e} exceeds {alg.TOL_PROJ}")
     alpha = np.exp(2j * np.pi / n)
-    blocks = [(u * alpha ** partition.labels(k)) @ u.conj().T
+    blocks = [(u * alpha ** part_labels(partition, k)) @ u.conj().T
               for k, u in enumerate(partition.stacks)]
     return alg.CyclicUnitary(v=alg.Element(partition.shape, blocks), order=n)
 
@@ -166,7 +171,7 @@ def ref_embed_parts(inc, frames_n, labels_n):
 
 def embed_partition(inc, partition: alg.PartitionOfUnity) -> alg.PartitionOfUnity:
     """The parts of a partition of N, embedded, as a partition of unity of M."""
-    labels_n = [partition.labels(k) for k in range(inc.n_shape.num_blocks)]
+    labels_n = [part_labels(partition, k) for k in range(inc.n_shape.num_blocks)]
     stacks, ranks = [], []
     for g, labels in ref_embed_parts(inc, partition.stacks, labels_n):
         stacks.append(g)

@@ -12,9 +12,10 @@ from pavelab import inclusion as incl
 from pavelab import paving as pv
 from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
+from pavelab.serialize import canonical_dumps
 
-from conftest import (embed_partition, part_compression, partition_from_projections, pinch,
-                      ref_embed_frame)
+from conftest import (embed_partition, part_compression, part_labels, partition_from_projections,
+                      pinch, ref_embed_frame)
 
 
 def selfadjoint(shape, seed):
@@ -696,14 +697,14 @@ def reference_search(problem, cfg):
         worst = 0.0
         for it, diff in zip(live, diffs):
             for l, g in enumerate(embedded.stacks):
-                c = part_compression(g, embedded.labels(l), diff.blocks[l])
+                c = part_compression(g, part_labels(embedded, l), diff.blocks[l])
                 worst = max(worst, diagonal_block_norm(c, embedded.ranks[l]) / it.den)
         return worst
 
     pair_pool = []
     for k, o in enumerate(order):
         owner = np.empty(len(o), dtype=int)
-        owner[o] = base.labels(k)
+        owner[o] = part_labels(base, k)
         pair_pool.extend((k, a, b) for a in range(len(o)) for b in range(a + 1, len(o))
                          if owner[a] != owner[b])
     best_obj, best_u, history = np.inf, None, []
@@ -816,6 +817,67 @@ class TestIncrementalSearch:
             reference_search(problem, cfg) if problem.epsilon < 1.0 and problem.live()
             else search(problem, cfg)))
         assert pv.scan(*args, **kwargs) == rows
+
+
+def aligned_tensor8_problem():
+    # two generic operators and a rank-one one aligned to the first outer
+    # part of the pipeline's seed-2 first attempt: with n = 4 that part has
+    # a nonempty q_i and the other three an empty one
+    inc = families.parse_family("tensor(8,2)")
+    u = alg.haar_block(child_rng(2, 0), 8)
+    xi = ref_embed_frame(inc, [u[:, :1]])[0][:, :1]
+    ops = [selfadjoint(inc.m_shape, child_seed(45, t)) for t in range(2)]
+    return pv.PavingProblem(inclusion=inc, epsilon=0.5,
+                            operators=ops + [Element(inc.m_shape, [xi @ xi.conj().T])])
+
+
+PLAN_MEMOS = (alg.slot_order, alg.part_layout, pv._move_pool, pv._empty_refinement)
+
+
+class TestPlanMemos:
+    """Shape-only index plans are built once per process: a warm memo gives
+    the results of a cold one byte for byte, and its arrays are read-only."""
+
+    @staticmethod
+    def runs(problem):
+        yield pv.pave_search(problem, pv.SearchConfig(r=3, restarts=2, steps=30, seed=1))
+        if problem.inclusion.n_shape.num_blocks == 1:
+            for n in (4, 2):
+                yield pv.pave_constructive(problem, pv.PipelineConfig(n_parts=n, m_refine=2,
+                                                                      seed=2))
+        yield pv.l2_pave(problem, 3, seed=3)
+
+    @pytest.mark.parametrize("make", [aligned_tensor8_problem, two_block_problem],
+                             ids=["tensor8", "two-block"])
+    def test_warm_run_equals_cold_run(self, make):
+        problem = make()
+        for memo in PLAN_MEMOS:
+            memo.cache_clear()
+        cold = list(self.runs(problem))
+        hits = [memo.cache_info().hits for memo in PLAN_MEMOS]
+        warm = list(self.runs(problem))
+        for memo, before in zip(PLAN_MEMOS, hits):
+            used = memo is not pv._empty_refinement or problem.inclusion.n_shape.num_blocks == 1
+            assert (memo.cache_info().hits > before) == used
+        if len(cold) == 4:
+            # the pipeline ran the nonempty-support branch, the eq (2)-(4) layouts
+            assert max(cold[1].diagnostics["attempts"][0]["support_ranks"]) > 0
+        for a, b in zip(cold, warm):
+            assert canonical_dumps(a.summary()) == canonical_dumps(b.summary())
+            assert a.partition.ranks == b.partition.ranks
+            assert [u.tobytes() for u in a.partition.stacks] == \
+                [u.tobytes() for u in b.partition.stacks]
+
+    def test_memoised_arrays_are_read_only(self):
+        shape = AlgebraShape((3, 4), (3 / 21, 3 / 21))
+        orders, ranks = alg.slot_order(shape, 3)
+        layout = alg.part_layout(ranks, ((0, 1), (1, 2)))
+        arrays = list(orders) + [pv._move_pool(shape, 3), pv._empty_refinement(4, 2)[0]]
+        for sel, idx, cols in layout.batches:
+            arrays += [sel, idx] + [c for c in cols if c is not None]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
 
 @pytest.mark.parametrize("field, value, valid", [
@@ -932,7 +994,7 @@ class TestVerify:
         exact = pv.verify(problem.with_epsilon(ratio), part)
         assert exact.verified
         assert exact.diagnostics["residual_bound"] == [2 * part.residual() + part.residual() ** 2] * 2
-        layout = alg.part_layout([part.labels(0)], inc.slab_layout(0), np.arange(8))
+        layout = alg.part_layout(part.ranks, inc.slab_layout(0))
         norms, _ = alg.part_norms(part.stacks, layout, problem.slab_stacks[0])
         dens = np.array([it.den for it in problem.centered])[:, None]
         worst = int((norms / dens).max(axis=0).argmax())
