@@ -473,25 +473,35 @@ def part_layout(ranks: tuple, copies: tuple) -> PartLayout:
     return PartLayout(copies, len(ranks[0]), tuple(batches))
 
 
+def _slab_products(frames: list, copies: tuple, ys: np.ndarray):
+    """(z, rows): z = y G for G = ⊕_slab 1_mult ⊗ F_k and a (count, m, m)
+    stack y in slab coordinates, as a (count, m, S) array whose columns run
+    by (slab, copy, column of F_k), and per slab the slice of y's rows (and
+    columns) that it spans.  Per slab, y (1 ⊗ F_k) is one GEMM with n_k
+    inner rows, the rows of every y and copy stacked."""
+    count, m = len(ys), ys.shape[-1]
+    zs, rows, row = [], [], 0
+    for k, mult in copies:
+        n, c = frames[k].shape
+        zs.append((ys[:, :, row:row + mult * n].reshape(-1, n) @ frames[k])
+                  .reshape(count, m, mult * c))
+        rows.append(slice(row, row + mult * n))
+        row += mult * n
+    return (zs[0] if len(zs) == 1 else np.concatenate(zs, axis=2)), rows
+
+
 def part_blocks(frames: list, layout: PartLayout, ys: np.ndarray):
     """The part-diagonal blocks G_i* y G_i of a stack of y given in slab
     coordinates, for G = ⊕_slab 1_mult ⊗ F_k: one (count, batch, s, s)
     array per batch of `layout`, in its order.
 
     `frames[k]` holds the columns of N-block k sorted by part, laid out as
-    `layout` says, and `ys` is a (count, m, m) stack.  Per slab, y (1 ⊗ F_k)
-    is one GEMM with n_k inner rows.  Per batch of equal-shaped parts, the
-    columns of y G are gathered by (part, copy) position and each slab's
-    rows meet F_k* of the same part, giving the blocks B = G_i* (y G_i)."""
-    count, m = len(ys), ys.shape[-1]
-    zs, rows, row = [], [], 0
-    for k, mult in layout.copies:
-        n = len(frames[k])
-        zs.append((ys[:, :, row:row + mult * n].reshape(count, m * mult, n) @ frames[k])
-                  .reshape(count, m, -1))
-        rows.append(slice(row, row + mult * n))
-        row += mult * n
-    z = zs[0] if len(zs) == 1 else np.concatenate(zs, axis=2)
+    `layout` says, and `ys` is a (count, m, m) stack.  Given z = y G
+    (`_slab_products`), per batch of equal-shaped parts the columns of z
+    are gathered by (part, copy) position and each slab's rows meet F_k* of
+    the same part, giving the blocks B = G_i* (y G_i)."""
+    count = len(ys)
+    z, rows = _slab_products(frames, layout.copies, ys)
     for sel, idx, cols in layout.batches:
         zc = z[:, :, idx]                                     # (count, m, batch, s)
         blocks = []
@@ -512,9 +522,9 @@ def part_norms(frames: list, layout: PartLayout, ys: np.ndarray):
     its sum.  Returns the (count, layout.size) operator norms
     ‖G_i* y G_i‖ and, per y, the squared Frobenius norm summed over those
     blocks.  For unitary F_k these are ‖Σ_i p_i y p_i‖ = max_i ‖G_i* y G_i‖
-    and ‖Σ_i p_i y p_i‖_F².  `verify` and `pave_search` read the pinch of
-    x − E off it, and the constructive pipeline the pinches of its stage
-    diagnostics, in corner coordinates."""
+    and ‖Σ_i p_i y p_i‖_F².  `verify` and the restarts of `pave_search` read
+    the pinch of x − E off it, and the constructive pipeline the pinches of
+    its stage diagnostics, in corner coordinates."""
     norms = np.zeros((len(ys), layout.size))
     fro = np.zeros(len(ys))
     for (sel, _, _), b in zip(layout.batches, part_blocks(frames, layout, ys)):
@@ -522,6 +532,33 @@ def part_norms(frames: list, layout: PartLayout, ys: np.ndarray):
         norms[:, sel] = np.sqrt(np.maximum(w[..., -1], 0.0))
         fro += w.sum(axis=(1, 2))  # ‖B‖_F² = tr B* B
     return norms, fro
+
+
+def pair_norms(frames: list, layout: PartLayout, ys: np.ndarray):
+    """The (count, layout.size) operator norms ‖G_i* y G_i‖ of `part_norms`,
+    read off the full compression W = G* y G of the columns in `frames`.
+
+    The rows of W run by (slab, copy, column), as its columns do, so the
+    ``idx`` arrays of `layout` gather each part's diagonal block of W.
+    Given z = y G (`_slab_products`), W is one GEMM per slab, in place of
+    `part_blocks`'s gathers and products per batch and slab.  Forming all
+    of W costs count·S²·n for S scored columns: this suits the two parts a
+    move of `pave_search` scores, not all the parts of a partition."""
+    count = len(ys)
+    z, rows = _slab_products(frames, layout.copies, ys)
+    s = z.shape[2]
+    ws = []
+    for (k, mult), span in zip(layout.copies, rows):
+        n, c = frames[k].shape
+        ws.append((frames[k].conj().T @ z[:, span].reshape(count, mult, n, s))
+                  .reshape(count, mult * c, s))
+    w = ws[0] if len(ws) == 1 else np.concatenate(ws, axis=1)
+    norms = np.zeros((count, layout.size))
+    for sel, idx, _ in layout.batches:
+        b = w[:, idx[:, :, None], idx[:, None, :]]          # (count, batch, s, s)
+        e = np.linalg.eigvalsh(b.conj().swapaxes(-1, -2) @ b)
+        norms[:, sel] = np.sqrt(np.maximum(e[..., -1], 0.0))
+    return norms
 
 
 def unitary_average(unitaries, x: Element) -> Element:

@@ -824,10 +824,14 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     first, as `PartitionOfUnity` stacks them.  A move rotates two columns
     of one stack that belong to different parts; the pool (`_move_pool`)
     lists these pairs by stack column, in the block then row-major order of
-    the slots they hold.  A restart scores all r parts; a move scores only
-    the two parts it touches, whose trial frame is their two contiguous
-    column slices of the rotated stack, and the accepted stacks are
-    returned as they are.  The slot order, the pool and the part layouts
+    the slots they hold.  A restart scores all r parts with
+    `alg.part_norms`; a move scores only the two parts it touches, whose
+    trial frame is their two contiguous column slices of the rotated stack,
+    with `alg.pair_norms`, which compresses x − E to those columns at once
+    and reads both part blocks off the result.  That compression grows with
+    the square of the columns scored, so the all-part scorings keep the
+    per-part blocks of `part_norms`.  The accepted stacks are returned as
+    they are.  The slot order, the pool and the part layouts
     depend on the N-shape, r and the part ranks alone, and are built once
     per process (`alg.part_layout` keys a pair of parts by its ranks).
     """
@@ -845,14 +849,18 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     dens = np.array([it.den if it.den > DEGENERATE_DEN else np.inf
                      for it in problem.centered])[:, None]
 
-    def part_scores(frames, part_ranks):
+    def part_scores(norms_of, frames, part_ranks):
         # s_i for each part i of `part_ranks` (per N-block, the column counts
-        # of the parts scored), from the per-N-block columns of those parts
+        # of the parts scored), from the per-N-block columns of those parts;
+        # `norms_of` is the kernel that reads the norms of their blocks
         scores = 0.0
         for ys, c in zip(problem.slab_stacks, copies):
-            norms, _ = alg.part_norms(frames, alg.part_layout(part_ranks, c), ys)
+            norms = norms_of(frames, alg.part_layout(part_ranks, c), ys)
             scores = np.maximum(scores, (norms / dens).max(axis=0))
         return scores
+
+    def all_part_norms(frames, layout, ys):
+        return alg.part_norms(frames, layout, ys)[0]
 
     offsets = [np.cumsum((0,) + rk) for rk in ranks]
     pool = _move_pool(nsh, cfg.r)
@@ -861,7 +869,7 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     for restart in range(cfg.restarts):
         rng = child_rng(cfg.seed, restart)
         stacks = [alg.haar_block(rng, d)[:, o] for d, o in zip(nsh.block_dims, orders)]
-        scores = part_scores(stacks, ranks)
+        scores = part_scores(all_part_norms, stacks, ranks)
         cur = float(scores.max())
         if cur < best_obj:
             best_obj, best_stacks = cur, stacks
@@ -880,7 +888,8 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
             frames = [np.concatenate((s[:, off[i]:off[i + 1]], s[:, off[j]:off[j + 1]]), axis=1)
                       for s, off in zip(trial, offsets)]
             trial_scores = scores.copy()
-            trial_scores[[i, j]] = part_scores(frames, tuple((rk[i], rk[j]) for rk in ranks))
+            trial_scores[[i, j]] = part_scores(alg.pair_norms, frames,
+                                               tuple((rk[i], rk[j]) for rk in ranks))
             val = float(trial_scores.max())
             temp = max(scale * 0.1, 1e-6)
             if val < cur or rng.random() < math.exp(-(val - cur) / temp):

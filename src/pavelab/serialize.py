@@ -156,6 +156,10 @@ def partition_from_obj(obj, base_dir: str = ".") -> PartitionOfUnity:
     if obj["kind"] == "inline":
         if "frames" not in obj:
             raise ValueError("inline partition payload carries no frames")
+        for i, frames in enumerate(obj["frames"]):
+            if len(frames) != shape.num_blocks:
+                raise ValueError(f"inline partition part {i} lists {len(frames)} frames "
+                                 f"for {shape.num_blocks} N-blocks")
         return PartitionOfUnity.from_frames(
             shape, [[_pairs_to_complex_matrix(f).reshape(d, -1)
                      for f, d in zip(frames, shape.block_dims)]
@@ -190,11 +194,14 @@ def certificate_to_obj(cert: PavingCertificate, problem_recipe: dict,
 
 
 def certificate_from_obj(obj, base_dir: str = ".") -> PavingCertificate:
-    """Read back what `certificate_to_obj` wrote, its candidate included.
+    """Read back what `certificate_to_obj` wrote, its candidate included; a
+    ``format`` other than CERT_FORMAT, or none, is refused.
 
     The recipe under ``problem`` is left to the caller; `paving.verify` of the
     rebuilt problem and this certificate recomputes every stored ratio.
     """
+    if obj.get("format") != CERT_FORMAT:
+        raise ValueError(f"unsupported certificate format {obj.get('format')!r}")
     partition = unitaries = None
     if "partition" in obj:
         partition = partition_from_obj(obj["partition"], base_dir)

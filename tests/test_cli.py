@@ -115,6 +115,48 @@ class TestPaveCommand:
                     "--seed", "0", "--out", os.path.join(tmp_path, "b")]) == 2
         assert "error: partition must live over N\n" in capsys.readouterr().err
 
+    @staticmethod
+    def edited_certificate(tmp_path, edit):
+        """The path of a verified tensor(4,2) search certificate after `edit`
+        has changed its JSON object in place."""
+        out1 = os.path.join(tmp_path, "a")
+        assert run(["pave", "--family", "tensor(4,2)", "--epsilon", "0.9",
+                    "--f-random", "selfadjoint:1", "--seed", "3",
+                    "--mode", "search", "--n-parts", "2", "--out", out1]) == 0
+        cert = load(os.path.join(out1, "pave_certificate.json"))
+        edit(cert)
+        path = os.path.join(tmp_path, "edited.json")
+        ser.atomic_write_text(path, ser.canonical_dumps(cert))
+        return path
+
+    @pytest.mark.parametrize("fmt, shown", [
+        ("paving-certificate/99", "'paving-certificate/99'"), (None, "None")])
+    def test_verify_rejects_unknown_certificate_format(self, tmp_path, capsys, fmt, shown):
+        def edit(cert):
+            if fmt is None:
+                del cert["format"]
+            else:
+                cert["format"] = fmt
+        path = self.edited_certificate(tmp_path, edit)
+        capsys.readouterr()
+        assert run(["pave", "--mode", "verify", "--certificate", path,
+                    "--out", os.path.join(tmp_path, "b")]) == 2
+        assert capsys.readouterr().err == f"error: unsupported certificate format {shown}\n"
+
+    @pytest.mark.parametrize("edit, count", [
+        (lambda frames: frames.pop(), 0),                # too few: a part lists no frame
+        (lambda frames: frames.append(frames[0]), 2),    # too many: an extra block
+    ], ids=["missing-block", "extra-block"])
+    def test_verify_rejects_inline_part_with_wrong_block_count(self, tmp_path, capsys,
+                                                               edit, count):
+        path = self.edited_certificate(tmp_path,
+                                       lambda cert: edit(cert["partition"]["frames"][1]))
+        capsys.readouterr()
+        assert run(["pave", "--mode", "verify", "--certificate", path,
+                    "--out", os.path.join(tmp_path, "b")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: inline partition part 1 lists {count} frames for 1 N-blocks\n"
+
     def test_table_prints_no_count_lower_bound(self, tmp_path, capsys):
         # two parts pave diag(1, -1) within ε: ⌈1/ε⌉ = 20 bounds nothing here
         x = alg.Element(alg.AlgebraShape.matrix(2), [np.diag([1.0, -1.0]).astype(complex)])

@@ -435,6 +435,53 @@ def test_part_norms_against_literal_blocks(name):
                     assert fro[t] == pytest.approx(want, rel=1e-12, abs=1e-24)
 
 
+def two_block_inclusion():
+    # N = M_3 ⊕ M_4 Haar-embedded in M_11 ⊕ M_10 by Λ = [[1, 2], [2, 1]]:
+    # several N-blocks, two slabs per M-block
+    return incl.build_inclusion(incl.InclusionSpec(
+        AlgebraShape((3, 4), (3 / 21, 3 / 21)), AlgebraShape((11, 10), (1 / 21, 1 / 21)),
+        ((1, 2), (2, 1))), seed=7)
+
+
+@pytest.mark.parametrize("make, r, exact", [
+    (lambda: families.tensor_product(8, 2), 8, False),    # rank-one parts
+    (lambda: families.tensor_product(8, 2), 3, False),    # ranks 3, 3, 2
+    (two_block_inclusion, 3, False),
+    (two_block_inclusion, 7, False),                      # each part in one N-block
+    (SLAB_CASES["haar-1"], 6, False),                     # an M-block may score nothing
+    (lambda: families.tensor_product(32, 2), 16, True),   # the benchmark's search
+], ids=["tensor8-r8", "tensor8-r3", "two-block-r3", "two-block-r7", "haar-1-r6",
+        "tensor32-r16"])
+def test_pair_norms_match_part_norms(make, r, exact):
+    # every pair (i, j) of a Haar partition in slot order, scored on the pair
+    # layout as a move of `pave_search` scores it, by both kernels
+    inc = make()
+    orders, ranks = alg.slot_order(inc.n_shape, r)
+    stacks = [alg.haar_block(child_rng(28, k), d)[:, o]
+              for k, (d, o) in enumerate(zip(inc.n_shape.block_dims, orders))]
+    offsets = [np.cumsum((0,) + rk) for rk in ranks]
+    xs = [general_element(inc.m_shape, 26), alg.random_element(inc.m_shape, alg.SELFADJOINT, 27)]
+    slabs = [inc.center(x)[1] for x in xs]
+    yss = [np.stack([s[l] for s in slabs]) for l in range(inc.m_shape.num_blocks)]
+    unscored = 0
+    for i in range(r):
+        for j in range(i + 1, r):
+            frames = [np.concatenate((u[:, off[i]:off[i + 1]], u[:, off[j]:off[j + 1]]), axis=1)
+                      for u, off in zip(stacks, offsets)]
+            pair_ranks = tuple((rk[i], rk[j]) for rk in ranks)
+            for l, ys in enumerate(yss):
+                layout = alg.part_layout(pair_ranks, inc.slab_layout(l))
+                unscored += not layout.batches
+                ref, _ = alg.part_norms(frames, layout, ys)
+                got = alg.pair_norms(frames, layout, ys)
+                assert got.shape == ref.shape == (len(xs), 2)
+                if exact:
+                    assert got.tobytes() == ref.tobytes()
+                else:
+                    assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+    assert (unscored > 0) == (make is SLAB_CASES["haar-1"])
+
+
 # scalars-in(64) has 4096 commutant basis elements of size 64 x 64
 BASIS_CASES = [name for name in SLAB_CASES if name != "scalars-in(64)"]
 
