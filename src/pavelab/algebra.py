@@ -31,7 +31,6 @@ import numpy as np
 from .seeding import child_rng
 
 TOL_PROJ = 1e-8
-AVERAGE_UNITARY_TOL = 1e-6  # the looser unitarity check of `unitary_average`
 TIE_TOL = 1e-12
 RANK_CUT = 1e-9  # a support keeps the eigenvalues above RANK_CUT * the top one
 # entries kept by the per-process memos of shape-only index plans: `slot_order`
@@ -534,44 +533,45 @@ def part_norms(frames: list, layout: PartLayout, ys: np.ndarray):
     return norms, fro
 
 
-def pair_norms(frames: list, layout: PartLayout, ys: np.ndarray):
-    """The (count, layout.size) operator norms ‖G_i* y G_i‖ of `part_norms`,
-    read off the full compression W = G* y G of the columns in `frames`.
+def compression(frames: list, copies: tuple, ys: np.ndarray) -> np.ndarray:
+    """W = G* y G for G = ⊕_slab 1_mult ⊗ F_k and a (count, m, m) stack y in
+    slab coordinates, with the slabs `copies` ((k, mult), ...) of one
+    M-block (`Inclusion.slab_layout`): the one slab-coordinate compression.
 
-    The rows of W run by (slab, copy, column), as its columns do, so the
-    ``idx`` arrays of `layout` gather each part's diagonal block of W.
-    Given z = y G (`_slab_products`), W is one GEMM per slab, in place of
-    `part_blocks`'s gathers and products per batch and slab.  Forming all
-    of W costs count·S²·n for S scored columns: this suits the two parts a
-    move of `pave_search` scores, not all the parts of a partition."""
+    The rows and columns of the (count, S, S) result run by (slab, copy,
+    column of F_k).  Given z = y G (`_slab_products`), W is one GEMM per
+    slab, count·S²·n in all: it suits a few columns (a search move, an
+    outer part of the pipeline) or the square frames U_k*, which give
+    W = V y V* for V = ⊕ 1 ⊗ U_k (a term of a unitary average)."""
     count = len(ys)
-    z, rows = _slab_products(frames, layout.copies, ys)
+    z, rows = _slab_products(frames, copies, ys)
     s = z.shape[2]
     ws = []
-    for (k, mult), span in zip(layout.copies, rows):
+    for (k, mult), span in zip(copies, rows):
         n, c = frames[k].shape
         ws.append((frames[k].conj().T @ z[:, span].reshape(count, mult, n, s))
                   .reshape(count, mult * c, s))
-    w = ws[0] if len(ws) == 1 else np.concatenate(ws, axis=1)
-    norms = np.zeros((count, layout.size))
+    return ws[0] if len(ws) == 1 else np.concatenate(ws, axis=1)
+
+
+def top_singular_values(b: np.ndarray) -> np.ndarray:
+    """‖b‖ for each matrix of a stack: the square root of the largest
+    eigenvalue of b* b, by one batched eigvalsh."""
+    e = np.linalg.eigvalsh(b.conj().swapaxes(-1, -2) @ b)
+    return np.sqrt(np.maximum(e[..., -1], 0.0))
+
+
+def pair_norms(frames: list, layout: PartLayout, ys: np.ndarray):
+    """The (count, layout.size) operator norms ‖G_i* y G_i‖ of `part_norms`,
+    read off the full compression W = G* y G of the columns in `frames`
+    (`compression`).
+
+    The rows of W run by (slab, copy, column), as its columns do, so the
+    ``idx`` arrays of `layout` gather each part's diagonal block of W, in
+    place of `part_blocks`'s gathers and products per batch and slab.  This
+    suits the two parts a move of `pave_search` scores."""
+    w = compression(frames, layout.copies, ys)
+    norms = np.zeros((len(ys), layout.size))
     for sel, idx, _ in layout.batches:
-        b = w[:, idx[:, :, None], idx[:, None, :]]          # (count, batch, s, s)
-        e = np.linalg.eigvalsh(b.conj().swapaxes(-1, -2) @ b)
-        norms[:, sel] = np.sqrt(np.maximum(e[..., -1], 0.0))
+        norms[:, sel] = top_singular_values(w[:, idx[:, :, None], idx[:, None, :]])
     return norms
-
-
-def unitary_average(unitaries, x: Element) -> Element:
-    """(1/n) sum_i u_i x u_i*; trace-preserving.  Each u_i must be unitary
-    within AVERAGE_UNITARY_TOL."""
-    us = list(unitaries)
-    if not us:
-        raise AlgebraError("need at least one unitary")
-    for u in us:
-        resid = unitary_residual(u)
-        if resid > AVERAGE_UNITARY_TOL:
-            raise AlgebraError(f"operand is not unitary (residual {resid:.3e})")
-    acc = zero(x.shape)
-    for u in us:
-        acc = acc + (u @ x @ u.adjoint())
-    return (1.0 / len(us)) * acc

@@ -143,8 +143,8 @@ def _recipe(args) -> dict:
     else:
         with _input_file(args.f_file) as obj:
             f = {"file": os.path.basename(args.f_file), "elements": obj["elements"]}
-            for element in f["elements"]:  # read here so a missing key names the file
-                serialize.element_from_obj(element)
+            for i, element in enumerate(f["elements"]):  # read here so a missing key names the file
+                serialize.element_from_obj(element, f"element {i}")
     return {"inclusion": inclusion, "f": f, "epsilon": epsilon, "index": args.index}
 
 
@@ -166,7 +166,7 @@ def _inputs_from_recipe(recipe: dict):
                                   child_seed(fsrc["seed"], 9, i), theta=theta)
                for i in range(count)]
     else:
-        ops = [serialize.element_from_obj(o) for o in fsrc["elements"]]
+        ops = [serialize.element_from_obj(o, f"element {i}") for i, o in enumerate(fsrc["elements"])]
     return inc, ops
 
 

@@ -19,23 +19,20 @@ commutant, measured relative to ‖x - E_{N'∩M}(x)‖.  This module provides
 
 Certificates are value objects; `verify` recomputes all ratios from scratch
 and is the only place the verified flag is set, so re-verification of a
-certificate is bit-identical to its creation.  A partition's ratios are read
-off the part-diagonal blocks G_i*(x − E)G_i, G_i the embedded frame of part
-i and E = E_{N'∩M}(x), by the same kernel (`alg.part_norms`) that scores
-the annealing search; neither an M-size pinch nor an embedded frame is
-formed.  Each problem stores x − E once in the slab basis of every M-block,
-Y_l = Π_l* u_l*(x − E)u_l Π_l (`Inclusion.center`), where the embedded
-frame is 1 ⊗ F on each copy of an N-block, so the blocks come from the
-N-frames F with n_k rows per copy.  This rests on two facts that `verify`
-has in hand: the frame-unitarity check ‖U*U − 1‖ ≤ TOL_PROJ on the N-side
-stacks U, which carries over to the embedded frame u_l Π_l (⊕ 1 ⊗ U_k)
-because u_l Π_l is unitary, and E ∈ N'∩M, which commutes with every part.
-The pipeline's stage (ii) corners (1 ⊗ w)* Y_l (1 ⊗ w) of an outer part w
-come from the same stacks, and its eq (2)–(4) diagnostics, pinches of
-corner elements by a refinement of w, are part blocks of the same kernel
-(`alg.part_norms`, `alg.part_blocks`): the package has one pinch kernel.
+certificate is bit-identical to its creation.  Each problem stores x − E,
+E = E_{N'∩M}(x), once in the slab basis of every M-block,
+Y_l = Π_l* u_l*(x − E)u_l Π_l (`Inclusion.center`), where an element of N
+acts as ⊕_k 1 ⊗ a_k, one a_k per copy of N-block k.  Since u_l Π_l is
+unitary and E commutes with N, every compression of x − E by elements of N
+is formed from the N-side matrices with n_k rows per copy, never in M:
+`alg.compression` gives the full W = G* Y_l G, which scores an annealing
+move (`alg.pair_norms`), forms the pipeline's stage (ii) corners of an
+outer part, and forms the terms of a unitary average in `verify`;
+`alg.part_norms` and `alg.part_blocks` give only the part-diagonal blocks
+of a whole partition, for `verify`, the search restarts and the pipeline's
+eq (2)–(4) diagnostics.
 
-The kernel's index plan, `alg.part_layout`, depends on a partition's ranks
+The part kernels' index plan, `alg.part_layout`, depends on a partition's ranks
 and an M-block's slab layout alone, and the search's slot order and move
 pool and the pipeline's empty-support refinement on shapes alone: each is
 built once per process (`functools.lru_cache`, with a fixed `maxsize`) and
@@ -54,7 +51,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import (Element, PartitionOfUnity, RANK_CUT, TOL_PROJ, TIE_TOL,
-                      identity, op_norm, l2_norm, trace)
+                      identity, op_norm, trace)
 from .inclusion import Inclusion
 from .seeding import child_rng
 
@@ -298,36 +295,31 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     rejected with a "shape" residual, so every ratio comes from the stored
     N-frames or N-unitaries themselves.
 
-    A partition is checked in a fixed order: its shape must be N's, and
-    its frame residual ‖U*U − 1‖ must be at most TOL_PROJ; only then are
-    its frames read.  Neither the M-size pinch nor an embedded frame is
-    formed.  With E = E_{N'∩M}(x) in N'∩M, E commutes with every p_i ∈ N,
-    so Σ p_i x p_i − E = Σ p_i (x − E) p_i.  In M-block l the parts embed
-    as G = u_l Π_l (⊕_k 1 ⊗ U_k), unitary exactly when the checked U_k are,
-    so that norm is read off the part-diagonal blocks G_i*(x − E)G_i, which
-    `alg.part_norms` forms from the U_k and the slab stack
-    Y_l = Π_l* u_l*(x − E)u_l Π_l of the problem: the largest block norm,
-    or in l2 mode sqrt(Σ_l t_l Σ_i ‖G_i*(x − E)G_i‖_F²).
+    A candidate is checked in a fixed order: its shape must be N's, and its
+    residual δ (the frame residual ‖U*U − 1‖ of a partition, the largest
+    ‖u u* − 1‖ of a family) at most TOL_PROJ; only then are its matrices
+    read.  E = E_{N'∩M}(x) commutes with N, so a pinch or an average of x,
+    minus E, is the same compression of x − E, which is read off the slab
+    stacks Y_l of the problem (see the module docstring): no M-coordinate
+    x − E, pinch, average or embedded element is formed.  A partition's
+    ratio is its largest part-block norm ‖G_i* Y_l G_i‖ (`alg.part_norms`),
+    or in l2 mode sqrt(Σ_l t_l Σ_i ‖G_i* Y_l G_i‖_F² / Σ_l t_l ‖Y_l‖_F²)
+    against the threshold n_parts^(-1/2) + delta_l2 from `config` (n_parts
+    defaults to the partition size, delta_l2 to L2_SLACK).  A family's
+    ratio is the largest norm of (1/r) Σ_i V_i Y_l V_i*, V_i = ⊕_k 1 ⊗ u_{i,k},
+    each term the compression of Y_l by the frames u_{i,k}* (`alg.compression`).
 
-    In l2 mode the threshold is n_parts^(-1/2) + delta_l2,
-    both read from `config` (n_parts defaults to the partition size,
-    delta_l2 to L2_SLACK).
+    A candidate is accepted for the exact one nearest to it: its frames, or
+    each of its unitaries, lie within δ of exact ones in operator norm,
+    which moves a part block or a term V_i Y_l V_i* by at most
+    (2δ + δ²)‖Y_l‖ ≤ (2δ + δ²)‖x − E‖.  So it is verified only when every
+    ratio + 2δ + δ² is within the threshold + VERIFY_SLACK, and 2δ + δ² is
+    recorded for every x under diagnostics["residual_bound"].
 
-    A candidate is accepted for the exact one nearest to it, not only for
-    its own stored numbers.  A partition whose frame residual is δ moves a
-    part-block norm by at most (2δ + δ²)‖x − E‖ from the partition its frames
-    stand for (the Frobenius residual bounds the operator norm), so it is
-    verified only when every ratio + 2δ + δ² is within threshold +
-    VERIFY_SLACK.  A unitary family with residual δ_u moves the average of x
-    by at most (2δ_u + δ_u²)‖x‖, that is (2δ_u + δ_u²)‖x‖/‖x − E‖ relative
-    to ‖x − E‖: a factor that grows without bound as x nears N′∩M (an x
-    inside it, with ratio 0, gets bound 0).  The bound of every x is
-    recorded under diagnostics["residual_bound"].
-
-    For unitary candidates containing a positive
-    norm-one operator with scalar commutant expectation, the averaging-count
-    lower bound is asserted; a violation sets the soundness alarm, which
-    means the verifier itself is broken.
+    For unitary candidates containing a positive norm-one operator with
+    scalar commutant expectation, the averaging-count lower bound is
+    asserted; a violation sets the soundness alarm, which means the
+    verifier itself is broken.
     """
     if isinstance(candidate, PavingCertificate):
         inner = candidate.partition if candidate.partition is not None else candidate.unitaries
@@ -337,9 +329,14 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     inc = problem.inclusion
     config = config or {}
     diagnostics = dict(diagnostics or {})
+    count = len(problem.centered)
+    dens = [it.den for it in problem.centered]
+    threshold = problem.epsilon
+    largest = np.zeros(count)
+    partition = unitaries = None
 
     if isinstance(candidate, PartitionOfUnity):
-        mode = mode or "partition"
+        partition, mode = candidate, mode or "partition"
         if candidate.shape != inc.n_shape:
             raise CandidateRejected("partition must live over N",
                                     {"shape": str(candidate.shape)})
@@ -348,74 +345,63 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
             raise CandidateRejected(
                 f"partition frames are not unitary within {TOL_PROJ} "
                 f"(residual {worst:.3e})", {"frame_residual": worst})
-        largest = np.zeros(len(problem.centered))
-        square = np.zeros(len(problem.centered))
+        r = candidate.size
+        square = np.zeros(count)
         for l, (ys, t) in enumerate(zip(problem.slab_stacks, inc.m_shape.trace_weights)):
             layout = alg.part_layout(candidate.ranks, inc.slab_layout(l))
             norms, fro = alg.part_norms(candidate.stacks, layout, ys)
             largest = np.maximum(largest, norms.max(axis=1))
             square += t * fro
-        ratios = []
-        for item, a, b in zip(problem.centered, largest, square):
-            num = float(a) if mode != "l2" else math.sqrt(b)
-            den = item.den if mode != "l2" else l2_norm(item.x - item.e)
-            ratios.append(0.0 if den <= DEGENERATE_DEN else num / den)
-        r = candidate.size
         if mode == "l2":
-            parts = config.get("n_parts") or r
-            threshold = parts ** -0.5 + config.get("delta_l2", L2_SLACK)
-        else:
-            threshold = problem.epsilon
-        bound = 2 * worst + worst ** 2
-        diagnostics["residual_bound"] = [bound] * len(ratios)
-        verified = max(ratios) + bound <= threshold + VERIFY_SLACK
-        return PavingCertificate(
-            mode=mode, per_x_ratio=ratios, r=r, epsilon=problem.epsilon,
-            threshold=threshold, verified=verified, seed=seed,
-            config=config, diagnostics=diagnostics,
-            partition=candidate)
+            largest = np.sqrt(square)
+            dens = [math.sqrt(sum(t * np.sum(np.abs(ys[i]) ** 2) for ys, t in
+                                  zip(problem.slab_stacks, inc.m_shape.trace_weights)))
+                    for i in range(count)]
+            threshold = (config.get("n_parts") or r) ** -0.5 + config.get("delta_l2", L2_SLACK)
+    else:
+        unitaries, mode = list(candidate), "unitaries"
+        if not unitaries:
+            raise CandidateRejected("empty unitary family")
+        for u in unitaries:
+            if u.shape != inc.n_shape:
+                raise CandidateRejected("unitaries must live over N",
+                                        {"shape": str(u.shape)})
+        worst = max(alg.unitary_residual(u) for u in unitaries)
+        if worst > TOL_PROJ:
+            raise CandidateRejected(
+                f"candidate family is not unitary within {TOL_PROJ}",
+                {"unitary_residual": worst})
+        r = len(unitaries)
+        adjoints = [[b.conj().T for b in u.blocks] for u in unitaries]
+        for l, ys in enumerate(problem.slab_stacks):
+            avg = sum(alg.compression(frames, inc.slab_layout(l), ys) for frames in adjoints) / r
+            largest = np.maximum(largest, alg.top_singular_values(avg))
 
-    # unitary family
-    unitaries = list(candidate)
-    if not unitaries:
-        raise CandidateRejected("empty unitary family")
-    worst_unitary = 0.0
-    for u in unitaries:
-        if u.shape != inc.n_shape:
-            raise CandidateRejected("unitaries must live over N",
-                                    {"shape": str(u.shape)})
-        worst_unitary = max(worst_unitary, alg.unitary_residual(u))
-    if worst_unitary > TOL_PROJ:
-        raise CandidateRejected(
-            f"candidate family is not unitary within {TOL_PROJ}",
-            {"unitary_residual": worst_unitary})
-    ratios, bounds, lower_bounds, alarm = [], [], [], False
-    grow = 2 * worst_unitary + worst_unitary ** 2
-    embedded = [inc.embed(u) for u in unitaries]
-    for item in problem.centered:
-        avg = alg.unitary_average(embedded, item.x)
-        num = op_norm(avg - item.e)
-        x, norm_x = item.x, op_norm(item.x)
-        live = item.den > DEGENERATE_DEN
-        ratios.append(num / item.den if live else 0.0)
-        bounds.append(grow * norm_x / item.den if live else 0.0)
-        if (_is_positive(x) and abs(norm_x - 1.0) <= TOL_PROJ
-                and op_norm(item.e - trace(x) * identity(inc.m_shape)) <= TOL_PROJ):
-            lb = averaging_count_lower_bound(float(trace(x).real), max(num, NORM_FLOOR))
-            lower_bounds.append(lb)
-            if num <= problem.epsilon * max(item.den, NORM_FLOOR) + VERIFY_SLACK:
-                if len(unitaries) < lb - VERIFY_SLACK:
+    ratios = [0.0 if den <= DEGENERATE_DEN else float(num) / den
+              for num, den in zip(largest, dens)]
+    bound = 2 * worst + worst ** 2
+    diagnostics["residual_bound"] = [bound] * count
+    verified = max(ratios) + bound <= threshold + VERIFY_SLACK
+    alarm = False
+    if unitaries is not None:
+        lower_bounds = []
+        for item, num in zip(problem.centered, largest.tolist()):
+            x = item.x
+            if (_is_positive(x) and abs(op_norm(x) - 1.0) <= TOL_PROJ
+                    and op_norm(item.e - trace(x) * identity(inc.m_shape)) <= TOL_PROJ):
+                lb = averaging_count_lower_bound(float(trace(x).real), max(num, NORM_FLOOR))
+                lower_bounds.append(lb)
+                if (num <= problem.epsilon * max(item.den, NORM_FLOOR) + VERIFY_SLACK
+                        and r < lb - VERIFY_SLACK):
                     alarm = True
-        else:
-            lower_bounds.append(None)
-    diagnostics["lower_bounds"] = lower_bounds
-    diagnostics["residual_bound"] = bounds
-    verified = max(a + b for a, b in zip(ratios, bounds)) <= problem.epsilon + VERIFY_SLACK
+            else:
+                lower_bounds.append(None)
+        diagnostics["lower_bounds"] = lower_bounds
     return PavingCertificate(
-        mode="unitaries", per_x_ratio=ratios, r=len(unitaries),
-        epsilon=problem.epsilon, threshold=problem.epsilon,
-        verified=verified and not alarm, seed=seed, config=config,
-        diagnostics=diagnostics, unitaries=unitaries, soundness_alarm=alarm)
+        mode=mode, per_x_ratio=ratios, r=r, epsilon=problem.epsilon,
+        threshold=threshold, verified=verified and not alarm, seed=seed,
+        config=config, diagnostics=diagnostics, partition=partition,
+        unitaries=unitaries, soundness_alarm=alarm)
 
 
 def _trivial_certificate(problem: PavingProblem, seed, config) -> PavingCertificate:
@@ -512,17 +498,12 @@ def _slab_corners(slab_stacks, w: np.ndarray, live, scale: np.ndarray):
     (indices into the slab stacks Y_l), each scaled by its entry of `scale`,
     and C*C, as (len(live), mult·r, mult·r) arrays.  In slab coordinates the
     embedded frame of the part is w on every copy (see the module
-    docstring), so one GEMM with n inner rows forms (1 ⊗ w)* Y_l, copy by
-    copy, and one more multiplies w into the columns of every copy; the
-    columns of C run copy by copy, w once per copy."""
-    n, r = w.shape
-    wh = w.conj().T
+    docstring), so C is the compression `alg.compression` of Y_l by the
+    frame [w] over one slab of mult copies; its columns run copy by copy,
+    w once per copy."""
     corners, grams = [], []
     for ys in slab_stacks:
-        count, d, _ = ys.shape
-        mult = d // n
-        wy = (wh @ ys.reshape(count, mult, n, d)).reshape(count, mult * r * mult, n)
-        c = (wy @ w).reshape(count, mult * r, mult * r)[live]
+        c = alg.compression([w], ((0, ys.shape[1] // len(w)),), ys)[live]
         c *= scale[:, None, None]
         corners.append(c)
         grams.append(c.conj().transpose(0, 2, 1) @ c)

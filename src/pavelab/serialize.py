@@ -38,12 +38,25 @@ PARTITION_SIDE_CAR_LIMIT = 2 ** 16  # complex frame entries kept inline in JSON
 
 
 def _complex_matrix_to_pairs(mat: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    return np.stack((mat.real, mat.imag), -1).tolist()
 
 
-def _pairs_to_complex_matrix(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows],
-                    dtype=np.complex128)
+def _pairs_to_complex_matrix(rows, name: str, n_rows: int, n_cols: int = None):
+    """The complex matrix stored as nested [re, im] pairs, by one numpy
+    conversion to a (rows, cols, 2) real array whose shape is checked:
+    `n_rows` rows and, unless None, `n_cols` columns.  `name` says which
+    matrix it is in the message of the ValueError raised otherwise."""
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged nesting
+        pairs = np.zeros(0)
+    if pairs.shape == (n_rows, 0):  # a frame without columns
+        pairs = pairs.reshape(n_rows, 0, 2)
+    if (pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or len(pairs) != n_rows
+            or pairs.shape[2] != 2 or n_cols not in (None, pairs.shape[1])):
+        raise ValueError(f"{name} is not a {n_rows} x {n_cols or 'c'} matrix of "
+                         f"numeric [re, im] pairs")
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def shape_to_obj(shape: AlgebraShape) -> dict:
@@ -61,11 +74,14 @@ def element_to_obj(x: Element) -> dict:
             "blocks": [_complex_matrix_to_pairs(b) for b in x.blocks]}
 
 
-def element_from_obj(obj) -> Element:
+def element_from_obj(obj, name: str = "element") -> Element:
     if obj.get("format") != ELEMENT_FORMAT:
         raise ValueError(f"unsupported element format {obj.get('format')!r}")
     shape = shape_from_obj(obj["shape"])
-    return Element(shape, [_pairs_to_complex_matrix(b) for b in obj["blocks"]])
+    if len(obj["blocks"]) != shape.num_blocks:
+        raise ValueError(f"{name} lists {len(obj['blocks'])} blocks for {shape.num_blocks}")
+    return Element(shape, [_pairs_to_complex_matrix(b, f"{name} block {k}", d, d)
+                           for k, (b, d) in enumerate(zip(obj["blocks"], shape.block_dims))])
 
 
 def inclusion_spec_to_obj(spec: InclusionSpec) -> dict:
@@ -161,9 +177,9 @@ def partition_from_obj(obj, base_dir: str = ".") -> PartitionOfUnity:
                 raise ValueError(f"inline partition part {i} lists {len(frames)} frames "
                                  f"for {shape.num_blocks} N-blocks")
         return PartitionOfUnity.from_frames(
-            shape, [[_pairs_to_complex_matrix(f).reshape(d, -1)
-                     for f, d in zip(frames, shape.block_dims)]
-                    for frames in obj["frames"]])
+            shape, [[_pairs_to_complex_matrix(f, f"inline partition part {i} block {k}", d)
+                     for k, (f, d) in enumerate(zip(frames, shape.block_dims))]
+                    for i, frames in enumerate(obj["frames"])])
     if obj["kind"] != "frame-sidecar":
         raise ValueError(f"unknown partition payload kind {obj['kind']!r}")
     stacks = []
@@ -206,7 +222,7 @@ def certificate_from_obj(obj, base_dir: str = ".") -> PavingCertificate:
     if "partition" in obj:
         partition = partition_from_obj(obj["partition"], base_dir)
     elif "unitaries" in obj:
-        unitaries = [element_from_obj(u) for u in obj["unitaries"]]
+        unitaries = [element_from_obj(u, f"unitary {i}") for i, u in enumerate(obj["unitaries"])]
     else:
         raise ValueError("certificate carries no candidate to verify")
     summary = {key: obj[key] for key in (

@@ -5,6 +5,7 @@ import pytest
 
 from pavelab import algebra as alg
 from pavelab import families, freeness
+from pavelab import inclusion as incl
 from pavelab.seeding import child_rng, child_seed
 
 
@@ -111,6 +112,39 @@ def cyclic_unitary(partition: alg.PartitionOfUnity) -> alg.CyclicUnitary:
     blocks = [(u * alpha ** part_labels(partition, k)) @ u.conj().T
               for k, u in enumerate(partition.stacks)]
     return alg.CyclicUnitary(v=alg.Element(partition.shape, blocks), order=n)
+
+
+def unitary_average(unitaries, x: alg.Element) -> alg.Element:
+    """(1/n) sum_i u_i x u_i*, the literal average over M-coordinate blocks."""
+    acc = alg.zero(x.shape)
+    for u in unitaries:
+        acc = acc + (u @ x @ u.adjoint())
+    return (1.0 / len(unitaries)) * acc
+
+
+def random_spec(seed):
+    """A seeded spec with two or three blocks on each side, multiplicities
+    up to 2 and random trace weights."""
+    rng = child_rng(seed)
+    nb, mb = (int(v) for v in rng.integers(2, 4, size=2))
+    n_dims = rng.integers(1, 4, size=nb)
+    lam = rng.integers(0, 3, size=(nb, mb))
+    while not (lam.any(axis=0).all() and lam.any(axis=1).all()):
+        lam = rng.integers(0, 3, size=(nb, mb))
+    m_dims = lam.T @ n_dims
+    t = rng.uniform(0.5, 2.0, size=mb)
+    t = t / (t @ m_dims)
+    return incl.InclusionSpec(alg.AlgebraShape(tuple(n_dims), tuple(lam @ t)),
+                              alg.AlgebraShape(tuple(m_dims), tuple(t)),
+                              tuple(map(tuple, lam)))
+
+
+def two_block_inclusion():
+    """N = M_3 ⊕ M_4 Haar-embedded in M_11 ⊕ M_10 by Λ = [[1, 2], [2, 1]]:
+    several N-blocks, two slabs per M-block."""
+    return incl.build_inclusion(incl.InclusionSpec(
+        alg.AlgebraShape((3, 4), (3 / 21, 3 / 21)), alg.AlgebraShape((11, 10), (1 / 21, 1 / 21)),
+        ((1, 2), (2, 1))), seed=7)
 
 
 # -- the per-copy loops over an offsets table that the slab table of

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pavelab import algebra as alg
+from pavelab import families
+from pavelab import inclusion as incl
 from pavelab.algebra import (AlgebraShape, Element, identity, zero, trace,
                              op_norm, l2_norm)
 from pavelab.seeding import child_rng, child_seed
 
 from conftest import (cyclic_unitary, elements_close, op_norm_power,
-                      partition_from_projections, pinch, projection_defect,
-                      spectral_partition)
+                      partition_from_projections, pinch, projection_defect, random_spec,
+                      ref_embed_frame, spectral_partition, two_block_inclusion,
+                      unitary_average)
 
 M2 = AlgebraShape.matrix(2)
 M3 = AlgebraShape.matrix(3)
@@ -189,7 +192,7 @@ class TestPartitionsAndPinching:
             powers.append(powers[-1] @ v.v)
         assert alg.unitary_residual(v.v) <= alg.TOL_PROJ
         assert op_norm(powers[-1] @ v.v - identity(sh)) <= alg.TOL_PROJ  # v^3 = 1
-        avg = alg.unitary_average(powers, x)
+        avg = unitary_average(powers, x)
         assert op_norm(avg - pinch(part, x)) < 1e-10
 
     def test_spectral_partition_recovery(self):
@@ -234,24 +237,16 @@ class TestPartitionsAndPinching:
 
     def test_unitary_average_trivial_and_trace(self):
         x = rand_generic(MIXED, 28)
-        assert elements_close(alg.unitary_average([identity(MIXED)], x), x, 0.0)
+        assert elements_close(unitary_average([identity(MIXED)], x), x, 0.0)
         us = [alg.random_haar_unitary(MIXED, child_seed(29, t)) for t in range(3)]
-        avg = alg.unitary_average(us, x)
+        avg = unitary_average(us, x)
         assert abs(trace(avg) - trace(x)) < 1e-12
-
-    def test_unitary_average_empty_rejected(self):
-        with pytest.raises(alg.AlgebraError):
-            alg.unitary_average([], identity(M2))
 
     def test_unitary_residual_and_its_checks(self):
         # max over blocks of ‖u u* - 1‖_F: block 3 of 2·1 gives 3 sqrt(3)
         assert alg.unitary_residual(2.0 * identity(MIXED)) == pytest.approx(
             3.0 * np.sqrt(3.0), rel=1e-15)
         assert alg.unitary_residual(alg.random_haar_unitary(MIXED, 30)) < 1e-13
-        x = rand_generic(MIXED, 31)
-        alg.unitary_average([(1.0 + 1e-7) * identity(MIXED)], x)  # within 1e-6
-        with pytest.raises(alg.AlgebraError, match="not unitary"):
-            alg.unitary_average([(1.0 + 1e-5) * identity(MIXED)], x)
 
     def test_invalid_partition_rejected(self):
         p1 = Element(M2, [np.diag([1.0, 0.0]).astype(complex)])
@@ -269,7 +264,7 @@ class TestPartitionsAndPinching:
             for _ in range(4):
                 acc = acc @ v.v
                 powers.append(acc)
-            avg = alg.unitary_average(powers, x)
+            avg = unitary_average(powers, x)
             assert op_norm(avg - pinch(part, x)) <= 1e-9
 
 
@@ -313,3 +308,65 @@ class TestBalancedPartitions:
             for k in range(shape.num_blocks):
                 assert orders[k].tolist() == [i for part in parts for blk, i in part if blk == k]
                 assert list(ranks[k]) == [sum(blk == k for blk, _ in part) for part in parts]
+
+
+def partial_frames(inc, seed, empty_block=None):
+    """Per N-block, random columns of random width (none in `empty_block`)."""
+    rng = child_rng(seed)
+    frames = []
+    for k, nk in enumerate(inc.n_shape.block_dims):
+        c = 0 if k == empty_block else int(rng.integers(1, nk + 1))
+        frames.append(rng.standard_normal((nk, c)) + 1j * rng.standard_normal((nk, c)))
+    return frames
+
+
+def assert_compression_matches_dense(inc, frames, xs):
+    """`alg.compression` of the slab stacks against g* (x − E) g per M-block,
+    g the literal embedded frame of `frames` (`ref_embed_frame`)."""
+    centered = [inc.center(x) for x in xs]
+    for l, g in enumerate(ref_embed_frame(inc, frames)):
+        got = alg.compression(frames, inc.slab_layout(l),
+                              np.stack([slabs[l] for _, slabs in centered]))
+        assert got.shape == (len(xs), g.shape[1], g.shape[1])
+        for w, x, (e, _) in zip(got, xs, centered):
+            want = g.conj().T @ (x.blocks[l] - e.blocks[l]) @ g
+            # an entry that vanishes in slab coordinates is rounding in M's
+            np.testing.assert_allclose(w, want, rtol=1e-12,
+                                       atol=1e-12 * max(np.abs(want).max(initial=0.0), 1.0))
+
+
+class TestCompression:
+    """W = G* Y G in slab coordinates, for G = ⊕_slab 1_mult ⊗ F_k."""
+
+    CASES = [lambda: families.tensor_product(8, 2),
+             two_block_inclusion]   # several N-blocks, two slabs per M-block
+
+    @pytest.mark.parametrize("make", CASES, ids=["tensor(8,2)", "two-block"])
+    def test_partial_frames(self, make):
+        inc = make()
+        xs = [rand_generic(inc.m_shape, 40), rand(inc.m_shape, 41)]
+        for t, empty in enumerate((None, 0, inc.n_shape.num_blocks - 1)):
+            assert_compression_matches_dense(inc, partial_frames(inc, child_seed(42, t), empty), xs)
+
+    @pytest.mark.parametrize("make", CASES, ids=["tensor(8,2)", "two-block"])
+    def test_square_conjugated_frames(self, make):
+        # frames u_k*: W = V Y V* for the N-unitary V = ⊕ 1 ⊗ u_k, as
+        # unitary-mode `verify` reads it
+        inc = make()
+        xs = [rand_generic(inc.m_shape, 43), rand(inc.m_shape, 44)]
+        u = alg.random_haar_unitary(inc.n_shape, 45)
+        assert_compression_matches_dense(inc, [b.conj().T for b in u.blocks], xs)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**6), kind=st.sampled_from(["dense", "perm", "id"]))
+    def test_random_small_specs(self, seed, kind):
+        spec = random_spec(child_seed(seed, 0))
+        rng = child_rng(seed, 1)
+        embeds = [("dense", alg.haar_block(rng, d)) if kind == "dense"
+                  else ("perm", rng.permutation(d)) if kind == "perm" else ("id", None)
+                  for d in spec.m_shape.block_dims]
+        inc = incl.Inclusion(spec, embeds)
+        empty = int(rng.integers(-1, spec.n_shape.num_blocks))
+        assert_compression_matches_dense(inc, partial_frames(inc, child_seed(seed, 2),
+                                                             empty if empty >= 0 else None),
+                                         [rand_generic(inc.m_shape, child_seed(seed, 3))])

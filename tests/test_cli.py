@@ -157,6 +157,22 @@ class TestPaveCommand:
         assert capsys.readouterr().err == \
             f"error: inline partition part 1 lists {count} frames for 1 N-blocks\n"
 
+    @pytest.mark.parametrize("edit", [
+        # part 0's 4 x 2 frame as 2 rows of 4 pairs, which a reshape would re-read
+        lambda f: np.array(f).reshape(2, 4, 2).tolist(),
+        lambda f: [[["0.5", f[0][0][1]]] + f[0][1:]] + f[1:],   # a string entry
+    ], ids=["rows-as-columns", "string-entry"])
+    def test_verify_rejects_malformed_inline_frame(self, tmp_path, capsys, edit):
+        def rewrite(cert):
+            frames = cert["partition"]["frames"][0]
+            frames[0] = edit(frames[0])
+        path = self.edited_certificate(tmp_path, rewrite)
+        capsys.readouterr()
+        assert run(["pave", "--mode", "verify", "--certificate", path,
+                    "--out", os.path.join(tmp_path, "b")]) == 2
+        assert capsys.readouterr().err == ("error: inline partition part 0 block 0 is not a "
+                                           "4 x c matrix of numeric [re, im] pairs\n")
+
     def test_table_prints_no_count_lower_bound(self, tmp_path, capsys):
         # two parts pave diag(1, -1) within ε: ⌈1/ε⌉ = 20 bounds nothing here
         x = alg.Element(alg.AlgebraShape.matrix(2), [np.diag([1.0, -1.0]).astype(complex)])

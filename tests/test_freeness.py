@@ -8,7 +8,7 @@ from pavelab import freeness as fr
 from pavelab.algebra import identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
 
-from conftest import pinch, sample_pair, spectral_partition
+from conftest import pinch, sample_pair, spectral_partition, unitary_average
 
 
 class TestBound:
@@ -153,7 +153,7 @@ class TestRunKesten:
             for _ in range(n - 1):
                 acc = acc @ v.v
                 powers.append(acc)
-            avg = alg.unitary_average(powers, x)
+            avg = unitary_average(powers, x)
             assert op_norm(avg - pinch(part, x)) <= 1e-10
 
     def test_small_dim_run(self):

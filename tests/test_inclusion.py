@@ -10,8 +10,8 @@ from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace, zer
 from pavelab.seeding import child_rng, child_seed
 
 from conftest import (elements_close, expectation_residuals, partial_trace_left,
-                      partial_trace_right, projection_defect, ref_embed_frame,
-                      ref_offsets)
+                      partial_trace_right, projection_defect, random_spec,
+                      ref_embed_frame, ref_offsets, two_block_inclusion)
 
 
 def rand_m(inc, seed, kind=alg.SELFADJOINT, theta=None):
@@ -283,23 +283,6 @@ def ref_commutant_basis(inc):
     return basis
 
 
-def random_spec(seed):
-    """A seeded spec with two or three blocks on each side, multiplicities
-    up to 2 and random trace weights."""
-    rng = child_rng(seed)
-    nb, mb = (int(v) for v in rng.integers(2, 4, size=2))
-    n_dims = rng.integers(1, 4, size=nb)
-    lam = rng.integers(0, 3, size=(nb, mb))
-    while not (lam.any(axis=0).all() and lam.any(axis=1).all()):
-        lam = rng.integers(0, 3, size=(nb, mb))
-    m_dims = lam.T @ n_dims
-    t = rng.uniform(0.5, 2.0, size=mb)
-    t = t / (t @ m_dims)
-    return incl.InclusionSpec(AlgebraShape(tuple(n_dims), tuple(lam @ t)),
-                              AlgebraShape(tuple(m_dims), tuple(t)),
-                              tuple(map(tuple, lam)))
-
-
 def random_perm_inclusion(seed):
     spec = random_spec(seed)
     rng = child_rng(seed, 1)
@@ -433,14 +416,6 @@ def test_part_norms_against_literal_blocks(name):
                 if len(parts) == 5:
                     want = sum(np.sum(np.abs(b) ** 2) for b in blocks)
                     assert fro[t] == pytest.approx(want, rel=1e-12, abs=1e-24)
-
-
-def two_block_inclusion():
-    # N = M_3 ⊕ M_4 Haar-embedded in M_11 ⊕ M_10 by Λ = [[1, 2], [2, 1]]:
-    # several N-blocks, two slabs per M-block
-    return incl.build_inclusion(incl.InclusionSpec(
-        AlgebraShape((3, 4), (3 / 21, 3 / 21)), AlgebraShape((11, 10), (1 / 21, 1 / 21)),
-        ((1, 2), (2, 1))), seed=7)
 
 
 @pytest.mark.parametrize("make, r, exact", [

@@ -15,7 +15,7 @@ from pavelab.seeding import child_rng, child_seed
 from pavelab.serialize import canonical_dumps
 
 from conftest import (embed_partition, part_compression, part_labels, partition_from_projections,
-                      pinch, ref_embed_frame)
+                      pinch, ref_embed_frame, two_block_inclusion, unitary_average)
 
 
 def selfadjoint(shape, seed):
@@ -739,12 +739,8 @@ def reference_search(problem, cfg):
 
 
 def two_block_problem():
-    # N = M_3 ⊕ M_4 Haar-embedded in M_11 ⊕ M_10 by Λ = [[1, 2], [2, 1]]; the
-    # second operator is not self-adjoint
-    spec = incl.InclusionSpec(AlgebraShape((3, 4), (3 / 21, 3 / 21)),
-                              AlgebraShape((11, 10), (1 / 21, 1 / 21)),
-                              ((1, 2), (2, 1)))
-    inc = incl.build_inclusion(spec, seed=7)
+    # `two_block_inclusion`; the second operator is not self-adjoint
+    inc = two_block_inclusion()
     rng = child_rng(43)
     z = Element(inc.m_shape, [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                               for d in inc.m_shape.block_dims])
@@ -1006,8 +1002,16 @@ class TestVerify:
         assert max(cert.per_x_ratio) <= cert.threshold + pv.VERIFY_SLACK
         assert not cert.verified
 
+    def test_rejects_empty_family(self):
+        inc = families.self_inclusion(4)
+        problem = pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 23)],
+                                   epsilon=0.5, index=1.0)
+        with pytest.raises(pv.CandidateRejected, match="empty unitary family"):
+            pv.verify(problem, [])
+
     def test_unitary_residual_bound(self):
-        # (2δ + δ²)‖x‖/‖x − E‖ per x, and 0 for an x inside N′∩M
+        # 2δ + δ² for every x, as for a partition, an x inside N′∩M (ratio 0)
+        # included: each unitary lies within δ of an exact one
         inc = families.self_inclusion(4)
         x = selfadjoint(inc.m_shape, 27)
         problem = pv.PavingProblem(inclusion=inc, operators=[x, 0.5 * identity(inc.m_shape)],
@@ -1015,9 +1019,9 @@ class TestVerify:
         us = [alg.random_haar_unitary(inc.n_shape, child_seed(28, t)) for t in range(3)]
         cert = pv.verify(problem, us)
         delta = max(alg.unitary_residual(u) for u in us)
-        den = problem.centered[0].den
-        assert cert.diagnostics["residual_bound"] == [(2 * delta + delta ** 2) * op_norm(x) / den,
-                                                      0.0]
+        assert 0.0 < delta <= alg.TOL_PROJ
+        assert cert.diagnostics["residual_bound"] == [2 * delta + delta ** 2] * 2
+        assert cert.per_x_ratio[1] == 0.0
 
     def test_forged_frame_cannot_be_built(self):
         # identity blocks next to a one-vector frame: the frame alone is the
@@ -1091,6 +1095,61 @@ class TestVerifyDifferential:
             assert len(cert.per_x_ratio) == len(ref)
             for got, want in zip(cert.per_x_ratio, ref):
                 assert abs(got - want) <= 1e-12 * want
+
+
+def id_copies_problem():
+    # N = M_4 in M_8 by Λ = [[2]] with the identity embedding: two copies
+    spec = incl.InclusionSpec(AlgebraShape.matrix(4), AlgebraShape.matrix(8), ((2,),))
+    inc = incl.Inclusion(spec, [("id", None)])
+    return pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 70)],
+                            epsilon=0.5, index=4.0)
+
+
+class TestVerifyUnitaries:
+    """Unitary-mode `verify` reads the average off the slab stacks; here it is
+    checked against the literal average ‖(1/r) Σ u x u* − E‖ / ‖x − E‖ of the
+    embedded unitaries in M coordinates (conftest `unitary_average`)."""
+
+    PROBLEMS = [
+        lambda: with_generic_operator(family_problem("self(8)", 71), 72),
+        lambda: with_generic_operator(id_copies_problem(), 73),
+        lambda: with_generic_operator(family_problem("tensor(6,2)", 74), 75),
+        lambda: with_generic_operator(family_problem("tensor(4,3)", 76), 77),
+        two_block_problem,   # Haar-embedded, Λ = [[1, 2], [2, 1]]
+        lambda: with_generic_operator(haar_copies_problem(), 78),
+    ]
+    IDS = ["id-self", "id-copies", "perm-tensor", "perm-three-copies", "dense-two-block",
+           "dense-three-copies"]
+
+    @pytest.mark.parametrize("make", PROBLEMS, ids=IDS)
+    def test_ratios_match_literal_average(self, make):
+        problem = make()
+        inc = problem.inclusion
+        assert any(alg.hermitian_part_residual(x) > 1e-3 for x in problem.operators)
+        for r in (1, 2, 5):
+            us = [alg.random_haar_unitary(inc.n_shape, child_seed(79, r, t)) for t in range(r)]
+            cert = pv.verify(problem, us)
+            embedded = [inc.embed(u) for u in us]
+            assert len(cert.per_x_ratio) == len(problem.centered)
+            for got, it in zip(cert.per_x_ratio, problem.centered):
+                want = op_norm(unitary_average(embedded, it.x) - it.e) / it.den
+                assert abs(got - want) <= 1e-12 * want
+
+    def test_verify_embeds_nothing(self, monkeypatch):
+        # a unitary family and an l2 partition verify with `Inclusion.embed`
+        # disabled, to the same certificates
+        problem = with_generic_operator(family_problem("tensor(4,3)", 80), 81)
+        nsh = problem.inclusion.n_shape
+        us = [alg.random_haar_unitary(nsh, child_seed(82, t)) for t in range(2)]
+        l2 = pv.l2_pave(problem, 2, seed=3)
+        want = [pv.verify(problem, us).summary(), pv.verify(problem, l2).summary()]
+
+        def refuse(self, x):
+            raise AssertionError("verify embedded an element of N")
+        monkeypatch.setattr(incl.Inclusion, "embed", refuse)
+        got = [pv.verify(problem, us).summary(), pv.verify(problem, l2).summary()]
+        assert canonical_dumps(got) == canonical_dumps(want)
+        assert [g["mode"] for g in got] == ["unitaries", "l2"]
 
 
 def test_stage_iii_corner_expectation():

@@ -29,6 +29,42 @@ def test_element_format_guard():
         ser.element_from_obj({"format": "element/99"})
 
 
+def test_pairs_keep_their_text_and_bits():
+    # the pairs written read as the per-entry [float(re), float(im)] lists,
+    # and the reader restores every bit, signed zeros and a frame without
+    # columns included
+    m = np.random.default_rng(3).standard_normal((3, 2, 2)).view(np.complex128)[..., 0]
+    m[0, 0], m[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    pairs = ser._complex_matrix_to_pairs(m)
+    assert json.dumps(pairs) == json.dumps([[[float(v.real), float(v.imag)] for v in row]
+                                            for row in m])
+    assert ser._pairs_to_complex_matrix(pairs, "m", 3, 2).tobytes() == m.tobytes()
+    empty = ser._complex_matrix_to_pairs(np.zeros((3, 0), dtype=np.complex128))
+    assert ser._pairs_to_complex_matrix(empty, "m", 3).shape == (3, 0)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b[:2],                                  # 2 of 3 rows
+    lambda b: [row[:2] for row in b],                 # 2 of 3 columns
+    lambda b: [[[re] for re, _ in row] for row in b],  # no imaginary parts
+    lambda b: [[[re, None] for re, _ in row] for row in b],
+    lambda b: b[:2] + [b[2][:1]],                     # ragged
+], ids=["rows", "columns", "pairs", "null", "ragged"])
+def test_element_block_shape_checked(edit):
+    obj = ser.element_to_obj(alg.random_element(AlgebraShape((2, 3), (0.125, 0.25)),
+                                                alg.SELFADJOINT, 4))
+    obj["blocks"][1] = edit(obj["blocks"][1])
+    with pytest.raises(ValueError, match=r"^unitary 5 block 1 is not a 3 x 3 matrix"):
+        ser.element_from_obj(obj, "unitary 5")
+
+
+def test_element_block_count_checked():
+    obj = ser.element_to_obj(alg.identity(AlgebraShape((2, 3), (0.125, 0.25))))
+    for blocks in (obj["blocks"][:1], obj["blocks"] * 2):
+        with pytest.raises(ValueError, match=r"^element lists \d blocks for 2$"):
+            ser.element_from_obj({**obj, "blocks": blocks})
+
+
 def test_inclusion_spec_roundtrip():
     spec = families.tensor_product(2, 3).spec
     obj = ser.inclusion_spec_to_obj(spec)
