@@ -14,7 +14,9 @@ and u_l the dense unitary (1 unless the embedding is "dense").  Frames
 F_k of N embed as G_l = u_l Π_l (⊕_k 1_{Λ[k][l]} ⊗ F_k), so in the slab
 basis, where `center` stores x − E_{N'∩M}(x) as Π_l* u_l*(x − E)u_l Π_l,
 `alg.part_norms` forms G* (x − E) G from the F_k themselves, with n_k rows
-per copy instead of m_l.
+per copy instead of m_l.  There E itself is ⊕_k T_k ⊗ 1_{n_k}, one
+Λ[k][l] × Λ[k][l] matrix T_k per slab, which is all `center` returns of it;
+only `cond_exp_comm` scatters it back to M coordinates.
 
 The trace-preserving conditional expectation onto N is the orthogonal
 projection in the trace inner product <a, b> = tau(a* b).  Because the
@@ -190,18 +192,20 @@ class Inclusion:
         return self.embed(self.restrict_to_n(x))
 
     def center(self, x: Element, slabs: list = None) -> tuple:
-        """(E, slabs) for E = E_{N' ∩ M}(x), the normalized partial trace over
-        each copy grid, and per M-block l the slab block
-        Π_l* u_l* (x − E) u_l Π_l = y − z, with y = Π_l* u_l* x u_l Π_l and
-        z its partial-trace part in slab coordinates (see the module
-        docstring).  y is written into `slabs[l]`, an m_l × m_l array such
-        as a row of a problem's slab stack (new arrays when `slabs` is None),
-        and z is subtracted from it in place, slab by slab."""
+        """(parts, slabs) for E = E_{N' ∩ M}(x), the normalized partial trace
+        over each copy grid, held in slab coordinates (see the module
+        docstring).  Per M-block l, y = Π_l* u_l* x u_l Π_l is written into
+        `slabs[l]`, an m_l × m_l array such as a row of a problem's slab
+        stack (new arrays when `slabs` is None), and `parts[l]` lists, slab
+        by slab, the Λ[k][l] × Λ[k][l] matrix T with T[c, c'] the normalized
+        trace of copy block (c, c'), so that E = ⊕_k T ⊗ 1_{n_k} there.  T ⊗ 1
+        is subtracted from y in place, on the diagonals of the copy blocks
+        alone, which leaves Π_l* u_l* (x − E) u_l Π_l in `slabs[l]`."""
         if x.shape != self.m_shape:
             raise alg.ShapeMismatchError("element does not live over M")
         if slabs is None:
             slabs = [np.empty((d, d), dtype=np.complex128) for d in self.m_shape.block_dims]
-        blocks = []
+        parts = []
         for l, ((kind, u), y) in enumerate(zip(self.embed_unitaries, slabs)):
             b = x.blocks[l]
             if kind == "perm":
@@ -210,15 +214,29 @@ class Inclusion:
                 np.matmul(u.conj().T @ b, u, out=y)
             else:
                 y[...] = b
-            z = np.zeros_like(y)
+            ts = []
             for s in self._slabs[l]:
                 mult, nk = s.rows.shape
-                y4 = y[s.span, s.span].reshape(mult, nk, mult, nk)
+                y4 = y[s.span, s.span].reshape(mult, nk, mult, nk)  # a view: axes only split
                 # a contiguous copy of the diagonals sums as np.trace of each block
                 tr = y4.diagonal(axis1=1, axis2=3).copy().sum(-1) / nk
-                z4 = z[s.span, s.span].reshape(mult, nk, mult, nk)  # a view: axes only split
+                diag = np.arange(nk)
+                y4[:, diag, :, diag] -= tr
+                ts.append(tr)
+            parts.append(ts)
+        return parts, slabs
+
+    def cond_exp_comm(self, x: Element) -> Element:
+        """E_{N' ∩ M}(x) in M coordinates: ⊕_k T ⊗ 1_{n_k} of `center`,
+        scattered back from slab coordinates."""
+        parts, slabs = self.center(x)
+        blocks = []
+        for l, ((kind, u), y, ts) in enumerate(zip(self.embed_unitaries, slabs, parts)):
+            z = np.zeros_like(y)
+            for s, tr in zip(self._slabs[l], ts):
+                mult, nk = s.rows.shape
+                z4 = z[s.span, s.span].reshape(mult, nk, mult, nk)
                 np.multiply(tr[:, None, :, None], np.eye(nk)[:, None, :], out=z4)
-                y4 -= z4
             if kind == "perm":
                 e = np.empty_like(z)
                 e[np.ix_(u, u)] = z
@@ -227,16 +245,20 @@ class Inclusion:
             else:
                 e = z
             blocks.append(e)
-        return Element(self.m_shape, blocks), slabs
-
-    def cond_exp_comm(self, x: Element) -> Element:
-        """E_{N' ∩ M}(x); see `center`."""
-        return self.center(x)[0]
+        return Element(self.m_shape, blocks)
 
     def slab_layout(self, l: int) -> tuple:
         """The slabs of M-block l in slab order, as a tuple of (N-block,
         copies) pairs: the `copies` key of `algebra.part_layout`."""
         return tuple((s.k, len(s.rows)) for s in self._slabs[l])
+
+
+def commutant_norm(parts: list, shift=0.0) -> float:
+    """‖E − shift·1‖ for E = E_{N' ∩ M}(x) given by the per-slab matrices T
+    of `Inclusion.center`: in slab coordinates E − shift·1 is
+    ⊕ (T − shift·1) ⊗ 1, so this is the largest ‖T − shift·1‖."""
+    return max(float(alg.top_singular_values(t - shift * np.eye(len(t))))
+               for ts in parts for t in ts)
 
 
 def build_inclusion(spec: InclusionSpec, seed=0) -> Inclusion:

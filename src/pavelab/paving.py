@@ -21,7 +21,8 @@ Certificates are value objects; `verify` recomputes all ratios from scratch
 and is the only place the verified flag is set, so re-verification of a
 certificate is bit-identical to its creation.  Each problem stores x − E,
 E = E_{N'∩M}(x), once in the slab basis of every M-block,
-Y_l = Π_l* u_l*(x − E)u_l Π_l (`Inclusion.center`), where an element of N
+Y_l = Π_l* u_l*(x − E)u_l Π_l (`Inclusion.center`), next to E in the compact
+form ⊕ T ⊗ 1 and ‖x − E‖ = max_l ‖Y_l‖, where an element of N
 acts as ⊕_k 1 ⊗ a_k, one a_k per copy of N-block k.  Since u_l Π_l is
 unitary and E commutes with N, every compression of x − E by elements of N
 is formed from the N-side matrices with n_k rows per copy, never in M:
@@ -45,14 +46,13 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import algebra as alg
 from .algebra import (Element, PartitionOfUnity, RANK_CUT, TOL_PROJ, TIE_TOL,
                       identity, op_norm, trace)
-from .inclusion import Inclusion
+from .inclusion import Inclusion, commutant_norm
 from .seeding import child_rng
 
 VERIFY_SLACK = 1e-9
@@ -106,32 +106,26 @@ class CandidateRejected(PavingError):
         self.residuals = residuals or {}
 
 
-class Centered(NamedTuple):
-    """One operator x of F with e = E_{N'∩M}(x) and den = ‖x - e‖."""
-
-    x: Element
-    e: Element
-    den: float
-
-
 @dataclass
 class PavingProblem:
     """A finite operator set F in M, a target ε, and the index to use in bounds.
 
-    F is stored as a tuple and centered once, here: `centered` holds one
-    `Centered` per operator (x, E and ‖x − E‖), and `slab_stacks` holds
-    x − E once, in slab coordinates (`Inclusion.center`), one
-    (|F|, m_l, m_l) array per M-block, which `verify`, `pave_search` and
-    the pipeline read.  Readers that need x − E in M coordinates (the l2
-    denominators and the Dixmier folds) subtract on demand.
+    F is stored as a tuple and centered once, here, in slab coordinates
+    alone (`Inclusion.center`), with E = E_{N'∩M}(x): `slab_stacks` holds
+    x − E, one (|F|, m_l, m_l) array per M-block; `commutant` holds E per
+    operator as `center`'s per-slab matrices T, E = ⊕ T ⊗ 1; and `dens`
+    holds the denominators ‖x − E‖ = max_l ‖Y_l‖ (`alg.top_singular_values`),
+    one per operator.  `verify`, the search, the pipeline, the Dixmier folds
+    and `scan` read these; nothing is kept in M coordinates but F itself.
     """
 
     inclusion: Inclusion
     operators: tuple
     epsilon: float
     index: float = None
-    centered: tuple = field(init=False, repr=False, compare=False)
     slab_stacks: tuple = field(init=False, repr=False, compare=False)
+    commutant: tuple = field(init=False, repr=False, compare=False)
+    dens: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.operators = tuple(self.operators)
@@ -146,15 +140,13 @@ class PavingProblem:
                 raise alg.ShapeMismatchError("operators must live over M")
         self.slab_stacks = tuple(np.empty((len(self.operators), d, d), dtype=np.complex128)
                                  for d in self.inclusion.m_shape.block_dims)
-        centered = []
+        commutant, dens = [], []
         for i, x in enumerate(self.operators):
-            e, _ = self.inclusion.center(x, [stack[i] for stack in self.slab_stacks])
-            centered.append(Centered(x, e, op_norm(x - e)))
-        self.centered = tuple(centered)
-
-    def live(self) -> list:
-        """The centered operators outside the relative commutant."""
-        return [it for it in self.centered if it.den > DEGENERATE_DEN]
+            rows = [stack[i] for stack in self.slab_stacks]
+            commutant.append(self.inclusion.center(x, rows)[0])
+            dens.append(max(float(alg.top_singular_values(y)) for y in rows))
+        self.commutant = tuple(commutant)
+        self.dens = np.array(dens)
 
     def with_epsilon(self, epsilon: float) -> "PavingProblem":
         """This problem at another ε, sharing the centered operators."""
@@ -276,8 +268,11 @@ def dixmier_count_bound(epsilon: float) -> int:
 # -- candidate helpers ---------------------------------------------------------
 
 def _is_positive(x: Element) -> bool:
-    """x = x* and x >= 0, both within TOL_PROJ."""
+    """x = x* and x >= 0, both within TOL_PROJ.  x >= −TOL_PROJ·1 bounds the
+    diagonal of its Hermitian part the same way, which screens out most
+    trace-zero x before the eigensolve."""
     return (alg.hermitian_part_residual(x) <= TOL_PROJ
+            and min(float(b.diagonal().real.min()) for b in x.blocks) >= -TOL_PROJ
             and min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0])
                     for b in x.blocks) >= -TOL_PROJ)
 
@@ -329,8 +324,8 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     inc = problem.inclusion
     config = config or {}
     diagnostics = dict(diagnostics or {})
-    count = len(problem.centered)
-    dens = [it.den for it in problem.centered]
+    count = len(problem.operators)
+    dens = problem.dens.tolist()
     threshold = problem.epsilon
     largest = np.zeros(count)
     partition = unitaries = None
@@ -385,13 +380,13 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     alarm = False
     if unitaries is not None:
         lower_bounds = []
-        for item, num in zip(problem.centered, largest.tolist()):
-            x = item.x
+        for x, parts, num, den in zip(problem.operators, problem.commutant,
+                                      largest.tolist(), dens):
             if (_is_positive(x) and abs(op_norm(x) - 1.0) <= TOL_PROJ
-                    and op_norm(item.e - trace(x) * identity(inc.m_shape)) <= TOL_PROJ):
+                    and commutant_norm(parts, trace(x)) <= TOL_PROJ):
                 lb = averaging_count_lower_bound(float(trace(x).real), max(num, NORM_FLOOR))
                 lower_bounds.append(lb)
-                if (num <= problem.epsilon * max(item.den, NORM_FLOOR) + VERIFY_SLACK
+                if (num <= problem.epsilon * max(den, NORM_FLOOR) + VERIFY_SLACK
                         and r < lb - VERIFY_SLACK):
                     alarm = True
             else:
@@ -603,14 +598,13 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
     if problem.epsilon >= 1.0:
         return _trivial_certificate(problem, cfg.seed, base_config)
 
-    live = problem.live()
+    # the slab-stack rows of the operators outside the relative commutant
+    live = np.flatnonzero(problem.dens > DEGENERATE_DEN).tolist()
     if not live:
         cert = _trivial_certificate(problem, cfg.seed, base_config)
         cert.diagnostics["normalization"] = "all operators lie in the commutant"
         return cert
-    # the slab-stack rows of the live operators, and their 1/‖x − E‖
-    live_rows = [i for i, it in enumerate(problem.centered) if it.den > DEGENERATE_DEN]
-    scale = 1.0 / np.array([it.den for it in live])
+    scale = 1.0 / problem.dens[live]
 
     theta_exc = 4.0 * (n - 1) / n ** 2 + cfg.delta_prime
     certified_bound = math.sqrt(theta_exc) + math.sqrt(problem.index / m)
@@ -634,7 +628,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
         for i in range(n):
             w_i = u[:, bounds_idx[i]:bounds_idx[i + 1]]
             r_i = w_i.shape[1]
-            corner_stacks, gram_stacks = _slab_corners(problem.slab_stacks, w_i, live_rows, scale)
+            corner_stacks, gram_stacks = _slab_corners(problem.slab_stacks, w_i, live, scale)
             screens = [_exceptional_frames(a, theta_exc) for a in gram_stacks]
             # per operator, per M-block: the screened (top, frame) pairs
             screened = [[(tops[t], frames[t]) for tops, frames in screens]
@@ -746,7 +740,7 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             "attempts": attempts,
             "theta_exceptional": theta_exc,
             "certified_bound": certified_bound,
-            "normalization_norms": [it.den for it in live],
+            "normalization_norms": problem.dens[live].tolist(),
         }
         cert = verify(problem, partition, seed=cfg.seed, config=base_config,
                       diagnostics=diagnostics)
@@ -822,13 +816,12 @@ def pave_search(problem: PavingProblem, cfg: SearchConfig) -> PavingCertificate:
     orders, ranks = alg.slot_order(nsh, cfg.r)  # raises on granularity
     config = {"r": cfg.r, "restarts": cfg.restarts, "steps": cfg.steps,
               "step_scale": STEP_SCALE, "cooling": COOLING}
-    if problem.epsilon >= 1.0 or not problem.live():
+    if problem.epsilon >= 1.0 or not (problem.dens > DEGENERATE_DEN).any():
         return _trivial_certificate(problem, cfg.seed, config)
 
     copies = [inc.slab_layout(l) for l in range(inc.m_shape.num_blocks)]
     # an operator inside the relative commutant scores 0
-    dens = np.array([it.den if it.den > DEGENERATE_DEN else np.inf
-                     for it in problem.centered])[:, None]
+    dens = np.where(problem.dens > DEGENERATE_DEN, problem.dens, np.inf)[:, None]
 
     def part_scores(norms_of, frames, part_ranks):
         # s_i for each part i of `part_ranks` (per N-block, the column counts
@@ -898,21 +891,25 @@ def dixmier_average_run(problem: PavingProblem, seed: int = 0) -> PavingCertific
     MAX_FOLDS folds, or after more than STALL_BUDGET fallbacks.  Requires
     N = M (blockwise) so the fold unitaries lie in N; operators must be
     self-adjoint after centering.
+
+    With N = M the slab basis u_l Π_l of each M-block is the embedding of
+    its N-block, so the folds run on the slab rows Y_l of the problem as
+    elements of N, and their unitaries form the family over N as they are.
     """
     inc = problem.inclusion
     config = {"stall_budget": STALL_BUDGET, "max_folds": MAX_FOLDS}
-    live = problem.live()
-    if not live:
+    live = np.flatnonzero(problem.dens > DEGENERATE_DEN)
+    if not len(live):
         return verify(problem, [identity(inc.n_shape)], seed=seed, config=config)
     if not inc.spec.is_trivial:
         raise ResourceError(
             "averaging folds need N = M; proper inclusions are only supported "
             "for operator sets inside the relative commutant")
-    current = [it.x - it.e for it in live]
+    current = [Element(inc.n_shape, [ys[i] for ys in problem.slab_stacks]) for i in live]
     if any(alg.hermitian_part_residual(c) > TOL_PROJ for c in current):
         raise PavingError("operators must be self-adjoint after centering")
-    dens = [it.den for it in live]
-    family = [identity(inc.m_shape)]
+    dens = problem.dens[live].tolist()
+    family = [identity(inc.n_shape)]
     folds, stalls = 0, 0
     history = []
     while True:
@@ -928,18 +925,17 @@ def dixmier_average_run(problem: PavingProblem, seed: int = 0) -> PavingCertific
         for b in y.blocks:
             _, v = np.linalg.eigh((b + b.conj().T) / 2)
             blocks.append(v @ v[:, ::-1].conj().T)
-        w = Element(inc.m_shape, blocks)
+        w = Element(inc.n_shape, blocks)
         trial = [0.5 * (c + w @ c @ w.adjoint()) for c in current]
         if op_norm(trial[worst]) > 0.99 * op_norm(y):
             stalls += 1
-            w = alg.random_haar_unitary(inc.m_shape, child_rng(seed, folds))
+            w = alg.random_haar_unitary(inc.n_shape, child_rng(seed, folds))
             trial = [0.5 * (c + w @ c @ w.adjoint()) for c in current]
         current = trial
         family = family + [w @ f for f in family]
         folds += 1
 
-    family_n = [inc.restrict_to_n(f) for f in family]
-    return verify(problem, family_n, seed=seed, config=config,
+    return verify(problem, family, seed=seed, config=config,
                   diagnostics={"folds": folds, "stalls": stalls,
                                "ratio_history": history})
 
@@ -977,8 +973,9 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
                          epsilon=epsilons[0], index=index)
     total_slots = inclusion.n_shape.total_dim
     rows = []
-    positives = [(op_norm(item.x), op_norm(item.e), item.den)
-                 for item in base.centered if _is_positive(item.x)]
+    positives = [(op_norm(x), commutant_norm(parts), den)
+                 for x, parts, den in zip(base.operators, base.commutant, base.dens.tolist())
+                 if _is_positive(x)]
     for gi, eps in enumerate(epsilons):
         problem = base.with_epsilon(eps)
         theorem_r = paving_partition_bound(problem.index, eps)[2]

@@ -122,6 +122,11 @@ def unitary_average(unitaries, x: alg.Element) -> alg.Element:
     return (1.0 / len(unitaries)) * acc
 
 
+def half_trace(shape: alg.AlgebraShape) -> float:
+    """A trace a projection of `shape` can have: ⌈n_k/2⌉ of each block."""
+    return sum(t * -(-d // 2) for t, d in zip(shape.trace_weights, shape.block_dims))
+
+
 def random_spec(seed):
     """A seeded spec with two or three blocks on each side, multiplicities
     up to 2 and random trace weights."""

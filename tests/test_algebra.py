@@ -323,7 +323,7 @@ def partial_frames(inc, seed, empty_block=None):
 def assert_compression_matches_dense(inc, frames, xs):
     """`alg.compression` of the slab stacks against g* (x − E) g per M-block,
     g the literal embedded frame of `frames` (`ref_embed_frame`)."""
-    centered = [inc.center(x) for x in xs]
+    centered = [(inc.cond_exp_comm(x), inc.center(x)[1]) for x in xs]
     for l, g in enumerate(ref_embed_frame(inc, frames)):
         got = alg.compression(frames, inc.slab_layout(l),
                               np.stack([slabs[l] for _, slabs in centered]))

@@ -9,7 +9,7 @@ from pavelab import inclusion as incl
 from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace, zero
 from pavelab.seeding import child_rng, child_seed
 
-from conftest import (elements_close, expectation_residuals, partial_trace_left,
+from conftest import (elements_close, expectation_residuals, half_trace, partial_trace_left,
                       partial_trace_right, projection_defect, random_spec,
                       ref_embed_frame, ref_offsets, two_block_inclusion)
 
@@ -361,7 +361,7 @@ class TestSlabTable:
         # the first or last N-block
         inc = SLAB_CASES[name]()
         x = general_element(inc.m_shape, 24)
-        e, slabs = inc.center(x)
+        e, slabs = inc.cond_exp_comm(x), inc.center(x)[1]
         for t, empty in enumerate((None, 0, inc.n_shape.num_blocks - 1)):
             frames = random_frames(inc, child_seed(23, t), empty_block=empty)
             for l, g in enumerate(ref_embed_frame(inc, frames)):
@@ -380,6 +380,30 @@ class TestSlabTable:
                                            atol=1e-12 * max(np.abs(want).max(initial=0.0), 1.0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: families.tensor_product(8, 2), lambda: families.scalars_in(6),
+    lambda: families.self_inclusion(16), two_block_inclusion,
+], ids=["tensor(8,2)", "scalars-in(6)", "self(16)", "two-block"])
+def test_commutant_norms(make):
+    # ‖E(x)‖ and ‖E(x) − τ(x)1‖ from the per-slab T of `center` against
+    # the M-coordinate E of `cond_exp_comm`; x = 1 ⊗ p, p a projection of
+    # N, has scalar E(x) when N is a factor
+    inc = make()
+    xs = [alg.random_element(inc.m_shape, kind, child_seed(93, t),
+                             theta=half_trace(inc.m_shape))
+          for t, kind in enumerate((alg.SELFADJOINT, alg.POSITIVE, alg.PROJECTION))]
+    p = alg.random_element(inc.n_shape, alg.PROJECTION, 94, theta=half_trace(inc.n_shape))
+    xs.append(inc.embed(p))
+    for x in xs:
+        e = inc.cond_exp_comm(x)
+        tau = trace(x)
+        shifted = op_norm(e - tau * identity(inc.m_shape))
+        assert abs(incl.commutant_norm(inc.center(x)[0]) - op_norm(e)) <= 1e-12
+        assert abs(incl.commutant_norm(inc.center(x)[0], tau) - shifted) <= 1e-12
+    if inc.n_shape.num_blocks == 1:
+        assert incl.commutant_norm(inc.center(xs[-1])[0], trace(xs[-1])) <= 1e-12
+
+
 @pytest.mark.parametrize("name", list(SLAB_CASES))
 def test_part_norms_against_literal_blocks(name):
     # square random frames with labels from {0, 1, 2, 4}: part 3 is empty
@@ -395,7 +419,7 @@ def test_part_norms_against_literal_blocks(name):
     ranks = tuple(tuple(np.bincount(lab, minlength=5).tolist()) for lab in labels)
     xs = [general_element(inc.m_shape, 26),
           alg.random_element(inc.m_shape, alg.SELFADJOINT, 27)]
-    centered = [inc.center(x) for x in xs]
+    centered = [(inc.cond_exp_comm(x), inc.center(x)[1]) for x in xs]
     for l in range(inc.m_shape.num_blocks):
         ys = np.stack([slabs[l] for _, slabs in centered])
         layout = alg.part_layout(ranks, inc.slab_layout(l))

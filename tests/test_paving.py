@@ -14,12 +14,28 @@ from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
 from pavelab.serialize import canonical_dumps
 
-from conftest import (embed_partition, part_compression, part_labels, partition_from_projections,
-                      pinch, ref_embed_frame, two_block_inclusion, unitary_average)
+from conftest import (embed_partition, half_trace, part_compression, part_labels,
+                      partition_from_projections, pinch, ref_embed_frame, two_block_inclusion,
+                      unitary_average)
 
 
 def selfadjoint(shape, seed):
     return alg.random_element(shape, alg.SELFADJOINT, seed)
+
+
+def live_rows(problem):
+    """The operators outside the relative commutant, as slab-stack rows."""
+    return np.flatnonzero(problem.dens > pv.DEGENERATE_DEN).tolist()
+
+
+def centered(problem, rows=None):
+    """(x, x − E, ‖x − E‖) of the operators at `rows` (all by default) in M
+    coordinates, E = `Inclusion.cond_exp_comm`(x) and ‖x − E‖ the problem's
+    denominator."""
+    rows = range(len(problem.operators)) if rows is None else rows
+    ops = [problem.operators[i] for i in rows]
+    return [(x, x - problem.inclusion.cond_exp_comm(x), float(problem.dens[i]))
+            for i, x in zip(rows, ops)]
 
 
 class TestBounds:
@@ -203,14 +219,13 @@ def reference_pipeline(problem, cfg):
     inc = problem.inclusion
     dim_n = inc.n_shape.block_dims[0]
     n, m = cfg.n_parts, cfg.m_refine
-    live = problem.live()
+    live = live_rows(problem)
     assert problem.epsilon < 1.0 and live
     base_config = {
         "n_parts": n, "m_refine": m, "delta_prime": cfg.delta_prime,
         "retry_budget": cfg.retry_budget, "index": problem.index,
     }
-    live_rows = [i for i, it in enumerate(problem.centered) if it.den > pv.DEGENERATE_DEN]
-    scale = 1.0 / np.array([it.den for it in live])
+    scale = 1.0 / problem.dens[live]
     theta_exc = 4.0 * (n - 1) / n ** 2 + cfg.delta_prime
     certified_bound = math.sqrt(theta_exc) + math.sqrt(problem.index / m)
     mults = [inc.spec.inclusion_matrix[0][l] for l in range(inc.m_shape.num_blocks)]
@@ -231,7 +246,7 @@ def reference_pipeline(problem, cfg):
             w_i = u[:, bounds_idx[i]:bounds_idx[i + 1]]
             r_i = w_i.shape[1]
             corner_stacks, gram_stacks = pv._slab_corners(problem.slab_stacks, w_i,
-                                                          live_rows, scale)
+                                                          live, scale)
             corners = [[c[x] for c in corner_stacks] for x in range(len(live))]
             gram = [[a[x] for a in gram_stacks] for x in range(len(live))]
             corner_dims = [a.shape[1] for a in gram_stacks]
@@ -330,7 +345,7 @@ def reference_pipeline(problem, cfg):
                          diagnostics={"attempts": attempts,
                                       "theta_exceptional": theta_exc,
                                       "certified_bound": certified_bound,
-                                      "normalization_norms": [it.den for it in live]})
+                                      "normalization_norms": problem.dens[live].tolist()})
         if cert.verified:
             return cert
         if best_cert is None or max(cert.per_x_ratio) < max(best_cert.per_x_ratio):
@@ -379,7 +394,7 @@ class TestRankAwarePipeline:
         pinched = [[[rec.pop(key) for key in cls.PINCHED] for rec in d["attempts"]]
                    for d in (got, want)]
         assert repr(got) == repr(want)
-        count = len(problem.live())
+        count = len(live_rows(problem))
         for rec, got_rec, want_rec in zip(want["attempts"], *pinched):
             for a, b in zip(got_rec, want_rec):
                 assert len(a) == len(b)
@@ -517,14 +532,14 @@ class TestSlabCorners:
         dim = inc.n_shape.block_dims[0]
         u = alg.haar_block(child_rng(66), dim)
         bounds = np.cumsum([0] + alg.balanced_sizes(dim, n))
-        scale = 1.0 / np.array([it.den for it in problem.centered])
+        scale = 1.0 / problem.dens
         for a, b in zip(bounds, bounds[1:]):
             w = u[:, a:b]
             corners, grams = pv._slab_corners(problem.slab_stacks, w,
-                                              list(range(len(problem.centered))), scale)
+                                              list(range(len(problem.operators))), scale)
             for l, g in enumerate(ref_embed_frame(inc, [w])):
-                for t, it in enumerate(problem.centered):
-                    c = g.conj().T @ ((1.0 / it.den) * (it.x - it.e)).blocks[l] @ g
+                for t, (_, diff, den) in enumerate(centered(problem)):
+                    c = g.conj().T @ ((1.0 / den) * diff).blocks[l] @ g
                     for got, want in ((corners[l][t], c), (grams[l][t], c.conj().T @ c)):
                         assert got.shape == want.shape
                         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -537,9 +552,9 @@ class TestSlabCorners:
         inert = Element(inc.m_shape, [np.kron(np.eye(8), np.diag([1.0, -1.0]).astype(complex))])
         mixed = pv.PavingProblem(inclusion=inc, operators=(inert,) + problem.operators,
                                  epsilon=problem.epsilon)
-        assert [it.den > pv.DEGENERATE_DEN for it in mixed.centered] == [False, True, True]
+        assert (mixed.dens > pv.DEGENERATE_DEN).tolist() == [False, True, True]
         w = alg.haar_block(child_rng(68), 8)[:, :3]
-        scale = 1.0 / np.array([it.den for it in problem.centered])
+        scale = 1.0 / problem.dens
         want = pv._slab_corners(problem.slab_stacks, w, [0, 1], scale)
         got = pv._slab_corners(mixed.slab_stacks, w, [1, 2], scale)
         for a, b in zip(got, want):
@@ -674,7 +689,7 @@ def reference_search(problem, cfg):
     nsh = inc.n_shape
     base = alg.coordinate_partition(nsh, cfg.r)
     order = [np.argmax(np.abs(u), axis=0) for u in base.stacks]
-    live = problem.live()
+    live = centered(problem, live_rows(problem))
     assert problem.epsilon < 1.0 and live
 
     def partition_of(u_blocks):
@@ -690,15 +705,13 @@ def reference_search(problem, cfg):
             worst = max(worst, float(w[:, -1].max()))
         return math.sqrt(max(worst, 0.0))
 
-    diffs = [it.x - it.e for it in live]
-
     def objective(u_blocks):
         embedded = embed_partition(inc, partition_of(u_blocks))
         worst = 0.0
-        for it, diff in zip(live, diffs):
+        for _, diff, den in live:
             for l, g in enumerate(embedded.stacks):
                 c = part_compression(g, part_labels(embedded, l), diff.blocks[l])
-                worst = max(worst, diagonal_block_norm(c, embedded.ranks[l]) / it.den)
+                worst = max(worst, diagonal_block_norm(c, embedded.ranks[l]) / den)
         return worst
 
     pair_pool = []
@@ -776,8 +789,8 @@ class TestIncrementalSearch:
             np.testing.assert_allclose(cert.diagnostics["incumbent_history"],
                                        ref.diagnostics["incumbent_history"], rtol=1e-12)
             embedded = embed_partition(problem.inclusion, cert.partition)
-            recomputed = max(op_norm(pinch(embedded, it.x - it.e)) / it.den
-                             for it in problem.live())
+            recomputed = max(op_norm(pinch(embedded, diff)) / den
+                             for _, diff, den in centered(problem, live_rows(problem)))
             best = cert.diagnostics["best_objective"]
             assert abs(best - recomputed) <= 1e-12 * recomputed
 
@@ -810,7 +823,7 @@ class TestIncrementalSearch:
         rows = pv.scan(*args, **kwargs)
         search = pv.pave_search
         monkeypatch.setattr(pv, "pave_search", lambda problem, cfg: (
-            reference_search(problem, cfg) if problem.epsilon < 1.0 and problem.live()
+            reference_search(problem, cfg) if problem.epsilon < 1.0 and live_rows(problem)
             else search(problem, cfg)))
         assert pv.scan(*args, **kwargs) == rows
 
@@ -992,7 +1005,7 @@ class TestVerify:
         assert exact.diagnostics["residual_bound"] == [2 * part.residual() + part.residual() ** 2] * 2
         layout = alg.part_layout(part.ranks, inc.slab_layout(0))
         norms, _ = alg.part_norms(part.stacks, layout, problem.slab_stacks[0])
-        dens = np.array([it.den for it in problem.centered])[:, None]
+        dens = problem.dens[:, None]
         worst = int((norms / dens).max(axis=0).argmax())
         stack = part.stacks[0].copy()
         stack[:, 2 * worst:2 * worst + 2] *= 1 - 3.5e-9
@@ -1074,8 +1087,8 @@ class TestVerifyDifferential:
     def literal(problem, partition, mode):
         # `partition` lives over M: pinch with it directly
         norm = alg.l2_norm if mode == "l2" else op_norm
-        return [norm(pinch(partition, it.x) - it.e) / norm(it.x - it.e)
-                for it in problem.centered]
+        return [norm(pinch(partition, x) - (x - diff)) / norm(diff)
+                for x, diff, _ in centered(problem)]
 
     @staticmethod
     def rotated(problem, r, seed):
@@ -1130,9 +1143,9 @@ class TestVerifyUnitaries:
             us = [alg.random_haar_unitary(inc.n_shape, child_seed(79, r, t)) for t in range(r)]
             cert = pv.verify(problem, us)
             embedded = [inc.embed(u) for u in us]
-            assert len(cert.per_x_ratio) == len(problem.centered)
-            for got, it in zip(cert.per_x_ratio, problem.centered):
-                want = op_norm(unitary_average(embedded, it.x) - it.e) / it.den
+            assert len(cert.per_x_ratio) == len(problem.operators)
+            for got, (x, diff, _) in zip(cert.per_x_ratio, centered(problem)):
+                want = op_norm(unitary_average(embedded, x) - (x - diff)) / op_norm(diff)
                 assert abs(got - want) <= 1e-12 * want
 
     def test_verify_embeds_nothing(self, monkeypatch):
@@ -1244,6 +1257,116 @@ class TestDixmier:
         assert cert.verified and not cert.soundness_alarm
         lb = pv.averaging_count_lower_bound(1 / 16, 0.25)
         assert cert.r >= lb - 1e-9
+
+
+    def test_dense_embedded_self_inclusion(self):
+        # N = M = M_3 ⊕ M_5 with a Haar embedding per block: the folds run in
+        # N coordinates and the family is the average the embedded unitaries
+        # give in M coordinates
+        shape = AlgebraShape((3, 5), (1 / 8, 1 / 8))
+        inc = incl.build_inclusion(incl.InclusionSpec(shape, shape, ((1, 0), (0, 1))), seed=90)
+        ops = [selfadjoint(inc.m_shape, child_seed(91, t)) for t in range(2)]
+        problem = pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.3, index=1.0)
+        cert = pv.dixmier_average_run(problem, seed=4)
+        assert cert.verified and cert.r > 1
+        assert all(u.shape == inc.n_shape for u in cert.unitaries)
+        embedded = [inc.embed(u) for u in cert.unitaries]
+        for got, x in zip(cert.per_x_ratio, ops):
+            e = inc.cond_exp_comm(x)
+            want = op_norm(unitary_average(embedded, x) - e) / op_norm(x - e)
+            assert abs(got - want) <= 1e-12 * want
+
+
+def trivial_two_block_inclusion():
+    """N = M = M_3 ⊕ M_5, Haar-embedded block by block."""
+    shape = AlgebraShape((3, 5), (1 / 8, 1 / 8))
+    return incl.build_inclusion(incl.InclusionSpec(shape, shape, ((1, 0), (0, 1))), seed=92)
+
+
+class TestSlabCoordinateProblem:
+    """A problem holds x − E, E and ‖x − E‖ in slab coordinates only."""
+
+    def test_denominators_are_slab_norms(self):
+        for inc in (families.tensor_product(8, 2), families.self_inclusion(16),
+                    two_block_inclusion()):
+            ops = [selfadjoint(inc.m_shape, child_seed(95, t)) for t in range(2)]
+            problem = pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.5)
+            want = [op_norm(x - inc.cond_exp_comm(x)) for x in ops]
+            np.testing.assert_allclose(problem.dens, want, rtol=1e-14)
+
+    def test_nothing_formed_in_m_coordinates(self, monkeypatch):
+        # with the M-coordinate maps disabled every producer, `scan` and both
+        # `verify` modes still run, a positive F included, so the soundness
+        # alarm and the scan lower bound read the compact E
+        def refuse(self, x):
+            raise AssertionError("an element was formed in M coordinates")
+        for name in ("embed", "restrict_to_n", "cond_exp_comm"):
+            monkeypatch.setattr(incl.Inclusion, name, refuse)
+        cases = [families.tensor_product(8, 2), families.self_inclusion(16),
+                 two_block_inclusion(), trivial_two_block_inclusion()]
+        for t, inc in enumerate(cases):
+            ops = [selfadjoint(inc.m_shape, child_seed(96, t)),
+                   alg.random_element(inc.m_shape, alg.PROJECTION, child_seed(97, t),
+                                      theta=half_trace(inc.m_shape))]
+            for positive, operators in ((False, ops[:1]), (True, ops[1:])):
+                problem = pv.PavingProblem(inclusion=inc, operators=operators,
+                                           epsilon=0.5, index=inc.known_index or 4.0)
+                nsh = inc.n_shape
+                us = [alg.random_haar_unitary(nsh, child_seed(98, t, i)) for i in range(2)]
+                certs = [pv.pave_search(problem, pv.SearchConfig(r=2, restarts=1, steps=10)),
+                         pv.l2_pave(problem, 2, seed=1), pv.verify(problem, us)]
+                certs.append(pv.verify(problem, certs[0]))
+                if nsh.num_blocks == 1:
+                    certs.append(pv.pave_constructive(problem, pv.PipelineConfig(2, 2, seed=3)))
+                if inc.spec.is_trivial:
+                    certs.append(pv.dixmier_average_run(problem, seed=1))
+                assert not any(c.soundness_alarm for c in certs)
+                rows = pv.scan(inc, [0.5], operators, problem.index, r_cap=2)
+                assert (rows[0]["lower_bound"] is not None) == positive
+
+    def test_positivity_screen(self, monkeypatch):
+        # a self-adjoint trace-zero x fails on its diagonal: a unitary-mode
+        # verify runs no eigvalsh for it in `_is_positive`
+        calls, inside = [], []
+        eigvalsh, is_positive = np.linalg.eigvalsh, pv._is_positive
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(bool(inside)) or eigvalsh(a))
+
+        def screened(x):
+            inside.append(1)
+            try:
+                return is_positive(x)
+            finally:
+                inside.clear()
+        monkeypatch.setattr(pv, "_is_positive", screened)
+        inc = families.tensor_product(8, 2)
+        x = selfadjoint(inc.m_shape, 99)
+        assert abs(trace(x)) <= 1e-12
+        problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.5, index=4.0)
+        us = [alg.random_haar_unitary(inc.n_shape, child_seed(100, i)) for i in range(2)]
+        calls.clear()
+        cert = pv.verify(problem, us)
+        assert cert.diagnostics["lower_bounds"] == [None]
+        assert calls and not any(calls)   # eigvalsh ran, but none in `_is_positive`
+        monkeypatch.undo()
+
+        def full(x):
+            return (alg.hermitian_part_residual(x) <= alg.TOL_PROJ
+                    and min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0])
+                            for b in x.blocks) >= -alg.TOL_PROJ)
+        shape = AlgebraShape((3, 4), (1 / 7, 1 / 7))
+        xs = [alg.random_element(shape, kind, child_seed(101, t), theta=half_trace(shape))
+              for t, kind in enumerate((alg.PROJECTION, alg.POSITIVE, alg.SELFADJOINT))]
+        v = np.array([[1.0], [1.0], [0.0]], dtype=complex)
+        psd = v @ v.conj().T   # positive semidefinite, with a zero diagonal entry
+        xs.append(Element(shape, [psd, np.eye(4, dtype=complex)]))
+        xs.append(Element(shape, [psd - 1e-6 * np.eye(3), np.eye(4, dtype=complex)]))
+        # a nonnegative diagonal that passes the screen, and eigenvalue −1
+        flip = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+        xs.append(Element(shape, [flip, np.eye(4, dtype=complex)]))
+        for x in xs:
+            assert pv._is_positive(x) == full(x)
+        assert [pv._is_positive(x) for x in xs] == [True, True, False, True, False, False]
 
 
 class TestL2Paving:
