@@ -103,13 +103,12 @@ class InclusionSpec:
 
 class _Slab(NamedTuple):
     """The Λ[k][l] copies of N-block k in M-block l: index i of copy c sits
-    in row ``rows[c, i]``, ``span`` is the range of those rows in slab
-    coordinates, and ``copies`` is arange(Λ[k][l]) as a column."""
+    in row ``rows[c, i]``, and ``span`` is the range of those rows in slab
+    coordinates."""
 
     k: int
     rows: np.ndarray
     span: slice
-    copies: np.ndarray
 
 
 @dataclass
@@ -139,7 +138,7 @@ class Inclusion:
                 rows = np.arange(span.start, span.stop).reshape(mult, nk)
                 if kind == "perm":
                     rows = u[rows]
-                slabs.append(_Slab(k, rows, span, np.arange(mult)[:, None]))
+                slabs.append(_Slab(k, rows, span))
             self._slabs.append(slabs)
 
     @property

@@ -112,11 +112,11 @@ class PavingProblem:
 
     F is stored as a tuple and centered once, here, in slab coordinates
     alone (`Inclusion.center`), with E = E_{N'∩M}(x): `slab_stacks` holds
-    x − E, one (|F|, m_l, m_l) array per M-block; `commutant` holds E per
-    operator as `center`'s per-slab matrices T, E = ⊕ T ⊗ 1; and `dens`
-    holds the denominators ‖x − E‖ = max_l ‖Y_l‖ (`alg.top_singular_values`),
-    one per operator.  `verify`, the search, the pipeline, the Dixmier folds
-    and `scan` read these; nothing is kept in M coordinates but F itself.
+    x − E, one (|F|, m_l, m_l) array per M-block, the only layout of F − E;
+    `commutant` holds E per operator as `center`'s per-slab matrices T,
+    E = ⊕ T ⊗ 1; and `dens` holds ‖x − E‖ = max_l ‖Y_l‖, one batched
+    `alg.top_singular_values` per M-block.  Every reader takes the stacks
+    whole; nothing is kept in M coordinates but F itself.
     """
 
     inclusion: Inclusion
@@ -140,13 +140,9 @@ class PavingProblem:
                 raise alg.ShapeMismatchError("operators must live over M")
         self.slab_stacks = tuple(np.empty((len(self.operators), d, d), dtype=np.complex128)
                                  for d in self.inclusion.m_shape.block_dims)
-        commutant, dens = [], []
-        for i, x in enumerate(self.operators):
-            rows = [stack[i] for stack in self.slab_stacks]
-            commutant.append(self.inclusion.center(x, rows)[0])
-            dens.append(max(float(alg.top_singular_values(y)) for y in rows))
-        self.commutant = tuple(commutant)
-        self.dens = np.array(dens)
+        self.commutant = tuple(self.inclusion.center(x, [ys[i] for ys in self.slab_stacks])[0]
+                               for i, x in enumerate(self.operators))
+        self.dens = np.max([alg.top_singular_values(ys) for ys in self.slab_stacks], axis=0)
 
     def with_epsilon(self, epsilon: float) -> "PavingProblem":
         """This problem at another ε, sharing the centered operators."""
@@ -528,15 +524,15 @@ def _exceptional_frames(grams: np.ndarray, theta: float):
     return tops, frames
 
 
-def _corner_expectation(b_x, mults, t_weights, s0) -> np.ndarray:
-    """h = w* E_N(v b v*) w for a corner element b = (b_l) of the embedded
-    frame v of a part w over a single-block N.  The columns of v_l are w
-    once per copy, so E_N, which averages the diagonal copy blocks, leaves
-    h = Σ_l t_l Σ_c b_l[c, c] / s_0: a trace over the copy index of each
-    b_l viewed as (mult_l, r, mult_l, r)."""
-    r = len(b_x[0]) // mults[0]
-    return sum(t * np.einsum("aiaj->ij", b.reshape(m, r, m, r))
-               for b, m, t in zip(b_x, mults, t_weights)) / s0
+def _corner_expectation(b_stacks, mults, t_weights, s0) -> np.ndarray:
+    """h = w* E_N(v b v*) w for corner elements b = (b_l) of the embedded
+    frame v of a part w over a single-block N, one (count, mult_l r, mult_l r)
+    stack b_l per M-block l.  The columns of v_l are w once per copy, so E_N,
+    which averages the diagonal copy blocks, leaves the (count, r, r) stack
+    h = Σ_l t_l Σ_c b_l[c, c] / s_0, a trace over the copy index."""
+    r = b_stacks[0].shape[1] // mults[0]
+    return sum(t * np.einsum("xaiaj->xij", b.reshape(-1, m, r, m, r))
+               for b, m, t in zip(b_stacks, mults, t_weights)) / s0
 
 
 def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCertificate:
@@ -573,10 +569,15 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
     Partitions, ratios and diagnostics are bit-identical to running every
     stage on every part of the same corners.
 
-    Where q_i ≠ 0, eq (2)–(4) pinch corner elements by the refinement
-    Z_1..Z_m of the part, which in the corner coordinates of M-block l is
-    1_mult ⊗ Z_j, one slab of mult copies.  They are read off its part
-    blocks: the refined expectation max_j ‖Z_j* h Z_j‖, the transfer side
+    Where q_i ≠ 0, stage (iii) and eq (1) run once per M-block l on the
+    corner grams a of all live x: b_l = z (z* a z) z*, z the frame of q_i
+    there, is formed once and reused by the eq (1) residual
+    a − z z* a − a z z* + b_l; one batched `eigvalsh` per block and one
+    batched `eigh` of the expectations h give every tail and support.
+    Eq (2)–(4) pinch corner elements by the refinement Z_1..Z_m of the
+    part, which in the corner coordinates of M-block l is 1_mult ⊗ Z_j, one
+    slab of mult copies.  They are read off its part blocks: the refined
+    expectation max_j ‖Z_j* h Z_j‖, the transfer side
     max_{l,j} ‖Z_j′* b_l Z_j′‖, and the Schwarz minimum, the smallest
     eigenvalue of Z_j′* y*y Z_j′ − B_j* B_j with B_j = Z_j′* y Z_j′, which
     is the spectrum of Φ(y*y) − Φ(y)*Φ(y) for the pinch Φ.
@@ -608,18 +609,16 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
 
     theta_exc = 4.0 * (n - 1) / n ** 2 + cfg.delta_prime
     certified_bound = math.sqrt(theta_exc) + math.sqrt(problem.index / m)
-    blocks = range(inc.m_shape.num_blocks)
-    mults = [inc.spec.inclusion_matrix[0][l] for l in blocks]
+    mults = inc.spec.inclusion_matrix[0]
     t_weights = inc.m_shape.trace_weights
     s0 = inc.n_shape.trace_weights[0]
 
+    sizes = alg.balanced_sizes(dim_n, n)
+    bounds_idx = np.cumsum([0] + sizes)
     attempts = []
     best_cert = None
     for attempt in range(cfg.retry_budget + 1):
-        rng = child_rng(cfg.seed, attempt)
-        u = alg.haar_block(rng, dim_n)
-        sizes = alg.balanced_sizes(dim_n, n)
-        bounds_idx = np.cumsum([0] + sizes)
+        u = alg.haar_block(child_rng(cfg.seed, attempt), dim_n)
         record = {"attempt": attempt, "stage_ok": True, "reason": None,
                   "tau_q": [], "support_ranks": [], "compression_tail": [], "refined_expectation": [],
                   "transfer_lhs": [], "transfer_rhs": [], "schwarz_min": [],
@@ -629,14 +628,10 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             w_i = u[:, bounds_idx[i]:bounds_idx[i + 1]]
             r_i = w_i.shape[1]
             corner_stacks, gram_stacks = _slab_corners(problem.slab_stacks, w_i, live, scale)
-            screens = [_exceptional_frames(a, theta_exc) for a in gram_stacks]
-            # per operator, per M-block: the screened (top, frame) pairs
-            screened = [[(tops[t], frames[t]) for tops, frames in screens]
-                        for t in range(len(live))]
-            corner_dims = [a.shape[1] for a in gram_stacks]
-            q_frames = _join_frames([[fr for _, fr in s_x] for s_x in screened], corner_dims)
-            tau_q = sum(t_weights[l] * q_frames[l].shape[1]
-                        for l in range(len(q_frames)))
+            # per M-block: the screened tops and frames of every live operator
+            tops, frames = zip(*(_exceptional_frames(a, theta_exc) for a in gram_stacks))
+            q_frames = _join_frames(list(zip(*frames)), [a.shape[1] for a in gram_stacks])
+            tau_q = sum(t * z.shape[1] for t, z in zip(t_weights, q_frames))
             record["tau_q"].append(tau_q)
             if tau_q > cfg.delta_prime + TAU_SLACK:
                 record.update(stage_ok=False,
@@ -646,51 +641,40 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
 
             if not any(z.shape[1] for z in q_frames):
                 # q_i = 0: the closed forms of the docstring
-                for s_x in screened:
-                    record["compression_tail"].append(
-                        math.sqrt(max([0.0] + [top for top, _ in s_x])))
-                    record["support_trace_bound"].append((0.0, 0.0))
+                record["compression_tail"].extend(math.sqrt(max(0.0, *top_x))
+                                                  for top_x in zip(*tops))
+                record["support_trace_bound"].extend([(0.0, 0.0)] * len(live))
                 record["support_ranks"].append(0)
                 for key in ("refined_expectation", "transfer_lhs", "transfer_rhs",
                             "schwarz_min"):
-                    record[key].extend([0.0] * len(screened))
+                    record[key].extend([0.0] * len(live))
                 z_stack, part_ranks = _empty_refinement(r_i, m)
                 stacks.append(w_i @ z_stack)
                 ranks.extend(part_ranks)
                 continue
 
-            # per operator, per M-block: the corner grams
-            gram = [[a[t] for a in gram_stacks] for t in range(len(live))]
+            # per M-block, for every live operator at once: b = z z* a z z*
+            # of the corner gram a and q's frame z there, and eq (1), the
+            # trimmed compression a − z z* a − a z z* + b under the threshold
+            b_stacks, tail = [], 0.0
+            for a, z in zip(gram_stacks, q_frames):
+                zh = z.conj().T
+                za = zh @ a
+                b = z @ (za @ z) @ zh
+                res = a - z @ za - (a @ z) @ zh + b
+                w = np.linalg.eigvalsh((res + res.conj().swapaxes(1, 2)) / 2)
+                tail = np.maximum(tail, w[:, -1])
+                b_stacks.append(b)
+            record["compression_tail"].extend(np.sqrt(tail).tolist())
 
-            # eq (1): the trimmed compression stays under the threshold
-            for a_x in gram:
-                val = 0.0
-                for l, a_l in enumerate(a_x):
-                    z = q_frames[l]
-                    res = a_l - z @ (z.conj().T @ a_l) - (a_l @ z) @ z.conj().T \
-                        + z @ (z.conj().T @ a_l @ z) @ z.conj().T
-                    w = np.linalg.eigvalsh((res + res.conj().T) / 2)
-                    val = max(val, float(w[-1]) if w.size else 0.0)
-                record["compression_tail"].append(math.sqrt(max(val, 0.0)))
-
-            # stage (iii): b = q x* p x q, its N-expectation and supports
-            h_corners, b_corners = [], []
-            joint_supports = []
-            for a_x in gram:
-                b_x = []
-                for l, a_l in enumerate(a_x):
-                    z = q_frames[l]
-                    b_x.append(z @ (z.conj().T @ a_l @ z) @ z.conj().T)
-                b_corners.append(b_x)
-                h_c = _corner_expectation(b_x, mults, t_weights, s0)
-                h_corners.append(h_c)
-                w_h, v_h = np.linalg.eigh((h_c + h_c.conj().T) / 2)
-                cut = RANK_CUT * max(float(w_h[-1]), 0.0) if w_h.size else 0.0
-                supp = v_h[:, w_h > cut]
-                joint_supports.append([supp])
-                record["support_trace_bound"].append(
-                    (supp.shape[1] * s0, problem.index * tau_q))
-            e_join = _join_frames(joint_supports, [r_i])[0]
+            # stage (iii): the N-expectation h of b = q x* p x q and its supports
+            h = _corner_expectation(b_stacks, mults, t_weights, s0)
+            w_h, v_h = np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2)
+            cuts = RANK_CUT * np.maximum(w_h[:, -1], 0.0)
+            supports = [v[:, w > cut] for w, v, cut in zip(w_h, v_h, cuts)]
+            record["support_trace_bound"].extend(
+                (supp.shape[1] * s0, problem.index * tau_q) for supp in supports)
+            e_join = _join_frames([[supp] for supp in supports], [r_i])[0]
             s_i = e_join.shape[1]
             record["support_ranks"].append(s_i)
             refinement = _fourier_refinement(r_i, e_join, m)
@@ -706,18 +690,16 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
             z_stack = np.concatenate(refinement, axis=1)
             part_ranks = tuple(z.shape[1] for z in refinement)
             refined = alg.part_norms([z_stack], alg.part_layout((part_ranks,), ((0, 1),)),
-                                     np.stack(h_corners))[0].max(axis=1)
+                                     h)[0].max(axis=1)
             transfer_lhs = np.zeros(len(live))
             schwarz_min = np.full(len(live), np.inf)
-            for l in blocks:
-                layout = alg.part_layout((part_ranks,), ((0, mults[l]),))
-                b_l = np.stack([b_x[l] for b_x in b_corners])
+            for c, b_l, z, mult in zip(corner_stacks, b_stacks, q_frames, mults):
+                layout = alg.part_layout((part_ranks,), ((0, mult),))
                 transfer_lhs = np.maximum(
                     transfer_lhs, alg.part_norms([z_stack], layout, b_l)[0].max(axis=1))
                 # y = p x q in corner coordinates; the Schwarz gap of the pinch
                 # is, part by part, Z_j′* y*y Z_j′ − B_j* B_j with B_j = Z_j′* y Z_j′
-                z = q_frames[l]
-                y = corner_stacks[l] @ (z @ z.conj().T)
+                y = c @ (z @ z.conj().T)
                 ys = np.concatenate([y, y.conj().transpose(0, 2, 1) @ y])
                 for b in alg.part_blocks([z_stack], layout, ys):
                     b_y = b[:len(live)]
@@ -752,8 +734,8 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
         best_cert.diagnostics["attempts"] = attempts
         return best_cert
     # every attempt failed a stage budget: fall back to the outer partition
-    u = alg.haar_block(child_rng(cfg.seed, cfg.retry_budget), dim_n)
-    partition = PartitionOfUnity(inc.n_shape, [u], [alg.balanced_sizes(dim_n, n)])
+    # of the last attempt's unitary u
+    partition = PartitionOfUnity(inc.n_shape, [u], [sizes])
     return verify(problem, partition, seed=cfg.seed, config=base_config,
                   diagnostics={"attempts": attempts,
                                "theta_exceptional": theta_exc,
@@ -893,8 +875,10 @@ def dixmier_average_run(problem: PavingProblem, seed: int = 0) -> PavingCertific
     self-adjoint after centering.
 
     With N = M the slab basis u_l Π_l of each M-block is the embedding of
-    its N-block, so the folds run on the slab rows Y_l of the problem as
-    elements of N, and their unitaries form the family over N as they are.
+    its N-block, so the folds run on the live rows of the slab stacks Y_l as
+    elements of N: a fold averages every stack at once, and one batched norm
+    per block gives every operator's ratio, the stall test's included.  The
+    fold unitaries form the family over N as they are.
     """
     inc = problem.inclusion
     config = {"stall_budget": STALL_BUDGET, "max_folds": MAX_FOLDS}
@@ -905,33 +889,45 @@ def dixmier_average_run(problem: PavingProblem, seed: int = 0) -> PavingCertific
         raise ResourceError(
             "averaging folds need N = M; proper inclusions are only supported "
             "for operator sets inside the relative commutant")
-    current = [Element(inc.n_shape, [ys[i] for ys in problem.slab_stacks]) for i in live]
-    if any(alg.hermitian_part_residual(c) > TOL_PROJ for c in current):
+    current = [ys[live] for ys in problem.slab_stacks]
+    if any(np.linalg.norm(c - c.conj().swapaxes(1, 2), axis=(1, 2)).max() > TOL_PROJ
+           for c in current):
         raise PavingError("operators must be self-adjoint after centering")
-    dens = problem.dens[live].tolist()
+
+    def norms(stacks):
+        # ‖y‖ of every live operator, as `op_norm` gives it
+        return np.maximum(0.0, np.max([alg.top_singular_values(c) for c in stacks], axis=0))
+
+    def average(stacks, w):
+        # (y + w y w*) / 2 of every live operator y, and its norms
+        folded = [0.5 * (c + a @ c @ a_adj)
+                  for c, a, a_adj in zip(stacks, w.blocks, w.adjoint().blocks)]
+        return folded, norms(folded)
+
+    dens = problem.dens[live]
     family = [identity(inc.n_shape)]
     folds, stalls = 0, 0
     history = []
+    current_norms = norms(current)
     while True:
-        ratios = [op_norm(c) / d for c, d in zip(current, dens)]
-        history.append(max(ratios))
-        if max(ratios) <= problem.epsilon + VERIFY_SLACK:
+        ratios = current_norms / dens
+        history.append(float(ratios.max()))
+        if history[-1] <= problem.epsilon + VERIFY_SLACK:
             break
         if folds >= MAX_FOLDS or stalls > STALL_BUDGET:
             break
         worst = int(np.argmax(ratios))
-        y = current[worst]
         blocks = []
-        for b in y.blocks:
-            _, v = np.linalg.eigh((b + b.conj().T) / 2)
+        for c in current:
+            _, v = np.linalg.eigh((c[worst] + c[worst].conj().T) / 2)
             blocks.append(v @ v[:, ::-1].conj().T)
         w = Element(inc.n_shape, blocks)
-        trial = [0.5 * (c + w @ c @ w.adjoint()) for c in current]
-        if op_norm(trial[worst]) > 0.99 * op_norm(y):
+        trial, trial_norms = average(current, w)
+        if trial_norms[worst] > 0.99 * current_norms[worst]:
             stalls += 1
             w = alg.random_haar_unitary(inc.n_shape, child_rng(seed, folds))
-            trial = [0.5 * (c + w @ c @ w.adjoint()) for c in current]
-        current = trial
+            trial, trial_norms = average(current, w)
+        current, current_norms = trial, trial_norms
         family = family + [w @ f for f in family]
         folds += 1
 

@@ -6,6 +6,7 @@ import pytest
 from pavelab import algebra as alg
 from pavelab import families, freeness
 from pavelab import inclusion as incl
+from pavelab import paving as pv
 from pavelab.seeding import child_rng, child_seed
 
 
@@ -278,3 +279,43 @@ def expectation_residuals(inc, seed=0, samples: int = 6) -> dict:
 def strip_meta(obj: dict) -> dict:
     """A payload without its `meta` entry, which holds timestamps."""
     return {key: value for key, value in obj.items() if key != "meta"}
+
+
+def reference_dixmier(problem, seed: int = 0):
+    """`paving.dixmier_average_run` with the per-operator fold loop it had
+    before the folds read the slab stacks whole: one `Element` of N per live
+    operator, one `op_norm` per operator for the ratios, and two more for
+    the stall test.  For N = M and a self-adjoint centered F only."""
+    inc = problem.inclusion
+    config = {"stall_budget": pv.STALL_BUDGET, "max_folds": pv.MAX_FOLDS}
+    live = np.flatnonzero(problem.dens > pv.DEGENERATE_DEN)
+    if not len(live):
+        return pv.verify(problem, [alg.identity(inc.n_shape)], seed=seed, config=config)
+    current = [alg.Element(inc.n_shape, [ys[i] for ys in problem.slab_stacks]) for i in live]
+    dens = problem.dens[live].tolist()
+    family = [alg.identity(inc.n_shape)]
+    folds, stalls, history = 0, 0, []
+    while True:
+        ratios = [alg.op_norm(c) / d for c, d in zip(current, dens)]
+        history.append(max(ratios))
+        if max(ratios) <= problem.epsilon + pv.VERIFY_SLACK:
+            break
+        if folds >= pv.MAX_FOLDS or stalls > pv.STALL_BUDGET:
+            break
+        worst = int(np.argmax(ratios))
+        y = current[worst]
+        blocks = []
+        for b in y.blocks:
+            _, v = np.linalg.eigh((b + b.conj().T) / 2)
+            blocks.append(v @ v[:, ::-1].conj().T)
+        w = alg.Element(inc.n_shape, blocks)
+        trial = [0.5 * (c + w @ c @ w.adjoint()) for c in current]
+        if alg.op_norm(trial[worst]) > 0.99 * alg.op_norm(y):
+            stalls += 1
+            w = alg.random_haar_unitary(inc.n_shape, child_rng(seed, folds))
+            trial = [0.5 * (c + w @ c @ w.adjoint()) for c in current]
+        current = trial
+        family = family + [w @ f for f in family]
+        folds += 1
+    return pv.verify(problem, family, seed=seed, config=config,
+                     diagnostics={"folds": folds, "stalls": stalls, "ratio_history": history})

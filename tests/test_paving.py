@@ -15,8 +15,8 @@ from pavelab.seeding import child_rng, child_seed
 from pavelab.serialize import canonical_dumps
 
 from conftest import (embed_partition, half_trace, part_compression, part_labels,
-                      partition_from_projections, pinch, ref_embed_frame, two_block_inclusion,
-                      unitary_average)
+                      partition_from_projections, pinch, ref_embed_frame, reference_dixmier,
+                      two_block_inclusion, unitary_average)
 
 
 def selfadjoint(shape, seed):
@@ -208,14 +208,25 @@ class TestConstructivePipeline:
             assert lam >= -1e-9
 
 
+def corner_expectation(b_x, mults, t_weights, s0):
+    """h = w* E_N(v b v*) w of one corner element b = (b_l), one matrix per
+    M-block: Σ_l t_l Σ_c b_l[c, c] / s_0, the per-operator form of
+    `paving._corner_expectation`."""
+    r = len(b_x[0]) // mults[0]
+    return sum(t * np.einsum("aiaj->ij", b.reshape(m, r, m, r))
+               for b, m, t in zip(b_x, mults, t_weights)) / s0
+
+
 def reference_pipeline(problem, cfg):
     """`pave_constructive` with the per-part loop it had before it became
     rank-aware: every corner gets an `eigh`, and stage (iii) and eq (1)-(4)
-    run on every part, also where q_i = 0 makes their matrices zero, and
-    eq (2)-(4) pinch with the dense kernel of `conftest.pinch`.  The corners
-    come from the same slab-coordinate helper as the pipeline's, so the two
-    agree bit for bit except in eq (2)-(4) of a part with q_i ≠ 0, which the
-    pipeline reads off part blocks."""
+    run on every part, also where q_i = 0 makes their matrices zero, operator
+    by operator and M-block by M-block, and eq (2)-(4) pinch with the dense
+    kernel of `conftest.pinch`; the fallback after an exhausted budget draws
+    its unitary again.  The corners come from the same slab-coordinate
+    helper as the pipeline's, so the two agree bit for bit except in
+    eq (2)-(4) of a part with q_i ≠ 0, which the pipeline reads off part
+    blocks."""
     inc = problem.inclusion
     dim_n = inc.n_shape.block_dims[0]
     n, m = cfg.n_parts, cfg.m_refine
@@ -284,7 +295,7 @@ def reference_pipeline(problem, cfg):
                     z = q_frames[l]
                     b_x.append(z @ (z.conj().T @ a_l @ z) @ z.conj().T)
                 b_corners.append(b_x)
-                h_c = pv._corner_expectation(b_x, mults, t_weights, s0)
+                h_c = corner_expectation(b_x, mults, t_weights, s0)
                 h_corners.append(h_c)
                 w_h, v_h = np.linalg.eigh((h_c + h_c.conj().T) / 2)
                 cut = 1e-9 * max(float(w_h[-1]), 0.0) if w_h.size else 0.0
@@ -433,6 +444,31 @@ class TestRankAwarePipeline:
         cert = self.assert_same(problem, pv.PipelineConfig(4, 2, delta_prime=0.012, seed=seed))
         attempts = cert.diagnostics["attempts"]
         assert not attempts[0]["stage_ok"] and attempts[-1]["stage_ok"]
+
+    @pytest.mark.parametrize("n, retry_budget", [(4, 0), (1, 1)])
+    def test_exhausted_budget(self, aligned_pipeline_case, n, retry_budget):
+        # every attempt exceeds δ': the fallback is the outer partition of
+        # the last attempt's unitary, which the reference draws again
+        inc, problem, seed = aligned_pipeline_case
+        cert = self.assert_same(problem, pv.PipelineConfig(
+            n, 2, delta_prime=0.012, retry_budget=retry_budget, seed=seed))
+        assert cert.diagnostics["stage_exhausted"]
+        assert len(cert.diagnostics["attempts"]) == retry_budget + 1
+
+    def test_three_copies(self):
+        # tensor(24,3) with a rank-one operator aligned to the first outer
+        # part of the seed's first attempt: a nonempty q_i whose corner
+        # trace runs over three copies
+        inc = families.parse_family("tensor(24,3)")
+        for seed in range(2):
+            u = alg.haar_block(child_rng(seed, 0), 24)
+            xi = ref_embed_frame(inc, [u[:, :1]])[0][:, :1]
+            ops = [selfadjoint(inc.m_shape, child_seed(46, t)) for t in range(2)]
+            problem = pv.PavingProblem(inclusion=inc, epsilon=0.5,
+                                       operators=ops + [Element(inc.m_shape, [xi @ xi.conj().T])])
+            cert = self.assert_same(problem, pv.PipelineConfig(4, 2, retry_budget=0, seed=seed))
+            rec = cert.diagnostics["attempts"][0]
+            assert rec["stage_ok"] and rec["support_ranks"] == [1, 0, 0, 0]
 
     @pytest.mark.parametrize("n, m, delta_prime", [
         (3, 1, None),   # q_i = 0 on every part
@@ -1181,8 +1217,8 @@ def test_stage_iii_corner_expectation():
             k = g.shape[1]
             a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             b.append(a @ a.conj().T)
-        h = pv._corner_expectation(b, mults, inc.m_shape.trace_weights,
-                                   inc.n_shape.trace_weights[0])
+        h = pv._corner_expectation([c[None] for c in b], mults, inc.m_shape.trace_weights,
+                                   inc.n_shape.trace_weights[0])[0]
         dense = inc.restrict_to_n(Element(inc.m_shape, [g @ c @ g.conj().T
                                                         for g, c in zip(v, b)]))
         ref = w.conj().T @ dense.blocks[0] @ w
@@ -1275,6 +1311,42 @@ class TestDixmier:
             e = inc.cond_exp_comm(x)
             want = op_norm(unitary_average(embedded, x) - e) / op_norm(x - e)
             assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("family", ["self(16)", "self(64)", "two-block"])
+    @pytest.mark.parametrize("kind, count", [(alg.SELFADJOINT, 1), (alg.SELFADJOINT, 3),
+                                             (alg.POSITIVE, 2)])
+    def test_matches_reference_folds(self, family, kind, count):
+        # the stacked folds give the per-operator loop's certificate byte
+        # for byte: unitaries, ratios and diagnostics
+        inc = (trivial_two_block_inclusion() if family == "two-block"
+               else families.parse_family(family))
+        for seed in range(3):
+            ops = [alg.random_element(inc.m_shape, kind, child_seed(102, seed, t))
+                   for t in range(count)]
+            base = pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.5, index=1.0)
+            for eps in (0.5, 0.1, 0.02):
+                problem = base.with_epsilon(eps)
+                got, want = pv.dixmier_average_run(problem, seed), reference_dixmier(problem, seed)
+                assert canonical_dumps(got.summary()) == canonical_dumps(want.summary())
+                assert len(got.unitaries) == len(want.unitaries)
+                for u, v in zip(got.unitaries, want.unitaries):
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(u.blocks, v.blocks))
+
+    def test_one_norm_eigensolve_per_block_per_fold(self, monkeypatch):
+        # |F| = 3 on self(16): the starting ratios and each fold without a
+        # stall take one batched eigvalsh per block for every operator
+        inc = families.self_inclusion(16)
+        ops = [selfadjoint(inc.m_shape, child_seed(103, t)) for t in range(3)]
+        problem = pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.1, index=1.0)
+        calls, before_verify = [], []
+        eigvalsh, verify = np.linalg.eigvalsh, pv.verify
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(pv, "verify", lambda *args, **kwargs: (
+            before_verify.append(len(calls)) or verify(*args, **kwargs)))
+        cert = pv.dixmier_average_run(problem, seed=0)
+        folds = cert.diagnostics["folds"]
+        assert folds > 1 and cert.diagnostics["stalls"] == 0
+        assert before_verify == [1 + folds]
 
 
 def trivial_two_block_inclusion():
