@@ -33,6 +33,11 @@ from .algebra import AlgebraShape, Element
 from .seeding import child_rng
 
 DEFAULT_SLACK = 0.05
+# ‖x - τ(x)1‖ at or below this: x is a scalar up to rounding, so every
+# centered word vanishes and the defect is 0
+SCALAR_TOL = 1e-14
+# `_upper_inverse` splits until a diagonal block has at most this many rows
+INVERSE_LEAF = 32
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,7 @@ def freeness_defect(v: alg.CyclicUnitary, x: Element, max_word_len: int = 4) -> 
         return 0.0
     shape = x.shape
     xc = x - alg.trace(x) * alg.identity(shape)
-    if alg.op_norm(xc) < 1e-14:
+    if alg.op_norm(xc) < SCALAR_TOL:
         return 0.0
     powers = {}
     acc = alg.identity(shape)
@@ -138,17 +143,37 @@ def freeness_defect(v: alg.CyclicUnitary, x: Element, max_word_len: int = 4) -> 
     return worst
 
 
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular r by halving:
+    [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]].
+
+    Leaves of at most `INVERSE_LEAF` rows go to `np.linalg.inv`; on an
+    upper-triangular matrix its LU makes no row swap, so that is back
+    substitution.  The error is of order cond(r) times the unit roundoff."""
+    m = r.shape[0]
+    if m <= INVERSE_LEAF:
+        return np.linalg.inv(r)
+    h = m // 2
+    a, c = _upper_inverse(r[:h, :h]), _upper_inverse(r[h:, h:])
+    x = np.zeros_like(r)
+    x[:h, :h], x[h:, h:] = a, c
+    x[:h, h:] = -(a @ r[:h, h:]) @ c
+    return x
+
+
 def _half_rank_draw(dim: int, rng: np.random.Generator):
     """(Q, w): a dim x k Haar isometry, k = ceil(dim/2), and the weights
     with Q diag(w) Q* - 1 = x of spectrum `_sign_spectrum(dim)`.
 
-    Q is the reduced QR factor of a complex Gaussian matrix (real and
-    imaginary parts interleaved in one draw).  Only span(Q) and the line of
-    its last column enter x, and their law is unitarily invariant whatever
-    the phases of R, so no phase fix is applied."""
+    Q = G R^-1 for a complex Gaussian matrix G (real and imaginary parts
+    interleaved in one draw) and the R of its Householder QR: the Q of the
+    reduced QR, formed by one triangular inverse and one product instead of
+    from the Householder vectors.  Only span(Q) and the line of its last
+    column enter x, and their law is unitarily invariant whatever the
+    phases of R, so no phase fix is applied."""
     k = dim - dim // 2
     g = rng.standard_normal((dim, 2 * k)).view(np.complex128)
-    q, _ = np.linalg.qr(g)
+    q = g @ _upper_inverse(np.linalg.qr(g, mode="r"))
     w = np.full(k, 2.0)
     if dim % 2:
         w[-1] = 1.0
@@ -177,8 +202,9 @@ def _pinched_norms_fast(n: int, dim: int, rng: np.random.Generator) -> float:
     of Q, so the norm is max_g max |eig(Q_g diag(w) Q_g*) - 1|.  For even
     dim w = 2 and the blocks are those of the Jacobi ensemble 2 P - 1; for
     odd dim the last weight 1 adds the 0 eigenvector of x.  Against a full
-    Haar unitary per trial this halves the QR and skips every dim x dim
-    product, with the same law of x relative to v.
+    Haar unitary per trial this factors a dim x ceil(dim/2) matrix instead
+    of a square one, keeps only R of it, and skips every dim x dim product,
+    with the same law of x relative to v.
 
     At n = 2 dim is even, so Q has k = dim/2 columns and its two row groups
     are square with Q_1* Q_1 + Q_2* Q_2 = 1: if Q_1 Q_1* has spectrum μ,
@@ -201,7 +227,8 @@ def run_kesten(experiment: KestenExperiment) -> KestenResult:
     against bound + slack.
 
     Trial t reads only `child_rng(seed, t)`, one dim x ceil(dim/2) Haar
-    isometry Q (see `_pinched_norms_fast`): x = Q diag(w) Q* - 1 with
+    isometry Q = G R^-1 from the R of a Gaussian G's QR (see
+    `_half_rank_draw` and `_pinched_norms_fast`): x = Q diag(w) Q* - 1 with
     w = 2 and, for odd dim, a last weight 1 for the 0 eigenvector.  The
     norm is read off the row-group blocks of Q (one at n = 2), without
     forming x.

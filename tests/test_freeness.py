@@ -144,6 +144,39 @@ class TestRunKesten:
                 v, x = fr.trial_pair(2, dim, child_rng(14, dim, t))
                 assert abs(fast - op_norm(pinch(spectral_partition(v), x))) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 9, 12, 33, 64, 65, 240, 241])
+    def test_draw_matches_reduced_qr(self, dim):
+        # the reduced QR of the same Gaussian draw is the oracle for Q = G R^-1
+        k = dim - dim // 2
+        for t in range(3):
+            g = child_rng(15, dim, t).standard_normal((dim, 2 * k)).view(np.complex128)
+            q, _ = fr._half_rank_draw(dim, child_rng(15, dim, t))
+            assert np.abs(q - np.linalg.qr(g)[0]).max() <= 1e-12
+
+    def test_small_draws_orthonormal(self):
+        # small draws are the ill-conditioned ones: Q*Q stays 1 on each
+        for dim in range(2, 9):
+            k = dim - dim // 2
+            for t in range(300):
+                q, _ = fr._half_rank_draw(dim, child_rng(16, dim, t))
+                assert np.linalg.norm(q.conj().T @ q - np.eye(k), 2) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 64, 65, 120, 257])
+    def test_upper_inverse(self, m):
+        # sizes straddle the leaf size; R of a square complex Gaussian matrix
+        for t in range(3):
+            g = child_rng(17, m, t).standard_normal((m, 2 * m)).view(np.complex128)
+            r = np.linalg.qr(g, mode="r")
+            assert np.linalg.norm(fr._upper_inverse(r) @ r - np.eye(m), 2) <= 1e-12
+
+    def test_one_r_only_qr_per_trial(self, monkeypatch):
+        # a trial factors its draw once and keeps only R
+        modes, qr = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced":
+                            modes.append(mode) or qr(a, mode=mode))
+        fr.run_kesten(fr.KestenExperiment(n=3, dim=48, trials=1, seed=10))
+        assert modes == ["r"]
+
     def test_pinch_average_identity_per_trial(self):
         n, dim = 4, 16
         for t in range(3):
