@@ -190,9 +190,9 @@ def hermitian_part_residual(x: Element) -> float:
 
 
 def unitary_residual(u: Element) -> float:
-    """max_k ‖u_k u_k* - 1‖ in Frobenius norm."""
-    return max(float(np.linalg.norm(b @ b.conj().T - np.eye(len(b))))
-               for b in u.blocks)
+    """max_k ‖u_k u_k* - 1‖ in Frobenius norm; NaN if any block holds one."""
+    return float(np.max([np.linalg.norm(b @ b.conj().T - np.eye(len(b)))
+                         for b in u.blocks]))
 
 
 def frame_projection(shape: AlgebraShape, frames: list) -> Element:
@@ -358,9 +358,9 @@ class PartitionOfUnity:
                 for i in range(self.size)]
 
     def residual(self) -> float:
-        """max_k ‖U_k* U_k - 1‖ in Frobenius norm."""
-        return max(float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
-                   for u in self.stacks)
+        """max_k ‖U_k* U_k - 1‖ in Frobenius norm; NaN if any block holds one."""
+        return float(np.max([np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
+                             for u in self.stacks]))
 
 
 def balanced_sizes(total: int, parts: int):

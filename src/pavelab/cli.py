@@ -129,8 +129,8 @@ def _inclusion_recipe(args) -> dict:
 def _recipe(args) -> dict:
     """The recipe a certificate stores, from the arguments.
 
-    ε is --epsilon, or for `scan` the first grid point; the index is --index
-    and may still be None, for `_problem` to fill in.
+    ε is --epsilon, or for `scan` the first grid point; the index is --index,
+    or None for the problem to take the inclusion's.
     """
     epsilon = args.epsilon if "epsilon" in args else _parse_grid(args.grid)[0]
     if epsilon is None:
@@ -177,21 +177,11 @@ def _problem_from_recipe(recipe: dict) -> paving.PavingProblem:
                                 epsilon=recipe["epsilon"], index=recipe["index"])
 
 
-def _exact_index(index, inc: incl.Inclusion, fallback=None):
-    """--index, else the inclusion's exact index, else `fallback`."""
-    if index is None:
-        index = inc.known_index if inc.known_index is not None else fallback
-    if index is None:
-        raise UsageError("no exact index known; pass --index")
-    return index
-
-
-def _problem(args, index_fallback=None):
+def _problem(args):
     """args -> recipe -> problem; the recipe records the index the problem uses."""
     recipe = _recipe(args)
     problem = _problem_from_recipe(recipe)
-    problem.index = recipe["index"] = _exact_index(problem.index, problem.inclusion,
-                                                   index_fallback)
+    recipe["index"] = problem.index
     return problem, recipe
 
 
@@ -208,8 +198,7 @@ def cmd_index(args) -> int:
     print(f"inclusion       : {inc.label or 'custom'}")
     print(f"lambda estimate : {est.lambda_est:.12g}")
     print(f"index estimate  : {est.index_est:.12g}")
-    if inc.known_index is not None:
-        print(f"known index     : {inc.known_index:.12g}")
+    print(f"known index     : {inc.known_index:.12g}")
     print(f"trials          : {est.trials}")
     print(f"min-sample seed : trial {est.best_trial} of root {est.seed}")
     report = {"command": "index", "inclusion": inc_recipe,
@@ -319,7 +308,7 @@ def cmd_kesten(args) -> int:
 
 
 def cmd_dixmier(args) -> int:
-    problem, recipe = _problem(args, index_fallback=1.0)
+    problem, recipe = _problem(args)
     cert = paving.dixmier_average_run(problem, seed=args.seed)
     bound = paving.dixmier_count_bound(min(args.epsilon, 1.0))
     print(f"unitary count = {cert.r} (single-element bound {bound}); "
@@ -333,7 +322,7 @@ def cmd_dixmier(args) -> int:
 def cmd_basis(args) -> int:
     inc_recipe = _inclusion_recipe(args)
     inc = _inclusion_from_recipe(inc_recipe)
-    index = _exact_index(args.index, inc)
+    index = args.index if args.index is not None else inc.known_index
     basis = incl.orthonormal_basis(inc)
     value = incl.d_ob(inc, basis)
     lo, hi = incl.d_ob_interval(index)
@@ -367,8 +356,7 @@ def cmd_spec(args) -> int:
 def cmd_scan(args) -> int:
     recipe = _recipe(args)
     inc, ops = _inputs_from_recipe(recipe)  # `scan` centers F once for the grid
-    rows = paving.scan(inc, _parse_grid(args.grid), ops,
-                       _exact_index(recipe["index"], inc),
+    rows = paving.scan(inc, _parse_grid(args.grid), ops, recipe["index"],
                        seed=args.seed, r_cap=args.budget)
     csv_rows = [[r["epsilon"], r["r_found"], r["r_verified"], r["theorem_r"],
                  r["lower_bound"], r["seed"]] for r in rows]

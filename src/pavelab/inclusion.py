@@ -117,6 +117,10 @@ class Inclusion:
 
     ``embed_unitaries[l]`` is ``("id", None)``, ``("perm", pi)`` with pi the
     grouped-to-presented index map, or ``("dense", u)`` with u unitary.
+    ``known_index`` is the index the paving bounds use; left None, it is
+    ‖Ind(E)‖ for the trace-preserving E onto N.  Ind(E) is central, equal
+    on M-block l to Σ_k Λ[k][l] s_k / t_l (Watatani, *Index for
+    C*-subalgebras*, 1990), with s and t the trace weights of N and M.
     """
 
     spec: InclusionSpec
@@ -126,6 +130,10 @@ class Inclusion:
     _slabs: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.known_index is None:
+            lam, s = self.spec.inclusion_matrix, self.n_shape.trace_weights
+            self.known_index = max(sum(row[l] * sk for row, sk in zip(lam, s)) / tl
+                                   for l, tl in enumerate(self.m_shape.trace_weights))
         self._slabs = []
         for l, (kind, u) in enumerate(self.embed_unitaries):
             slabs, start = [], 0

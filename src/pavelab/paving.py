@@ -106,6 +106,17 @@ class CandidateRejected(PavingError):
         self.residuals = residuals or {}
 
 
+def _check_epsilon(epsilon):
+    """ε must be finite and positive; NaN fails every comparison."""
+    if not 0 < epsilon < math.inf:
+        raise PavingError(f"epsilon must be finite and positive, got {epsilon!r}")
+
+
+def _check_index(index):
+    if not 1 <= index < math.inf:
+        raise PavingError(f"index must be finite and >= 1, got {index!r}")
+
+
 @dataclass
 class PavingProblem:
     """A finite operator set F in M, a target ε, and the index to use in bounds.
@@ -131,10 +142,10 @@ class PavingProblem:
         self.operators = tuple(self.operators)
         if not self.operators:
             raise PavingError("F must be nonempty")
-        if self.epsilon <= 0:
-            raise PavingError("epsilon must be positive")
+        _check_epsilon(self.epsilon)
         if self.index is None:
             self.index = self.inclusion.known_index
+        _check_index(self.index)
         for x in self.operators:
             if x.shape != self.inclusion.m_shape:
                 raise alg.ShapeMismatchError("operators must live over M")
@@ -146,8 +157,7 @@ class PavingProblem:
 
     def with_epsilon(self, epsilon: float) -> "PavingProblem":
         """This problem at another ε, sharing the centered operators."""
-        if epsilon <= 0:
-            raise PavingError("epsilon must be positive")
+        _check_epsilon(epsilon)
         other = copy.copy(self)
         other.epsilon = epsilon
         return other
@@ -235,8 +245,8 @@ class PavingCertificate:
 
 def paving_partition_bound(index: float, epsilon: float):
     """(n, m, r): outer size ceil(16/ε²), refinement ceil(4·index/ε²), r = n m."""
-    if epsilon <= 0 or index < 1:
-        raise PavingError("need epsilon > 0 and index >= 1")
+    _check_epsilon(epsilon)
+    _check_index(index)
     n = math.ceil(16.0 * epsilon ** -2)
     m = math.ceil(4.0 * index * epsilon ** -2)
     return n, m, n * m
@@ -357,8 +367,8 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
             if u.shape != inc.n_shape:
                 raise CandidateRejected("unitaries must live over N",
                                         {"shape": str(u.shape)})
-        worst = max(alg.unitary_residual(u) for u in unitaries)
-        if worst > TOL_PROJ:
+        worst = float(np.max([alg.unitary_residual(u) for u in unitaries]))
+        if not worst <= TOL_PROJ:
             raise CandidateRejected(
                 f"candidate family is not unitary within {TOL_PROJ}",
                 {"unitary_residual": worst})
@@ -590,8 +600,6 @@ def pave_constructive(problem: PavingProblem, cfg: PipelineConfig) -> PavingCert
     if n * m > dim_n:
         raise ResourceError(
             f"N of dimension {dim_n} cannot host {n}*{m} projections")
-    if problem.index is None:
-        raise PavingError("pipeline needs an exact or estimated index")
     base_config = {
         "n_parts": n, "m_refine": m, "delta_prime": cfg.delta_prime,
         "retry_budget": cfg.retry_budget, "index": problem.index,

@@ -45,7 +45,8 @@ def _pairs_to_complex_matrix(rows, name: str, n_rows: int, n_cols: int = None):
     """The complex matrix stored as nested [re, im] pairs, by one numpy
     conversion to a (rows, cols, 2) real array whose shape is checked:
     `n_rows` rows and, unless None, `n_cols` columns.  `name` says which
-    matrix it is in the message of the ValueError raised otherwise."""
+    matrix it is in the message of the ValueError raised otherwise, or when
+    an entry is not finite (json.load reads NaN and Infinity)."""
     try:
         pairs = np.array(rows)
     except ValueError:  # ragged nesting
@@ -56,6 +57,8 @@ def _pairs_to_complex_matrix(rows, name: str, n_rows: int, n_cols: int = None):
             or pairs.shape[2] != 2 or n_cols not in (None, pairs.shape[1])):
         raise ValueError(f"{name} is not a {n_rows} x {n_cols or 'c'} matrix of "
                          f"numeric [re, im] pairs")
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
@@ -112,7 +115,8 @@ def _json_default(o):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=_json_default) + "\n"
 
 
 def atomic_write_text(path: str, text: str):

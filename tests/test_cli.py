@@ -467,6 +467,71 @@ class TestScanCommand:
         assert run(["unknown-command"]) == 2
 
 
+class TestSpecWithoutIndex:
+    """A --spec inclusion uses ‖Ind(E)‖ = max_l Σ_k Λ[k][l] s_k / t_l when
+    --index is absent: 11 on the two-block spec below (Ind(E) = (11, 3.5)),
+    8 on the one-N-block spec (Ind(E) = (8, 2))."""
+
+    TWO_BLOCK = {"n_blocks": [2, 3], "n_weights": [1, 1], "m_blocks": [7, 5],
+                 "m_weights": [1, 2], "lambda": [[2, 1], [1, 1]]}
+    ONE_BLOCK = {"n_blocks": [2], "n_weights": [0.5], "m_blocks": [4, 2],
+                 "m_weights": [0.125, 0.25], "lambda": [[2, 1]]}
+
+    def write_spec(self, tmp_path, spec):
+        path = os.path.join(tmp_path, "spec.json")
+        ser.atomic_write_text(path, ser.canonical_dumps(spec))
+        return path
+
+    @pytest.mark.parametrize("spec,sizes,index", [
+        (TWO_BLOCK, ["--mode", "search", "--n-parts", "3"], 11.0),
+        (TWO_BLOCK, ["--mode", "l2", "--n-parts", "3"], 11.0),
+        (ONE_BLOCK, ["--mode", "pipeline", "--n-parts", "2", "--m-refine", "1"], 8.0),
+    ])
+    def test_pave_stores_closed_form_and_reverifies(self, tmp_path, spec, sizes, index):
+        out1, out2 = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
+        code = run(["pave", "--spec", self.write_spec(tmp_path, spec), "--epsilon", "0.9",
+                    "--f-random", "selfadjoint:2", "--seed", "3", *sizes, "--out", out1])
+        assert code in (0, 1)
+        cert_path = os.path.join(out1, "pave_certificate.json")
+        cert = load(cert_path)
+        assert cert["problem"]["index"] == pytest.approx(index, rel=1e-12, abs=0)
+        code = run(["pave", "--mode", "verify", "--certificate", cert_path, "--out", out2])
+        verify = load(os.path.join(out2, "verify.json"))
+        assert verify["per_x_ratio"] == cert["per_x_ratio"]
+        assert code == (0 if cert["verified"] else 1)
+
+    def test_scan_theorem_r_from_closed_form(self, tmp_path):
+        assert run(["scan", "--spec", self.write_spec(tmp_path, self.TWO_BLOCK),
+                    "--grid", "0.9", "--f-random", "selfadjoint:1", "--seed", "1",
+                    "--budget", "2", "--out", str(tmp_path)]) == 0
+        with open(os.path.join(tmp_path, "scan.csv")) as handle:
+            row = handle.read().splitlines()[1].split(",")
+        assert int(row[3]) == pv.paving_partition_bound(11.0, 0.9)[2] == 1100
+
+    def test_basis_interval_from_closed_form(self, tmp_path):
+        assert run(["basis", "--spec", self.write_spec(tmp_path, self.TWO_BLOCK),
+                    "--out", str(tmp_path)]) == 0
+        report = load(os.path.join(tmp_path, "basis.json"))
+        assert report["d_ob"] == pytest.approx(16.0, abs=1e-8)
+        assert report["interval"] == pytest.approx([11.0, 111.0], rel=1e-12, abs=0)
+
+    def test_index_report_and_dixmier_certificate(self, tmp_path):
+        path = self.write_spec(tmp_path, self.TWO_BLOCK)
+        assert run(["index", "--spec", path, "--trials", "5", "--seed", "1",
+                    "--out", str(tmp_path)]) == 0
+        known = load(os.path.join(tmp_path, "index.json"))["known_index"]
+        assert known == pytest.approx(11.0, rel=1e-12, abs=0)
+        # folds need x inside N' ∩ M on a proper inclusion: a multiple of 1
+        shape = alg.AlgebraShape((7, 5), (1 / 17, 2 / 17))
+        ops_path = os.path.join(tmp_path, "ops.json")
+        ser.atomic_write_text(ops_path, ser.canonical_dumps(
+            {"elements": [ser.element_to_obj(0.5 * alg.identity(shape))]}))
+        assert run(["dixmier", "--spec", path, "--epsilon", "0.5", "--f-file", ops_path,
+                    "--seed", "2", "--out", str(tmp_path)]) == 0
+        cert = load(os.path.join(tmp_path, "dixmier_certificate.json"))
+        assert cert["problem"]["index"] == known
+
+
 PAVE = ["pave", "--family", "tensor(8,2)", "--epsilon", "0.9",
         "--f-random", "selfadjoint:1", "--seed", "1"]
 SCAN = ["scan", "--family", "self(8)", "--grid", "0.5", "--f-random", "selfadjoint:1",
@@ -615,6 +680,27 @@ def test_malformed_input_file_usage_error(tmp_path, capsys, obj, argv, key):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path} lacks key '{key}'\n"
+
+
+def test_nan_epsilon_refused_before_any_certificate(tmp_path, capsys):
+    out = os.path.join(tmp_path, "out")
+    assert run(["pave", "--family", "tensor(8,2)", "--mode", "search", "--n-parts", "4",
+                "--epsilon", "nan", "--f-random", "selfadjoint:1", "--seed", "1",
+                "--out", out]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "pave_certificate.json"))
+
+
+def test_non_finite_f_file_entry_usage_error(tmp_path, capsys):
+    x = ser.element_to_obj(alg.random_element(alg.AlgebraShape.matrix(2), alg.SELFADJOINT, 1))
+    x["blocks"][0][1][0][0] = float("nan")
+    path = os.path.join(tmp_path, "ops.json")
+    with open(path, "w") as handle:
+        json.dump({"elements": [x]}, handle)  # json writes the NaN literal
+    assert run(["pave", "--family", "self(2)", "--epsilon", "0.5", "--f-file", path,
+                "--mode", "search", "--n-parts", "2", "--seed", "1",
+                "--out", str(tmp_path)]) == 2
+    assert "element 0 block 0" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -680,3 +680,21 @@ class TestFamilies:
     def test_known_indices(self):
         assert families.scalars_in(4).known_index == 16.0
         assert families.tensor_product(512, 2).known_index == 4.0
+
+    @pytest.mark.parametrize("name", ["scalars-in(3)", "self(16)", "tensor(2,3)", "tensor(3,2)",
+                                      "tensor(4,2)", "tensor(5,7)", "tensor(512,2)"])
+    def test_closed_form_index_matches_literal(self, name):
+        # without the literal the index is ‖Ind(E)‖ from the spec; in floats
+        # it reads 49.00000000000001 for tensor(5,7), hence the literals
+        family = families.parse_family(name)
+        inc = incl.Inclusion(family.spec, family.embed_unitaries)
+        assert inc.known_index == pytest.approx(family.known_index, rel=1e-12, abs=0)
+
+    def test_index_is_norm_of_basis_frame_sum(self, corpus, multi_block):
+        # Ind(E) = Σ_j m_j m_j* over a Pimsner–Popa basis (Watatani)
+        for inc in corpus + multi_block:
+            acc = zero(inc.m_shape)
+            for m in incl.orthonormal_basis(inc).elements:
+                acc = acc + m @ m.adjoint()
+            top = max(np.linalg.eigvalsh(b)[-1] for b in acc.blocks)
+            assert inc.known_index == pytest.approx(top, rel=1e-12, abs=0), inc.label

@@ -69,6 +69,15 @@ class TestBounds:
         with pytest.raises(pv.PavingError):
             pv.averaging_count_lower_bound(-0.1, 0.5)
 
+    @pytest.mark.parametrize("index, epsilon, message", [
+        (4.0, math.nan, "epsilon"), (4.0, math.inf, "epsilon"), (4.0, 0.0, "epsilon"),
+        (math.nan, 0.5, "index"), (math.inf, 0.5, "index"), (0.5, 0.5, "index"),
+    ])
+    def test_partition_bound_refuses_non_finite(self, index, epsilon, message):
+        # NaN fails every comparison, so `epsilon <= 0` alone let it through
+        with pytest.raises(pv.PavingError, match=message):
+            pv.paving_partition_bound(index, epsilon)
+
 
 @pytest.fixture(scope="module")
 def aligned_pipeline_case():
@@ -949,6 +958,21 @@ def test_pipeline_config_validation(field, value, message):
             pv.PipelineConfig(**kwargs)
 
 
+@pytest.mark.parametrize("epsilon, index, message", [
+    (math.nan, 1.0, "epsilon"), (math.inf, 1.0, "epsilon"), (-0.5, 1.0, "epsilon"),
+    (0.5, math.nan, "index"), (0.5, math.inf, "index"), (0.5, 0.5, "index"),
+])
+def test_problem_refuses_non_finite_epsilon_and_index(epsilon, index, message):
+    inc = families.self_inclusion(4)
+    ops = [selfadjoint(inc.m_shape, 61)]
+    with pytest.raises(pv.PavingError, match=message):
+        pv.PavingProblem(inclusion=inc, operators=ops, epsilon=epsilon, index=index)
+    problem = pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.5)
+    if message == "epsilon":
+        with pytest.raises(pv.PavingError, match="epsilon"):
+            problem.with_epsilon(epsilon)
+
+
 def test_each_operator_centered_once(monkeypatch):
     # the problem centers F when it is built; producers and verify reuse it
     calls = []
@@ -1002,6 +1026,33 @@ class TestVerify:
         bad = 0.5 * identity(inc.n_shape)
         with pytest.raises(pv.CandidateRejected):
             pv.verify(problem, [bad])
+
+    @pytest.mark.parametrize("position", [(0, 0), (2, 1)])
+    def test_rejects_unitary_family_with_nan_entry(self, position):
+        # a NaN residual compares false with TOL_PROJ, in the first unitary's
+        # first block or in a later unitary's later block
+        inc = incl.Inclusion(incl.InclusionSpec(AlgebraShape((2, 3), (0.2, 0.2)),
+                                                AlgebraShape((2, 3), (0.2, 0.2)),
+                                                ((1, 0), (0, 1))), [("id", None)] * 2)
+        problem = pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 62)],
+                                   epsilon=0.5)
+        us = [alg.random_haar_unitary(inc.n_shape, child_seed(63, t)) for t in range(3)]
+        which, block = position
+        us[which].blocks[block][0, 0] = np.nan
+        cert = pv.PavingCertificate(mode="unitaries", per_x_ratio=[0.0], r=3, epsilon=0.5,
+                                    threshold=0.5, verified=True, unitaries=us)
+        with pytest.raises(pv.CandidateRejected, match="candidate family is not unitary"):
+            pv.verify(problem, cert)
+
+    def test_rejects_partition_with_nan_entry_in_later_block(self):
+        inc = two_block_inclusion()
+        problem = pv.PavingProblem(inclusion=inc, operators=[selfadjoint(inc.m_shape, 64)],
+                                   epsilon=0.5)
+        part = alg.coordinate_partition(inc.n_shape, 2)
+        stacks = [stack.copy() for stack in part.stacks]
+        stacks[1][0, 0] = np.nan
+        with pytest.raises(pv.CandidateRejected, match="not unitary"):
+            pv.verify(problem, alg.PartitionOfUnity(part.shape, stacks, part.ranks))
 
     def test_trivial_partition_on_commutant(self):
         inc = families.scalars_in(3)

@@ -58,6 +58,17 @@ def test_element_block_shape_checked(edit):
         ser.element_from_obj(obj, "unitary 5")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entry_refused(value):
+    # json.load reads the NaN and Infinity literals that json.dump writes
+    obj = ser.element_to_obj(alg.random_element(AlgebraShape((2, 3), (0.125, 0.25)),
+                                                alg.SELFADJOINT, 4))
+    obj["blocks"][1][2][0][1] = value
+    obj = json.loads(json.dumps(obj))
+    with pytest.raises(ValueError, match=r"^unitary 5 block 1 has a non-finite entry$"):
+        ser.element_from_obj(obj, "unitary 5")
+
+
 def test_element_block_count_checked():
     obj = ser.element_to_obj(alg.identity(AlgebraShape((2, 3), (0.125, 0.25))))
     for blocks in (obj["blocks"][:1], obj["blocks"] * 2):
@@ -168,6 +179,12 @@ def test_canonical_dumps_handles_numpy_and_sorts():
     text = ser.canonical_dumps(obj)
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
     assert json.loads(text) == {"a": 2, "b": 1.5, "c": [1.0, 2.0], "d": True}
+
+
+def test_canonical_dumps_refuses_non_finite():
+    for bad in (float("nan"), np.float64("inf"), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            ser.canonical_dumps({"x": bad})
 
 
 def test_atomic_write_and_csv(tmp_path):
