@@ -2,7 +2,7 @@
 finite-dimensional operator-algebra inclusions."""
 
 from .algebra import (AlgebraShape, Element, PartitionOfUnity, CyclicUnitary,
-                      identity, zero, trace, op_norm, l2_norm, random_haar_unitary,
+                      identity, zero, trace, op_norm, random_haar_unitary,
                       random_element)
 from .inclusion import (InclusionSpec, Inclusion, build_inclusion,
                         expectation_index_estimate, expectation_inequality_margin,

@@ -16,11 +16,14 @@ Tolerances:
   the frame residual ‖U* U - 1‖ of a partition of unity).
 * ``TIE_TOL`` (1e-12): eigenvalue tie margin; the constructive pipeline
   keeps an eigenvector whose eigenvalue is at least θ − TIE_TOL.
+* ``CEIL_GUARD`` (1e-12): relative rounding guard of `ceil_guarded`, which
+  rounds up the closed-form sizes and the pinching floor.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,11 +35,14 @@ from .seeding import child_rng
 
 TOL_PROJ = 1e-8
 TIE_TOL = 1e-12
+CEIL_GUARD = 1e-12
 RANK_CUT = 1e-9  # a support keeps the eigenvalues above RANK_CUT * the top one
 # entries kept by the per-process memos of shape-only index plans: `slot_order`
 # holds d ints per block, a `part_layout` about m ints per M-block
 SLOT_ORDER_CACHE = 64
 LAYOUT_CACHE = 256
+# `_projection_ranks` tries every rank tuple up to this many
+EXHAUSTIVE_RANKS = 200_000
 
 SELFADJOINT = "selfadjoint-trace-zero-contraction"
 POSITIVE = "positive-contraction"
@@ -179,12 +185,6 @@ def op_norm(x: Element) -> float:
     return worst
 
 
-def l2_norm(x: Element) -> float:
-    """Trace norm sqrt(tau(x* x))."""
-    val = sum(t * np.sum(np.abs(b) ** 2) for t, b in zip(x.shape.trace_weights, x.blocks))
-    return math.sqrt(max(float(val), 0.0))
-
-
 def hermitian_part_residual(x: Element) -> float:
     return max(float(np.linalg.norm(b - b.conj().T)) for b in x.blocks)
 
@@ -222,31 +222,17 @@ def random_haar_unitary(shape: AlgebraShape, seed) -> Element:
 def _projection_ranks(shape: AlgebraShape, theta: float):
     """Integer block ranks whose weighted sum best matches theta.
 
-    Exhaustive over blocks when cheap, greedy + local repair otherwise.
+    Exhaustive over every rank tuple, first minimum in lexicographic order,
+    when there are at most EXHAUSTIVE_RANKS of them; greedy + local repair
+    otherwise.
     """
     dims, weights = shape.block_dims, shape.trace_weights
-    combos = 1
-    for d in dims:
-        combos *= d + 1
-        if combos > 200_000:
-            break
-    if combos <= 200_000:
-        best, best_err = None, np.inf
-        stack = [((), 0.0)]
-        for k, (d, t) in enumerate(zip(dims, weights)):
-            nxt = []
-            for ranks, acc in stack:
-                for r in range(d + 1):
-                    nxt.append((ranks + (r,), acc + t * r))
-            stack = nxt
-        for ranks, acc in stack:
-            err = abs(acc - theta)
-            if err < best_err:
-                best, best_err = ranks, err
-        return best, best_err
-    ranks = [min(d, max(0, round(theta * d))) for d in dims]  # coarse start
     def err(rs):
         return abs(sum(t * r for t, r in zip(weights, rs)) - theta)
+    if math.prod(d + 1 for d in dims) <= EXHAUSTIVE_RANKS:
+        best = min(itertools.product(*(range(d + 1) for d in dims)), key=err)
+        return best, err(best)
+    ranks = [min(d, max(0, round(theta * d))) for d in dims]  # coarse start
     improved = True
     while improved:
         improved = False
@@ -361,6 +347,12 @@ class PartitionOfUnity:
         """max_k ‖U_k* U_k - 1‖ in Frobenius norm; NaN if any block holds one."""
         return float(np.max([np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
                              for u in self.stacks]))
+
+
+def ceil_guarded(value: float) -> int:
+    """⌈value⌉ of a computed value that is an integer up to rounding:
+    ⌈value − CEIL_GUARD·max(1, |value|)⌉, so one ulp above gains nothing."""
+    return math.ceil(value - CEIL_GUARD * max(1.0, abs(value)))
 
 
 def balanced_sizes(total: int, parts: int):

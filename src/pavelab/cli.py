@@ -228,6 +228,15 @@ def _reject_unused_size_flags(args):
         raise UsageError(f"pave --mode {args.mode} takes no --n-parts")
 
 
+def _check_default_size(problem, args, sizes: str, parts: int, flags: str):
+    """The theorem's sizes stand in for absent size flags; N must have
+    slots for their `parts` parts."""
+    slots = problem.inclusion.n_shape.total_dim
+    if parts > slots:
+        raise UsageError(f"pave --mode {args.mode} without {flags} takes the theorem's "
+                         f"{sizes}, more parts than the {slots} slots of N; pass {flags}")
+
+
 def cmd_pave(args) -> int:
     if args.mode == "verify":
         _reject_unused_size_flags(args)
@@ -258,11 +267,16 @@ def cmd_pave(args) -> int:
             n, m = args.n_parts, args.m_refine
         else:
             n, m, _ = paving.paving_partition_bound(problem.index, args.epsilon)
+            _check_default_size(problem, args, f"n*m = {n}*{m}", n * m,
+                                "--n-parts and --m-refine")
         cfg = paving.PipelineConfig(n_parts=n, m_refine=m, seed=args.seed,
                                     retry_budget=args.budget)
         cert = paving.pave_constructive(problem, cfg)
     elif args.mode == "search":
-        r = args.n_parts or paving.paving_partition_bound(problem.index, args.epsilon)[2]
+        r = args.n_parts
+        if r is None:
+            r = paving.paving_partition_bound(problem.index, args.epsilon)[2]
+            _check_default_size(problem, args, f"r = {r}", r, "--n-parts")
         cert = paving.pave_search(problem, paving.SearchConfig(
             r=r, steps=50 * args.budget, seed=args.seed))
     elif args.mode == "l2":

@@ -85,15 +85,6 @@ def kesten_bound(n: int) -> float:
     return 2.0 * math.sqrt(n - 1) / n
 
 
-def _sign_spectrum(dim: int) -> np.ndarray:
-    """Balanced +1/-1 (one 0 when dim is odd): trace-zero, norm-one spectrum."""
-    half = dim // 2
-    s = np.zeros(dim)
-    s[:half] = 1.0
-    s[dim - half:] = -1.0
-    return s
-
-
 def _group_slices(dim: int, n: int):
     step = dim // n
     return [slice(k * step, (k + 1) * step) for k in range(n)]
@@ -163,7 +154,7 @@ def _upper_inverse(r: np.ndarray) -> np.ndarray:
 
 def _half_rank_draw(dim: int, rng: np.random.Generator):
     """(Q, w): a dim x k Haar isometry, k = ceil(dim/2), and the weights
-    with Q diag(w) Q* - 1 = x of spectrum `_sign_spectrum(dim)`.
+    with Q diag(w) Q* - 1 = x of balanced ±1 spectrum (one 0 when dim is odd).
 
     Q = G R^-1 for a complex Gaussian matrix G (real and imaginary parts
     interleaved in one draw) and the R of its Householder QR: the Q of the

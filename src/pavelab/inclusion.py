@@ -260,12 +260,11 @@ class Inclusion:
         return tuple((s.k, len(s.rows)) for s in self._slabs[l])
 
 
-def commutant_norm(parts: list, shift=0.0) -> float:
-    """‖E − shift·1‖ for E = E_{N' ∩ M}(x) given by the per-slab matrices T
-    of `Inclusion.center`: in slab coordinates E − shift·1 is
-    ⊕ (T − shift·1) ⊗ 1, so this is the largest ‖T − shift·1‖."""
-    return max(float(alg.top_singular_values(t - shift * np.eye(len(t))))
-               for ts in parts for t in ts)
+def commutant_norm(parts: list) -> float:
+    """‖E‖ for E = E_{N' ∩ M}(x) given by the per-slab matrices T of
+    `Inclusion.center`: in slab coordinates E is ⊕ T ⊗ 1, so this is the
+    largest ‖T‖."""
+    return max(float(alg.top_singular_values(t)) for ts in parts for t in ts)
 
 
 def build_inclusion(spec: InclusionSpec, seed=0) -> Inclusion:
@@ -430,5 +429,6 @@ def d_ob(inc: Inclusion, basis: OrthonormalBasis = None) -> float:
 
 
 def d_ob_interval(index: float):
-    """[index, 1 + index (ceil(index) - 1)]: the bracket for the infimum."""
-    return float(index), 1.0 + index * (math.ceil(index) - 1.0)
+    """[index, 1 + index (ceil(index) - 1)]: the bracket for the infimum,
+    the ceiling by `alg.ceil_guarded`."""
+    return float(index), 1.0 + index * (alg.ceil_guarded(index) - 1.0)

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import (Element, PartitionOfUnity, RANK_CUT, TOL_PROJ, TIE_TOL,
-                      identity, op_norm, trace)
+                      identity, op_norm)
 from .inclusion import Inclusion, commutant_norm
 from .seeding import child_rng
 
@@ -62,9 +62,6 @@ DEGENERATE_DEN = 1e-12
 L2_SLACK = 0.05  # delta_l2 of an l2 paving
 # a positive stand-in for a norm of 0 where a bound needs a positive one
 NORM_FLOOR = 1e-30
-# `scan` rounds its lower bound up, and a quotient that is an integer up to
-# rounding must not gain one
-CEIL_GUARD = 1e-12
 # τ(q) is a float sum of trace weights times ranks: a rank that meets δ'
 # exactly must not fail it by rounding
 TAU_SLACK = 1e-15
@@ -125,9 +122,11 @@ class PavingProblem:
     alone (`Inclusion.center`), with E = E_{N'∩M}(x): `slab_stacks` holds
     x − E, one (|F|, m_l, m_l) array per M-block, the only layout of F − E;
     `commutant` holds E per operator as `center`'s per-slab matrices T,
-    E = ⊕ T ⊗ 1; and `dens` holds ‖x − E‖ = max_l ‖Y_l‖, one batched
-    `alg.top_singular_values` per M-block.  Every reader takes the stacks
-    whole; nothing is kept in M coordinates but F itself.
+    E = ⊕ T ⊗ 1; `dens` holds ‖x − E‖ = max_l ‖Y_l‖, one batched
+    `alg.top_singular_values` per M-block; and `positive_norms` holds
+    (‖x‖, ‖E‖) for each x ≥ 0 (`_is_positive`) and None for the others, the
+    facts of `pinching_floors`.  Every reader takes the stacks whole;
+    nothing is kept in M coordinates but F itself.
     """
 
     inclusion: Inclusion
@@ -137,6 +136,7 @@ class PavingProblem:
     slab_stacks: tuple = field(init=False, repr=False, compare=False)
     commutant: tuple = field(init=False, repr=False, compare=False)
     dens: np.ndarray = field(init=False, repr=False, compare=False)
+    positive_norms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.operators = tuple(self.operators)
@@ -154,6 +154,15 @@ class PavingProblem:
         self.commutant = tuple(self.inclusion.center(x, [ys[i] for ys in self.slab_stacks])[0]
                                for i, x in enumerate(self.operators))
         self.dens = np.max([alg.top_singular_values(ys) for ys in self.slab_stacks], axis=0)
+        self.positive_norms = tuple((op_norm(x), commutant_norm(parts)) if _is_positive(x)
+                                    else None for x, parts in zip(self.operators, self.commutant))
+
+    def pinching_floors(self, excess) -> list:
+        """‖x‖ / (‖E‖ + excess) for each x ≥ 0 of F, else None: the least r
+        of an r-part pinch or r-unitary average within `excess` of E, since
+        x ≤ r Σ p_i x p_i and x ≤ Σ u_i x u_i* (pinching inequality)."""
+        return [None if norms is None else norms[0] / max(norms[1] + float(ex), NORM_FLOOR)
+                for norms, ex in zip(self.positive_norms, excess)]
 
     def with_epsilon(self, epsilon: float) -> "PavingProblem":
         """This problem at another ε, sharing the centered operators."""
@@ -244,11 +253,12 @@ class PavingCertificate:
 # -- closed-form bounds --------------------------------------------------------
 
 def paving_partition_bound(index: float, epsilon: float):
-    """(n, m, r): outer size ceil(16/ε²), refinement ceil(4·index/ε²), r = n m."""
+    """(n, m, r): outer size ceil(16/ε²), refinement ceil(4·index/ε²), r = n m,
+    each ceiling by `alg.ceil_guarded`."""
     _check_epsilon(epsilon)
     _check_index(index)
-    n = math.ceil(16.0 * epsilon ** -2)
-    m = math.ceil(4.0 * index * epsilon ** -2)
+    n = alg.ceil_guarded(16.0 * epsilon ** -2)
+    m = alg.ceil_guarded(4.0 * index * epsilon ** -2)
     return n, m, n * m
 
 
@@ -317,10 +327,11 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     ratio + 2δ + δ² is within the threshold + VERIFY_SLACK, and 2δ + δ² is
     recorded for every x under diagnostics["residual_bound"].
 
-    For unitary candidates containing a positive norm-one operator with
-    scalar commutant expectation, the averaging-count lower bound is
-    asserted; a violation sets the soundness alarm, which means the
-    verifier itself is broken.
+    In every mode each x ≥ 0 gets the floor ‖x‖ / (‖E‖ + num + (2δ + δ²)‖x − E‖)
+    of `PavingProblem.pinching_floors`, num the operator-norm ‖pinch − E‖
+    or ‖avg − E‖ (l2 mode included), under diagnostics["lower_bounds"].  An
+    r below a floor by more than VERIFY_SLACK sets the soundness alarm: the
+    verifier itself is broken, and nothing is verified.
     """
     if isinstance(candidate, PavingCertificate):
         inner = candidate.partition if candidate.partition is not None else candidate.unitaries
@@ -331,9 +342,8 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
     config = config or {}
     diagnostics = dict(diagnostics or {})
     count = len(problem.operators)
-    dens = problem.dens.tolist()
     threshold = problem.epsilon
-    largest = np.zeros(count)
+    largest = np.zeros(count)   # ‖pinch − E‖ or ‖avg − E‖ of each x
     partition = unitaries = None
 
     if isinstance(candidate, PartitionOfUnity):
@@ -353,12 +363,6 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
             norms, fro = alg.part_norms(candidate.stacks, layout, ys)
             largest = np.maximum(largest, norms.max(axis=1))
             square += t * fro
-        if mode == "l2":
-            largest = np.sqrt(square)
-            dens = [math.sqrt(sum(t * np.sum(np.abs(ys[i]) ** 2) for ys, t in
-                                  zip(problem.slab_stacks, inc.m_shape.trace_weights)))
-                    for i in range(count)]
-            threshold = (config.get("n_parts") or r) ** -0.5 + config.get("delta_l2", L2_SLACK)
     else:
         unitaries, mode = list(candidate), "unitaries"
         if not unitaries:
@@ -378,26 +382,21 @@ def verify(problem: PavingProblem, candidate, mode: str = None,
             avg = sum(alg.compression(frames, inc.slab_layout(l), ys) for frames in adjoints) / r
             largest = np.maximum(largest, alg.top_singular_values(avg))
 
+    nums, dens = largest, problem.dens.tolist()
+    if mode == "l2":
+        nums = np.sqrt(square)
+        dens = [math.sqrt(sum(t * np.sum(np.abs(ys[i]) ** 2) for ys, t in
+                              zip(problem.slab_stacks, inc.m_shape.trace_weights)))
+                for i in range(count)]
+        threshold = (config.get("n_parts") or r) ** -0.5 + config.get("delta_l2", L2_SLACK)
     ratios = [0.0 if den <= DEGENERATE_DEN else float(num) / den
-              for num, den in zip(largest, dens)]
+              for num, den in zip(nums, dens)]
     bound = 2 * worst + worst ** 2
     diagnostics["residual_bound"] = [bound] * count
+    floors = problem.pinching_floors(largest + bound * problem.dens)
+    diagnostics["lower_bounds"] = floors
+    alarm = any(floor is not None and r < floor - VERIFY_SLACK for floor in floors)
     verified = max(ratios) + bound <= threshold + VERIFY_SLACK
-    alarm = False
-    if unitaries is not None:
-        lower_bounds = []
-        for x, parts, num, den in zip(problem.operators, problem.commutant,
-                                      largest.tolist(), dens):
-            if (_is_positive(x) and abs(op_norm(x) - 1.0) <= TOL_PROJ
-                    and commutant_norm(parts, trace(x)) <= TOL_PROJ):
-                lb = averaging_count_lower_bound(float(trace(x).real), max(num, NORM_FLOOR))
-                lower_bounds.append(lb)
-                if (num <= problem.epsilon * max(den, NORM_FLOOR) + VERIFY_SLACK
-                        and r < lb - VERIFY_SLACK):
-                    alarm = True
-            else:
-                lower_bounds.append(None)
-        diagnostics["lower_bounds"] = lower_bounds
     return PavingCertificate(
         mode=mode, per_x_ratio=ratios, r=r, epsilon=problem.epsilon,
         threshold=threshold, verified=verified and not alarm, seed=seed,
@@ -964,9 +963,9 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
     SCAN_RESTARTS restarts of SCAN_STEPS steps, next to the closed-form
     bracket columns.
 
-    The lower bound is the pinching inequality x <= r Σ p_i x p_i of an
-    r-part partition, for each nonzero x >= 0 of F: a verified paving has
-    ‖Σ p_i x p_i‖ <= ‖E(x)‖ + (ε + VERIFY_SLACK) ‖x − E(x)‖, E = E_{N'∩M},
+    The lower bound is the pinching floor of `PavingProblem.pinching_floors`
+    for each nonzero x >= 0 of F: a verified paving has
+    ‖Σ p_i x p_i − E(x)‖ <= (ε + VERIFY_SLACK) ‖x − E(x)‖, E = E_{N'∩M},
     so r >= ‖x‖ / (‖E(x)‖ + (ε + VERIFY_SLACK) ‖x − E(x)‖).  It is None
     when F has no nonzero positive member."""
     epsilons = list(epsilons)
@@ -977,14 +976,12 @@ def scan(inclusion: Inclusion, epsilons, operators, index: float,
                          epsilon=epsilons[0], index=index)
     total_slots = inclusion.n_shape.total_dim
     rows = []
-    positives = [(op_norm(x), commutant_norm(parts), den)
-                 for x, parts, den in zip(base.operators, base.commutant, base.dens.tolist())
-                 if _is_positive(x)]
     for gi, eps in enumerate(epsilons):
         problem = base.with_epsilon(eps)
         theorem_r = paving_partition_bound(problem.index, eps)[2]
-        lower = max((math.ceil(nx / (ne + (eps + VERIFY_SLACK) * den) - CEIL_GUARD)
-                     for nx, ne, den in positives if nx > 0.0), default=None)
+        floors = problem.pinching_floors((eps + VERIFY_SLACK) * problem.dens)
+        lower = max((alg.ceil_guarded(floor) for floor in floors
+                     if floor is not None and floor > 0.0), default=None)
         found, verified = None, False
         for r in range(1, min(r_cap, total_slots) + 1):
             cert = pave_search(problem, SearchConfig(

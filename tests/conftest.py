@@ -1,10 +1,12 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pavelab import algebra as alg
-from pavelab import families, freeness
+from pavelab import families
 from pavelab import inclusion as incl
 from pavelab import paving as pv
 from pavelab.seeding import child_rng, child_seed
@@ -30,6 +32,21 @@ def power_iteration_norm(mat: np.ndarray, iters: int = 800, seed: int = 0) -> fl
 
 def op_norm_power(x: alg.Element) -> float:
     return max(power_iteration_norm(b) if b.size else 0.0 for b in x.blocks)
+
+
+def l2_norm(x: alg.Element) -> float:
+    """Trace norm sqrt(tau(x* x))."""
+    val = sum(t * np.sum(np.abs(b) ** 2) for t, b in zip(x.shape.trace_weights, x.blocks))
+    return math.sqrt(max(float(val), 0.0))
+
+
+def sign_spectrum(dim: int) -> np.ndarray:
+    """Balanced +1/-1 (one 0 when dim is odd): trace-zero, norm-one spectrum."""
+    half = dim // 2
+    s = np.zeros(dim)
+    s[:half] = 1.0
+    s[dim - half:] = -1.0
+    return s
 
 
 def partial_trace_right(mat: np.ndarray, k: int, d: int) -> np.ndarray:
@@ -247,7 +264,7 @@ def sample_pair(n: int, dim: int, seed):
     w = alg.haar_block(child_rng(seed, 1), dim)
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     v_mat = (u * np.repeat(roots, dim // n)) @ u.conj().T
-    s = freeness._sign_spectrum(dim)
+    s = sign_spectrum(dim)
     x_mat = (w * s) @ w.conj().T
     x = alg.Element(shape, [(x_mat + x_mat.conj().T) / 2])
     return alg.CyclicUnitary(v=alg.Element(shape, [v_mat]), order=n), x, u, w, s

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from pavelab import algebra as alg
 from pavelab import families
 from pavelab import inclusion as incl
-from pavelab.algebra import (AlgebraShape, Element, identity, zero, trace,
-                             op_norm, l2_norm)
+from pavelab.algebra import AlgebraShape, Element, identity, zero, trace, op_norm
 from pavelab.seeding import child_rng, child_seed
 
-from conftest import (cyclic_unitary, elements_close, op_norm_power,
+from conftest import (cyclic_unitary, elements_close, l2_norm, op_norm_power,
                       partition_from_projections, pinch, projection_defect, random_spec,
                       ref_embed_frame, spectral_partition, two_block_inclusion,
                       unitary_average)
@@ -98,6 +97,16 @@ class TestNorms:
             op_norm(x)
 
 
+def test_ceil_guarded():
+    # one ulp above an integer gains nothing, anything more a whole step
+    assert alg.ceil_guarded(49.00000000000001) == 49
+    assert alg.ceil_guarded(4 * 49.00000000000001 * 4) == 784
+    assert alg.ceil_guarded(49.0) == 49 and alg.ceil_guarded(0.0) == 0
+    assert alg.ceil_guarded(48.99999999999999) == 49
+    assert alg.ceil_guarded(1 + 1e-9) == 2 and alg.ceil_guarded(784.5) == 785
+    assert alg.ceil_guarded(1e6 + 1e-4) == 1_000_001
+
+
 class TestRingOps:
     def test_adjoint_involution(self):
         x = rand_generic(MIXED, 4)
@@ -164,6 +173,28 @@ class TestRandomSampling:
         with pytest.raises(alg.InfeasibleTraceError) as err:
             alg.random_element(M2, alg.PROJECTION, 20, theta=0.3)
         assert abs(err.value.nearest - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("dims, weights", [
+        ((3, 4), (1 / 7, 1 / 7)), ((1, 2, 3), (1 / 6,) * 3), ((2, 5), (0.25, 0.1)),
+        ((4,), (0.25,)), ((1, 1, 1, 1), (0.25,) * 4), ((3, 6), (1 / 15, 2 / 15)),
+    ])
+    def test_projection_ranks_against_brute_force(self, dims, weights):
+        # every rank tuple in lexicographic order, each sum taken block by
+        # block: the first tuple of least error, ties included
+        def walk(prefix, acc):
+            if len(prefix) == len(dims):
+                yield tuple(prefix), acc
+                return
+            k = len(prefix)
+            for r in range(dims[k] + 1):
+                yield from walk(prefix + [r], acc + weights[k] * r)
+        shape = AlgebraShape(dims, weights)
+        for theta in (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.77, 1.0):
+            best = None
+            for ranks, acc in walk([], 0.0):
+                if best is None or abs(acc - theta) < best[1]:
+                    best = ranks, abs(acc - theta)
+            assert alg._projection_ranks(shape, theta) == best
 
     def test_seed_reproducibility(self):
         a = alg.random_element(MIXED, alg.SELFADJOINT, 21)

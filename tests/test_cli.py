@@ -568,6 +568,35 @@ def test_bad_size_flags_usage_error(tmp_path, capsys, argv, message):
     assert not os.path.exists(os.path.join(tmp_path, "pave_certificate.json"))
 
 
+@pytest.mark.parametrize("family, mode, epsilon, message", [
+    ("tensor(8,2)", "search", "0.7",
+     "pave --mode search without --n-parts takes the theorem's r = 1089, more parts "
+     "than the 8 slots of N; pass --n-parts"),
+    ("self(16)", "search", "0.7",
+     "pave --mode search without --n-parts takes the theorem's r = 297, more parts "
+     "than the 16 slots of N; pass --n-parts"),
+    ("tensor(8,2)", "pipeline", "1.5",
+     "pave --mode pipeline without --n-parts and --m-refine takes the theorem's "
+     "n*m = 8*8, more parts than the 8 slots of N; pass --n-parts and --m-refine"),
+], ids=["search-tensor", "search-self", "pipeline-tensor"])
+def test_default_sizes_beyond_n_name_the_flags(tmp_path, capsys, family, mode, epsilon,
+                                               message):
+    # without size flags the theorem's sizes apply, and N has too few slots
+    argv = ["pave", "--family", family, "--epsilon", epsilon, "--mode", mode,
+            "--f-random", "selfadjoint:1", "--seed", "1", "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(os.path.join(tmp_path, "pave_certificate.json"))
+
+
+def test_default_pipeline_sizes_within_n_run(tmp_path):
+    # on self(64) at ε = 1.5 the theorem's n*m = 8*2 fits N's 64 slots
+    assert run(["pave", "--family", "self(64)", "--epsilon", "1.5", "--mode", "pipeline",
+                "--f-random", "selfadjoint:1", "--seed", "1", "--out", str(tmp_path)]) == 0
+    cert = load(os.path.join(tmp_path, "pave_certificate.json"))
+    assert (cert["config"]["n_parts"], cert["config"]["m_refine"]) == (8, 2)
+
+
 @pytest.mark.parametrize("flag, mode", [
     ("--m-refine", "search"), ("--m-refine", "l2"), ("--m-refine", "unitary"),
     ("--m-refine", "verify"), ("--n-parts", "unitary"), ("--n-parts", "verify"),

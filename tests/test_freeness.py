@@ -8,7 +8,7 @@ from pavelab import freeness as fr
 from pavelab.algebra import identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
 
-from conftest import pinch, sample_pair, spectral_partition, unitary_average
+from conftest import pinch, sample_pair, sign_spectrum, spectral_partition, unitary_average
 
 
 class TestBound:
@@ -126,7 +126,7 @@ class TestRunKesten:
         for t in range(3):
             v, x = fr.trial_pair(n, dim, child_rng(12, t))
             spectrum = np.linalg.eigvalsh(x.blocks[0])
-            assert np.allclose(spectrum, np.sort(fr._sign_spectrum(dim)), atol=1e-12)
+            assert np.allclose(spectrum, np.sort(sign_spectrum(dim)), atol=1e-12)
             literal = op_norm(pinch(spectral_partition(v), x))
             fast = fr._pinched_norms_fast(n, dim, child_rng(12, t))
             assert abs(literal - fast) < 1e-12

@@ -6,6 +6,7 @@ import pytest
 from pavelab import algebra as alg
 from pavelab import families
 from pavelab import inclusion as incl
+from pavelab import paving as pv
 from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace, zero
 from pavelab.seeding import child_rng, child_seed
 
@@ -394,14 +395,17 @@ def test_commutant_norms(make):
           for t, kind in enumerate((alg.SELFADJOINT, alg.POSITIVE, alg.PROJECTION))]
     p = alg.random_element(inc.n_shape, alg.PROJECTION, 94, theta=half_trace(inc.n_shape))
     xs.append(inc.embed(p))
+
+    def shift(parts, tau):   # the T of E(x) − τ1
+        return [[t - tau * np.eye(len(t)) for t in ts] for ts in parts]
     for x in xs:
         e = inc.cond_exp_comm(x)
         tau = trace(x)
         shifted = op_norm(e - tau * identity(inc.m_shape))
         assert abs(incl.commutant_norm(inc.center(x)[0]) - op_norm(e)) <= 1e-12
-        assert abs(incl.commutant_norm(inc.center(x)[0], tau) - shifted) <= 1e-12
+        assert abs(incl.commutant_norm(shift(inc.center(x)[0], tau)) - shifted) <= 1e-12
     if inc.n_shape.num_blocks == 1:
-        assert incl.commutant_norm(inc.center(xs[-1])[0], trace(xs[-1])) <= 1e-12
+        assert incl.commutant_norm(shift(inc.center(xs[-1])[0], trace(xs[-1]))) <= 1e-12
 
 
 @pytest.mark.parametrize("name", list(SLAB_CASES))
@@ -689,6 +693,20 @@ class TestFamilies:
         family = families.parse_family(name)
         inc = incl.Inclusion(family.spec, family.embed_unitaries)
         assert inc.known_index == pytest.approx(family.known_index, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", ["scalars-in(2)", "scalars-in(3)", "scalars-in(4)",
+                                      "self(16)", "tensor(2,2)", "tensor(2,3)", "tensor(3,2)",
+                                      "tensor(4,2)", "tensor(5,7)", "tensor(512,2)"])
+    def test_closed_form_index_gives_literal_sizes(self, name):
+        # the ceilings of the size bounds and the basis interval take the
+        # closed form one ulp above the literal (tensor(5,7)) to the same step
+        family = families.parse_family(name)
+        computed = incl.Inclusion(family.spec, family.embed_unitaries).known_index
+        for eps in (1.5, 0.9, 0.7, 0.5, 0.3, 0.25, 0.1, 0.05, 0.02):
+            assert (pv.paving_partition_bound(computed, eps)
+                    == pv.paving_partition_bound(family.known_index, eps)), eps
+        got, want = incl.d_ob_interval(computed), incl.d_ob_interval(family.known_index)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_index_is_norm_of_basis_frame_sum(self, corpus, multi_block):
         # Ind(E) = Σ_j m_j m_j* over a Pimsner–Popa basis (Watatani)

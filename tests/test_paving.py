@@ -14,7 +14,7 @@ from pavelab.algebra import AlgebraShape, Element, identity, op_norm, trace
 from pavelab.seeding import child_rng, child_seed
 from pavelab.serialize import canonical_dumps
 
-from conftest import (embed_partition, half_trace, part_compression, part_labels,
+from conftest import (embed_partition, half_trace, l2_norm, part_compression, part_labels,
                       partition_from_projections, pinch, ref_embed_frame, reference_dixmier,
                       two_block_inclusion, unitary_average)
 
@@ -1173,7 +1173,7 @@ class TestVerifyDifferential:
     @staticmethod
     def literal(problem, partition, mode):
         # `partition` lives over M: pinch with it directly
-        norm = alg.l2_norm if mode == "l2" else op_norm
+        norm = l2_norm if mode == "l2" else op_norm
         return [norm(pinch(partition, x) - (x - diff)) / norm(diff)
                 for x, diff, _ in centered(problem)]
 
@@ -1448,8 +1448,9 @@ class TestSlabCoordinateProblem:
                 assert (rows[0]["lower_bound"] is not None) == positive
 
     def test_positivity_screen(self, monkeypatch):
-        # a self-adjoint trace-zero x fails on its diagonal: a unitary-mode
-        # verify runs no eigvalsh for it in `_is_positive`
+        # a self-adjoint trace-zero x fails on its diagonal: building the
+        # problem, which screens F once, and a unitary-mode verify run no
+        # eigvalsh for it in `_is_positive`
         calls, inside = [], []
         eigvalsh, is_positive = np.linalg.eigvalsh, pv._is_positive
         monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -1465,9 +1466,9 @@ class TestSlabCoordinateProblem:
         inc = families.tensor_product(8, 2)
         x = selfadjoint(inc.m_shape, 99)
         assert abs(trace(x)) <= 1e-12
+        calls.clear()
         problem = pv.PavingProblem(inclusion=inc, operators=[x], epsilon=0.5, index=4.0)
         us = [alg.random_haar_unitary(inc.n_shape, child_seed(100, i)) for i in range(2)]
-        calls.clear()
         cert = pv.verify(problem, us)
         assert cert.diagnostics["lower_bounds"] == [None]
         assert calls and not any(calls)   # eigvalsh ran, but none in `_is_positive`
@@ -1490,6 +1491,96 @@ class TestSlabCoordinateProblem:
         for x in xs:
             assert pv._is_positive(x) == full(x)
         assert [pv._is_positive(x) for x in xs] == [True, True, False, True, False, False]
+
+
+class TestPinchingFloor:
+    """verify records ‖x‖ / (‖E‖ + num + (2δ + δ²)‖x − E‖) for each x ≥ 0 in
+    every mode, and an r below it raises the soundness alarm."""
+
+    @staticmethod
+    def certificates(problem):
+        inc = problem.inclusion
+        us = [alg.random_haar_unitary(inc.n_shape, child_seed(111, i)) for i in range(3)]
+        return [pv.pave_search(problem, pv.SearchConfig(r=4, restarts=1, steps=20)),
+                pv.l2_pave(problem, 4, seed=1), pv.verify(problem, us)]
+
+    def test_floors_in_every_mode(self):
+        for inc in (families.self_inclusion(16), families.tensor_product(8, 2),
+                    two_block_inclusion()):
+            ops = [alg.random_element(inc.m_shape, alg.PROJECTION, child_seed(110, 0),
+                                      theta=half_trace(inc.m_shape)),
+                   selfadjoint(inc.m_shape, child_seed(110, 1)),
+                   alg.random_element(inc.m_shape, alg.POSITIVE, child_seed(110, 2))]
+            problem = pv.PavingProblem(inclusion=inc, operators=ops, epsilon=0.9)
+            assert [norms is None for norms in problem.positive_norms] == [False, True, False]
+            for x, norms in zip(ops[::2], problem.positive_norms[::2]):
+                e = inc.cond_exp_comm(x)
+                assert norms == pytest.approx((op_norm(x), op_norm(e)), rel=1e-12)
+            for cert in self.certificates(problem):
+                floors = cert.diagnostics["lower_bounds"]
+                assert floors[1] is None and not cert.soundness_alarm
+                assert all(0.0 < floor <= cert.r for floor in floors[::2]), cert.mode
+
+    def test_floor_counts_the_residual(self):
+        # candidates 1e-9 off exact: the floor adds (2δ + δ²)‖x − E‖ to
+        # ‖E‖ + num, and an l2 certificate takes the operator-norm num of
+        # its partition
+        inc = families.self_inclusion(16)
+        q = alg.random_element(inc.m_shape, alg.PROJECTION, child_seed(110, 0), theta=0.25)
+        problem = pv.PavingProblem(inclusion=inc, operators=[q], epsilon=0.9)
+        search, l2, family = self.certificates(problem)
+        part = search.partition
+        nudged = [alg.PartitionOfUnity(part.shape, [(1 + 1e-9) * s for s in part.stacks],
+                                       part.ranks),
+                  [(1 + 1e-9) * u for u in family.unitaries]]
+        (norm_x, norm_e), = problem.positive_norms
+        den, = problem.dens
+        for cert in [pv.verify(problem, c) for c in nudged]:
+            bound, = cert.diagnostics["residual_bound"]
+            num = cert.per_x_ratio[0] * den
+            assert bound > 1e-9
+            floor, = cert.diagnostics["lower_bounds"]
+            assert floor == pytest.approx(norm_x / (norm_e + num + bound * den), rel=1e-13)
+            assert floor != pytest.approx(norm_x / (norm_e + num), rel=1e-10)
+        as_partition = pv.verify(problem, l2.partition)
+        assert as_partition.mode == "partition"
+        assert l2.diagnostics["lower_bounds"] == as_partition.diagnostics["lower_bounds"]
+
+    def test_alarm_in_every_mode(self):
+        # the recorded ‖x‖ is set 1 % above r (‖E‖ + num + (2δ + δ²)‖x − E‖)
+        inc = families.self_inclusion(16)
+        q = alg.random_element(inc.m_shape, alg.PROJECTION, child_seed(110, 0), theta=0.25)
+        problem = pv.PavingProblem(inclusion=inc, operators=[q], epsilon=0.9)
+        certs = self.certificates(problem)
+        assert [c.mode for c in certs] == ["partition", "l2", "unitaries"]
+        for cert in certs:
+            assert cert.verified and not cert.soundness_alarm
+            (norm_x, norm_e), = problem.positive_norms
+            floor, = cert.diagnostics["lower_bounds"]
+            tampered = copy.copy(problem)
+            tampered.positive_norms = ((1.01 * cert.r * norm_x / floor, norm_e),)
+            again = pv.verify(tampered, cert)
+            assert again.diagnostics["lower_bounds"][0] == pytest.approx(1.01 * cert.r)
+            assert again.soundness_alarm and not again.verified, cert.mode
+            assert again.per_x_ratio == cert.per_x_ratio
+
+    def test_old_rule_values_kept(self):
+        # positive norm-one x with scalar E(x) under a unitary family: the
+        # floor is the (τ + ‖avg − E‖)^-1 of `averaging_count_lower_bound`
+        # (criterion 7's projections and `test_positive_norm_one_lower_bound`)
+        inc = families.self_inclusion(64)
+        cases = [(child_seed(7007, int(theta * 64)), theta, eps, 77)
+                 for theta in (1 / 64, 1 / 16, 1 / 4) for eps in (0.5, 0.25, 0.1)]
+        cases.append((28, 1 / 16, 0.25, 2))
+        for seed, theta, eps, run_seed in cases:
+            q = alg.random_element(inc.m_shape, alg.PROJECTION, seed, theta=theta)
+            problem = pv.PavingProblem(inclusion=inc, operators=[q], epsilon=eps, index=1.0)
+            cert = pv.dixmier_average_run(problem, seed=run_seed)
+            avg = unitary_average([inc.embed(u) for u in cert.unitaries], q)
+            num = op_norm(avg - inc.cond_exp_comm(q))
+            old = pv.averaging_count_lower_bound(float(trace(q).real), max(num, pv.NORM_FLOOR))
+            assert cert.diagnostics["lower_bounds"][0] == pytest.approx(old, rel=1e-12, abs=0)
+            assert not cert.soundness_alarm
 
 
 class TestL2Paving:
